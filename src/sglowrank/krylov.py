@@ -10,6 +10,15 @@ Gram systems:
     (V_j^T V_j) alpha = V_j^T w_j        (orthogonalization step)
     (W_m^T W_m) beta  = W_m^T r_k        (residual projection; W = L V)
 
+A matvec multiplies the stored rank by the M+1 operator terms, which
+usually makes it wider than the stochastic dimension n_xi.  Every matvec
+output and every residual wider than n_xi is therefore folded, exactly,
+into the n_x x n_xi block Y Z^T paired with the identity (``lowrank.fold``),
+so the stored W_j and r_k are at most n_xi columns wide.  Folded blocks
+share one orthonormal stochastic factor, as do all projection-truncated
+basis vectors, so the Gram entries and norms among them are Frobenius
+products of the spatial factors and need no QR.
+
 The cycle update is u <- T(u + V beta); the outer loop checks the true
 untruncated residual and stops on ||r|| / ||f|| < eps.  With right
 preconditioning the accumulated iterate lives in the preconditioned
@@ -39,6 +48,7 @@ from .lowrank import (
     add,
     apply_operator,
     build_operator,
+    fold,
     inner,
     norm,
     scale,
@@ -80,11 +90,11 @@ class MeanPreconditioner:
 
     def apply(self, u: FactoredVector) -> FactoredVector:
         """M u, moving an initial guess into the preconditioned variable."""
-        return FactoredVector(self._mean @ u.Y, u.Z)
+        return FactoredVector._adopt(self._mean @ u.Y, u.Z, u.orthonormal)
 
     def solve(self, u: FactoredVector) -> FactoredVector:
         """M^{-1} u = (I (x) K_0^{-1}) u; rank is unchanged."""
-        return FactoredVector(self.solve_spatial(u.Y), u.Z)
+        return FactoredVector._adopt(self.solve_spatial(u.Y), u.Z, u.orthonormal)
 
 
 class IdentityPreconditioner:
@@ -110,8 +120,8 @@ def build_preconditioner(A: StochasticOperator, kind: str):
 
 
 def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> FactoredVector:
-    """(A M^{-1}) u in factored form."""
-    return apply_operator(A, P.solve(u))
+    """(A M^{-1}) u in factored form, folded to at most n_xi columns."""
+    return fold(apply_operator(A, P.solve(u)))
 
 
 @dataclass(frozen=True)
@@ -160,7 +170,7 @@ def _combination(vectors: list[FactoredVector], coeffs: np.ndarray) -> FactoredV
     if not cols_y:
         n_x, n_xi = vectors[0].shape
         return FactoredVector.zero(n_x, n_xi)
-    return FactoredVector(np.hstack(cols_y), np.hstack(cols_z))
+    return FactoredVector._adopt(np.hstack(cols_y), np.hstack(cols_z))
 
 
 def solve(
@@ -199,7 +209,7 @@ def solve(
     converged = False
 
     for outer in range(cfg.max_cycles + 1):
-        r = add(A.rhs, scale(apply_preconditioned(A, P, u_hat), -1.0))
+        r = fold(add(A.rhs, scale(apply_preconditioned(A, P, u_hat), -1.0)))
         rel = norm(r) / fnorm
         if history and rel > history[-1]:
             warnings.warn(

@@ -7,22 +7,33 @@ Kronecker-sum operator sum_l G_l (x) K_l acts blockwise,
     A u  ~  [K_0 Y | ... | K_M Y] paired with [G_0 Z | ... | G_M Z],
 
 so a matvec multiplies the stored rank by the number of terms and an
-addition concatenates factors.  Two rank-reduction operators bring ranks
-back down: a Frobenius-optimal SVD truncation computed through thin QR
-factorizations of the factors, and a projection onto a fixed orthonormal
-stochastic basis, which costs two matrix products and no factorization.
+addition concatenates factors.  A factor pair wider than the stochastic
+dimension stores more numbers than the dense n_x x n_xi block it
+represents; ``fold`` rewrites such a vector exactly as that block, Y Z^T,
+paired with the identity, which caps the width at n_xi.  Two
+rank-reduction operators bring ranks back down: a Frobenius-optimal SVD
+truncation computed through thin QR factorizations of the factors, and a
+projection onto a fixed orthonormal stochastic basis, which costs two
+matrix products and no factorization.
 
-Norms of factored vectors are evaluated from the small matrix R_Y R_Z^T of
-the factor QRs; this is orthogonally invariant and keeps the absolute error
-near machine precision even when the represented vector is a tiny residual
-of large cancelling terms (a Gram-matrix evaluation would lose half the
-digits there).
+Folded blocks and the outputs of both truncations have orthonormal
+stochastic factors by construction, and are flagged so when they are
+built.  For those the norm is the Frobenius norm of Y, and the inner
+product of two vectors sharing the same factor Z (every folded block,
+every projection onto one basis) is the Frobenius dot product of their
+spatial factors; no QR or Gram product is formed.  Other norms are
+evaluated from the small matrix R_Y R_Z^T of the factor QRs; this is
+orthogonally invariant and keeps the absolute error near machine
+precision even when the represented vector is a tiny residual of large
+cancelling terms (a Gram-matrix evaluation would lose half the digits
+there).
 """
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +49,7 @@ __all__ = [
     "norm",
     "truncate_svd",
     "truncate_projection",
+    "fold",
     "residual",
     "residual_norm",
     "build_operator",
@@ -58,16 +70,50 @@ def _frozen_array(a) -> np.ndarray:
     return out
 
 
+def _check_orthonormal(B: np.ndarray) -> None:
+    ortho_err = np.abs(B.T @ B - np.eye(B.shape[1])).max(initial=0.0)
+    if ortho_err > PROJ_ORTHO_TOL:
+        raise ValueError(f"projection basis deviates from orthonormality by {ortho_err:.2e}")
+
+
+@functools.lru_cache(maxsize=4)
+def _identity(n: int) -> np.ndarray:
+    """The read-only identity every folded block of size n shares as its Z."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 @dataclass(frozen=True)
 class FactoredVector:
-    """Immutable factor pair representing mat(u) = Y @ Z.T."""
+    """Immutable factor pair representing mat(u) = Y @ Z.T.
+
+    The constructor copies and freezes the arrays it is given.
+    ``orthonormal`` records that Z has orthonormal columns by construction;
+    only the package's own constructors (the truncations and ``fold``) set
+    it, and ``norm`` and ``inner`` then skip the factor QRs and Gram
+    products.
+    """
 
     Y: np.ndarray
     Z: np.ndarray
+    orthonormal: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        Y = _frozen_array(self.Y)
-        Z = _frozen_array(self.Z)
+        self._set_factors(_frozen_array(self.Y), _frozen_array(self.Z))
+
+    @classmethod
+    def _adopt(cls, Y: np.ndarray, Z: np.ndarray, orthonormal: bool = False) -> "FactoredVector":
+        """Wrap arrays the package allocated itself, or factors of other
+        vectors, freezing them in place instead of copying."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "orthonormal", orthonormal)
+        for a in (Y, Z):
+            a.flags.writeable = False
+        u._set_factors(Y, Z)
+        return u
+
+    def _set_factors(self, Y: np.ndarray, Z: np.ndarray) -> None:
         if Y.ndim != 2 or Z.ndim != 2 or Y.shape[1] != Z.shape[1]:
             raise ValueError(f"inconsistent factor shapes {Y.shape} / {Z.shape}")
         object.__setattr__(self, "Y", Y)
@@ -143,27 +189,44 @@ def apply_operator(A: StochasticOperator, u: FactoredVector) -> FactoredVector:
         return FactoredVector.zero(n_x, n_xi)
     Y = np.hstack([K @ u.Y for _, K in A.terms])
     Z = np.hstack([G @ u.Z for G, _ in A.terms])
-    return FactoredVector(Y, Z)
+    return FactoredVector._adopt(Y, Z)
 
 
 def add(u: FactoredVector, v: FactoredVector) -> FactoredVector:
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    return FactoredVector(np.hstack([u.Y, v.Y]), np.hstack([u.Z, v.Z]))
+    return FactoredVector._adopt(np.hstack([u.Y, v.Y]), np.hstack([u.Z, v.Z]))
 
 
 def scale(u: FactoredVector, alpha: float) -> FactoredVector:
     if u.rank == 0:
         return u
-    return FactoredVector(alpha * u.Y, u.Z)
+    return FactoredVector._adopt(alpha * u.Y, u.Z, u.orthonormal)
+
+
+def fold(u: FactoredVector) -> FactoredVector:
+    """u itself if rank(u) <= n_xi, else exactly the block (Y Z^T, I).
+
+    The identity factor is shared by every folded block of the same size,
+    so ``inner`` and ``norm`` reduce to Frobenius products of Y.
+    """
+    n_xi = u.shape[1]
+    if u.rank <= n_xi:
+        return u
+    return FactoredVector._adopt(u.Y @ u.Z.T, _identity(n_xi), orthonormal=True)
 
 
 def inner(u: FactoredVector, v: FactoredVector) -> float:
-    """<u, v> = trace((Y_u^T Y_v)(Z_v^T Z_u)) via rank x rank Gram matrices."""
+    """<u, v> = trace((Y_u^T Y_v)(Z_v^T Z_u)) via rank x rank Gram matrices.
+
+    Vectors sharing one orthonormal Z give the Frobenius dot of Y_u and Y_v.
+    """
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
     if u.rank == 0 or v.rank == 0:
         return 0.0
+    if u.orthonormal and u.Z is v.Z:
+        return float(np.vdot(u.Y, v.Y))
     return float(np.sum((u.Y.T @ v.Y) * (u.Z.T @ v.Z)))
 
 
@@ -171,6 +234,8 @@ def norm(u: FactoredVector) -> float:
     """Frobenius norm of mat(u), stable under representational cancellation."""
     if u.rank == 0:
         return 0.0
+    if u.orthonormal:
+        return float(np.linalg.norm(u.Y))
     if u.rank == 1:
         return float(np.linalg.norm(u.Y[:, 0]) * np.linalg.norm(u.Z[:, 0]))
     Ry = np.linalg.qr(u.Y, mode="r")
@@ -188,7 +253,8 @@ def truncate_svd(
     satisfy sum sigma_k^2 <= tol^2 * sum_all sigma_k^2.  Singular values
     below SV_DROP_TOL times the largest are dropped in every mode so that
     roundoff never manufactures rank.  Singular values are folded into the
-    spatial factor; the stochastic factor keeps orthonormal columns.
+    spatial factor; the stochastic factor keeps orthonormal columns and the
+    result is flagged ``orthonormal``.
     """
     if (rank is None) == (tol is None):
         raise ValueError("specify exactly one of rank or tol")
@@ -209,7 +275,7 @@ def truncate_svd(
         keep = max(keep, 1)
     Y = Qy @ (U[:, :keep] * s[:keep])
     Z = Qz @ Vt[:keep].T
-    return FactoredVector(Y, Z)
+    return FactoredVector._adopt(Y, Z, orthonormal=True)
 
 
 def truncate_projection(u: FactoredVector, basis: np.ndarray) -> FactoredVector:
@@ -218,13 +284,15 @@ def truncate_projection(u: FactoredVector, basis: np.ndarray) -> FactoredVector:
     ``basis`` must have orthonormal columns; the result is (Y (Z^T B), B),
     of rank exactly the basis size, and the map is idempotent.
     """
-    B = np.asarray(basis, float)
-    ortho_err = np.abs(B.T @ B - np.eye(B.shape[1])).max()
-    if ortho_err > PROJ_ORTHO_TOL:
-        raise ValueError(f"projection basis deviates from orthonormality by {ortho_err:.2e}")
-    if u.rank == 0:
-        return FactoredVector(np.zeros((u.shape[0], B.shape[1])), B)
-    return FactoredVector(u.Y @ (u.Z.T @ B), B)
+    B = _frozen_array(basis)
+    _check_orthonormal(B)
+    return _project(u, B)
+
+
+def _project(u: FactoredVector, B: np.ndarray) -> FactoredVector:
+    """Projection onto a frozen orthonormal basis B, which the result shares as Z."""
+    Y = u.Y @ (u.Z.T @ B) if u.rank else np.zeros((u.shape[0], B.shape[1]))
+    return FactoredVector._adopt(Y, B, orthonormal=True)
 
 
 @dataclass(frozen=True)
@@ -247,6 +315,7 @@ class TruncationOperator:
             if self.basis is None:
                 raise ValueError("projection truncation needs a basis")
             object.__setattr__(self, "basis", _frozen_array(self.basis))
+            _check_orthonormal(self.basis)
             object.__setattr__(self, "rank", self.basis.shape[1])
         else:
             raise ValueError(f"unknown truncation kind {self.kind!r}")
@@ -256,31 +325,18 @@ class TruncationOperator:
             return truncate_svd(u, rank=self.rank)
         if self.kind == "svd-tol":
             return truncate_svd(u, tol=self.tol)
-        return truncate_projection(u, self.basis)
+        return _project(u, self.basis)
 
 
 def residual(A: StochasticOperator, u: FactoredVector) -> FactoredVector:
     return add(A.rhs, scale(apply_operator(A, u), -1.0))
 
 
-def residual_norm(A: StochasticOperator, u: FactoredVector, method: str = "auto") -> float:
-    """||f - A u||_2 without materializing the full vector.
-
-    ``method`` "qr" evaluates the norm through factor QRs (stable at small
-    residuals), "gram" through pairwise term Gram matrices (cheaper for very
-    high transient ranks), "auto" picks by rank.
-    """
+def residual_norm(A: StochasticOperator, u: FactoredVector) -> float:
+    """||f - A u||_2 of the folded residual, at most n_xi columns wide."""
     if u.rank == 0:
         return norm(A.rhs)
-    r = residual(A, u)
-    if method == "auto":
-        method = "qr" if r.rank <= 800 else "gram"
-    if method == "qr":
-        return norm(r)
-    if method != "gram":
-        raise ValueError(f"unknown method {method!r}")
-    val = inner(r, r)
-    return float(np.sqrt(max(val, 0.0)))
+    return norm(fold(residual(A, u)))
 
 
 def build_operator(

@@ -94,7 +94,7 @@ def _stochastic_rhs(A: StochasticOperator, current: FactoredVector, y: np.ndarra
 
 def _increment_change(y_new, z_new, y_old, z_old) -> float:
     """Relative Frobenius distance between successive rank-one increments."""
-    pair = FactoredVector(
+    pair = FactoredVector._adopt(
         np.column_stack([y_new, y_old]), np.column_stack([z_new, -z_old])
     )
     denom = np.linalg.norm(y_new) * np.linalg.norm(z_new)

@@ -17,9 +17,11 @@ from sglowrank.lowrank import (
     TruncationOperator,
     add,
     build_operator,
+    fold,
     norm,
     residual_norm,
     scale,
+    truncate_svd,
 )
 from sglowrank.pgd import solve_pgd
 from sglowrank.randfield import ExponentialCovariance, build_kl
@@ -68,6 +70,44 @@ class TestPreconditioner:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_preconditioner(galerkin_operator(), "amg")
+
+
+class TestFold:
+    """Matvec outputs and residuals wider than n_xi are folded exactly."""
+
+    def test_matvec_output_folded_and_exact(self, rng):
+        A = galerkin_operator()
+        n_x, n_xi = A.shape
+        u = random_factored(rng, n_x, n_xi, 3)
+        assert A.num_terms * u.rank > n_xi
+        P = MeanPreconditioner(A)
+        out = apply_preconditioned(A, P, u)
+        assert out.rank <= n_xi
+        Minv = np.kron(np.eye(n_xi), np.linalg.inv(A.mean_spatial.toarray()))
+        want = dense_operator(A) @ Minv @ dense_vec(u)
+        assert np.linalg.norm(dense_vec(out) - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", ["svd-rank", "projection"])
+    def test_final_residual_matches_dense(self, kind):
+        # rank 6 of n_xi = 10 truncates for real; the basis is the leading
+        # stochastic singular space of the untruncated solution
+        A = galerkin_operator()
+        if kind == "projection":
+            u_star, _ = solve(A, SolverConfig(eps=1e-10, trunc=no_truncation(A)))
+            trunc = TruncationOperator("projection", basis=truncate_svd(u_star, rank=6).Z)
+        else:
+            trunc = TruncationOperator("svd-rank", rank=6)
+        assert A.num_terms * trunc.rank > A.shape[1]
+        u, report = solve(A, SolverConfig(eps=1e-3, trunc=trunc, m=6))
+        assert report.converged
+        b = dense_vec(A.rhs)
+        dense_rel = np.linalg.norm(b - dense_operator(A) @ dense_vec(u)) / np.linalg.norm(b)
+        assert report.residual_history[-1] == pytest.approx(dense_rel, rel=1e-9)
+
+    def test_narrow_vector_unchanged(self, rng):
+        A = galerkin_operator()
+        u = random_factored(rng, *A.shape, A.shape[1])
+        assert fold(u) is u
 
 
 class TestSolve:
@@ -209,6 +249,16 @@ class TestSolve:
             u, report = solve(A, cfg)
         assert not report.converged
         assert len(report.residual_history) == 3
+
+    def test_memory_guard_compares_folded_width(self):
+        A = galerkin_operator()
+        n_xi = A.shape[1]
+        trunc = TruncationOperator("svd-rank", rank=6)
+        assert A.num_terms * trunc.rank > n_xi  # unfolded matvec width
+        _, report = solve(A, SolverConfig(eps=1e-3, trunc=trunc, max_w_columns=n_xi))
+        assert report.matvecs > 0
+        with pytest.raises(MemoryError, match="max_w_columns"):
+            solve(A, SolverConfig(eps=1e-3, trunc=trunc, max_w_columns=n_xi - 1))
 
     def test_config_validation(self):
         A = galerkin_operator()

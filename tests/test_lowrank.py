@@ -9,6 +9,7 @@ from sglowrank.lowrank import (
     TruncationOperator,
     add,
     apply_operator,
+    fold,
     inner,
     load_factored,
     norm,
@@ -39,6 +40,15 @@ class TestFactoredVector:
         u = random_factored(rng, 4, 4, 2)
         with pytest.raises(ValueError):
             u.Y[0, 0] = 1.0
+
+    def test_caller_arrays_neither_aliased_nor_frozen(self, rng):
+        Y = rng.standard_normal((4, 2))
+        Z = rng.standard_normal((3, 2))
+        u = FactoredVector(Y, Z)
+        assert not np.shares_memory(u.Y, Y) and not np.shares_memory(u.Z, Z)
+        assert Y.flags.writeable and Z.flags.writeable
+        Y[0, 0] += 1.0
+        assert u.Y[0, 0] != Y[0, 0]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -125,6 +135,22 @@ class TestAddInner:
 
     def test_norm_matches_dense(self, rng):
         u = random_factored(rng, 6, 7, 4)
+        assert norm(u) == pytest.approx(np.linalg.norm(dense_of(u)), rel=1e-12)
+
+
+class TestFold:
+    def test_wide_vector_becomes_exact_block(self, rng):
+        u = random_factored(rng, 9, 4, 7)
+        out = fold(u)
+        assert out.rank == 4
+        assert np.array_equal(out.Z, np.eye(4))
+        assert np.abs(dense_of(out) - dense_of(u)).max() <= 1e-13 * np.abs(dense_of(u)).max()
+
+    def test_blocks_share_one_frame(self, rng):
+        u = fold(random_factored(rng, 9, 4, 6))
+        v = fold(random_factored(rng, 9, 4, 5))
+        assert u.Z is v.Z
+        assert inner(u, v) == pytest.approx(float(dense_vec(u) @ dense_vec(v)), rel=1e-12)
         assert norm(u) == pytest.approx(np.linalg.norm(dense_of(u)), rel=1e-12)
 
 
@@ -228,11 +254,22 @@ class TestTruncationOperator:
         assert by_proj.apply(u).rank == 2
         assert by_proj.rank == 2
 
+    def test_projection_outputs_share_the_basis(self, rng):
+        B, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+        op = TruncationOperator("projection", basis=B)
+        u = op.apply(random_factored(rng, 8, 6, 5))
+        v = op.apply(random_factored(rng, 8, 6, 4))
+        assert u.Z is v.Z and u.orthonormal
+        assert inner(u, v) == pytest.approx(float(dense_vec(u) @ dense_vec(v)), rel=1e-12)
+        assert not random_factored(rng, 8, 6, 2).orthonormal
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TruncationOperator("svd-rank")
         with pytest.raises(ValueError):
             TruncationOperator("projection")
+        with pytest.raises(ValueError, match="orthonormality"):
+            TruncationOperator("projection", basis=2.0 * np.eye(3)[:, :2])
         with pytest.raises(ValueError):
             TruncationOperator("unknown")
 
@@ -257,8 +294,7 @@ class TestResidualNorm:
         A = random_operator(rng, 8, 5, 3)
         u = random_factored(rng, 8, 5, 2)
         want = np.linalg.norm(dense_vec(A.rhs) - dense_operator(A) @ dense_vec(u))
-        for method in ("qr", "gram"):
-            assert residual_norm(A, u, method=method) == pytest.approx(want, rel=1e-11)
+        assert residual_norm(A, u) == pytest.approx(want, rel=1e-11)
 
 
 @settings(max_examples=40, deadline=None)
