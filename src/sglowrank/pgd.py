@@ -10,6 +10,19 @@ and freezing the spatial factor y gives a stochastic system
 
     (sum_l (y^T K_l y) G_l) z = mat(F)^T y - sum_l G_l Z (Y^T K_l^T y).
 
+A sweep allocates no sparse matrix.  One workspace per solve stacks the
+data of every K_l on their union sparsity pattern, and likewise for the
+G_l, so that all condensation weights v^T M_l v come from one product
+``data @ (v[rows] * v[cols])`` and every condensed matrix from one product
+``weights @ data`` scattered into a preallocated array.  The spatial matrix
+is solved in LAPACK banded storage (lexicographic Q1 numbering gives
+half-bandwidth 2^level): banded Cholesky when every K_l is symmetric, banded
+LU otherwise.  The stochastic matrix, at most a few hundred rows, is solved
+densely.  The products K_l Y and G_l Z of the current factors are cached as
+column blocks KY and GZ that grow by one pair per enrichment, so the
+right-hand sides are F z - KY (GZ^T z) and F^T y - GZ (KY^T y); this uses
+that every G_l is symmetric, which the workspace checks once.
+
 After enrichment, an update pass re-solves all stochastic factors at once
 through the coupled block system with (i, j) block sum_l (y_i^T K_l y_j) G_l,
 solved iteratively with a mean-block preconditioner.
@@ -26,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded, solveh_banded
 
 from .lowrank import (
     FactoredVector,
@@ -64,41 +78,116 @@ class PgdSolution:
     residual_history: tuple[float, ...]
 
 
-def _spatial_system(A: StochasticOperator, z: np.ndarray):
-    weights = [float(z @ (G @ z)) for G, _ in A.terms]
-    mat = sum(w * K for w, (_, K) in zip(weights, A.terms))
-    return mat.tocsc(), weights
+class _Condensation:
+    """Square sparse matrices M_l stacked on their union sparsity pattern.
+
+    Row l of ``data`` holds the entries of M_l at (``rows``, ``cols``), zero
+    where M_l has none.
+    """
+
+    def __init__(self, mats):
+        n = mats[0].shape[0]
+        coos = [M.tocoo() for M in mats]
+        keys = [c.row.astype(np.int64) * n + c.col for c in coos]
+        union = np.unique(np.concatenate(keys))
+        self.rows, self.cols = np.divmod(union, n)
+        self.data = np.zeros((len(mats), union.size))
+        for row, c, k in zip(self.data, coos, keys):
+            np.add.at(row, np.searchsorted(union, k), c.data)
+
+    def weights(self, v: np.ndarray) -> np.ndarray:
+        """v^T M_l v for every l."""
+        return self.data @ (v[self.rows] * v[self.cols])
 
 
-def _spatial_rhs(A: StochasticOperator, current: FactoredVector, z: np.ndarray) -> np.ndarray:
-    rhs = A.rhs.Y @ (A.rhs.Z.T @ z) if A.rhs.rank else np.zeros(A.shape[0])
-    if current.rank:
-        for G, K in A.terms:
-            rhs -= (K @ current.Y) @ (current.Z.T @ (G @ z))
-    return rhs
+class _Workspace:
+    """What one PGD solve keeps across enrichments and sweeps.
 
+    ``current`` is the factor set the blocks KY = [K_l y_i] and
+    GZ = [G_l z_i] (pair-major column order) belong to.
+    """
 
-def _stochastic_system(A: StochasticOperator, y: np.ndarray):
-    weights = [float(y @ (K @ y)) for _, K in A.terms]
-    mat = sum(w * G for w, (G, _) in zip(weights, A.terms))
-    return mat.tocsc(), weights
+    def __init__(self, A: StochasticOperator):
+        self._K = [K for _, K in A.terms]
+        self._G = [G for G, _ in A.terms]
+        if any((G != G.T).nnz for G in self._G):
+            raise ValueError("PGD needs symmetric stochastic matrices G_l")
+        self._F = A.rhs
+        self.spatial = _Condensation(self._K)
+        self.stochastic = _Condensation(self._G)
+        n_x, n_xi = A.shape
 
+        rows, cols = self.spatial.rows, self.spatial.cols
+        lower = int(np.max(rows - cols, initial=0))
+        upper = int(np.max(cols - rows, initial=0))
+        self._symmetric = A.symmetric
+        self._band_keep = slice(None)
+        if A.symmetric:
+            # the Cholesky path reads the lower triangle only
+            upper = 0
+            self._band_keep = rows >= cols
+        # LAPACK banded storage ab[upper + i - j, j] = a[i, j]
+        self._l_and_u = (lower, upper)
+        self._band = np.zeros((lower + upper + 1, n_x))
+        self._band_at = ((upper + rows - cols)[self._band_keep], cols[self._band_keep])
+        self._dense = np.zeros((n_xi, n_xi))
+        self.reset(FactoredVector.zero(n_x, n_xi))
 
-def _stochastic_rhs(A: StochasticOperator, current: FactoredVector, y: np.ndarray) -> np.ndarray:
-    rhs = A.rhs.Z @ (A.rhs.Y.T @ y) if A.rhs.rank else np.zeros(A.shape[1])
-    if current.rank:
-        for G, K in A.terms:
-            rhs -= (G @ current.Z) @ (current.Y.T @ (K.T @ y))
-    return rhs
+    def _products(self, Y: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        KY = np.stack([K @ Y for K in self._K], axis=2).reshape(Y.shape[0], -1)
+        GZ = np.stack([G @ Z for G in self._G], axis=2).reshape(Z.shape[0], -1)
+        return KY, GZ
+
+    def reset(self, u: FactoredVector) -> None:
+        """Cache the blocks of an arbitrary factor set u."""
+        self.KY, self.GZ = self._products(u.Y, u.Z)
+        self.current = u
+
+    def extend(self, u: FactoredVector) -> None:
+        """Cache the blocks of u, the current factor set plus one trailing pair."""
+        if u.rank != self.current.rank + 1:
+            raise ValueError(f"rank {u.rank} does not extend the cached rank {self.current.rank}")
+        KY, GZ = self._products(u.Y[:, -1:], u.Z[:, -1:])
+        self.KY = np.hstack([self.KY, KY])
+        self.GZ = np.hstack([self.GZ, GZ])
+        self.current = u
+
+    def spatial_rhs(self, z: np.ndarray) -> np.ndarray:
+        return self._F.Y @ (self._F.Z.T @ z) - self.KY @ (self.GZ.T @ z)
+
+    def stochastic_rhs(self, y: np.ndarray) -> np.ndarray:
+        return self._F.Z @ (self._F.Y.T @ y) - self.GZ @ (self.KY.T @ y)
+
+    def solve_spatial(self, z: np.ndarray) -> np.ndarray:
+        weights = self.stochastic.weights(z)
+        if abs(weights[0]) < 1e-300:
+            raise _DegenerateEnrichment("spatial condensation vanished")
+        self._band[self._band_at] = (weights @ self.spatial.data)[self._band_keep]
+        if self._symmetric:
+            return solveh_banded(self._band, self.spatial_rhs(z), lower=True)
+        return solve_banded(self._l_and_u, self._band, self.spatial_rhs(z))
+
+    def solve_stochastic(self, y: np.ndarray) -> np.ndarray:
+        weights = self.spatial.weights(y)
+        if abs(weights[0]) < 1e-300:
+            raise _DegenerateEnrichment("stochastic condensation vanished")
+        cond = self.stochastic
+        self._dense[cond.rows, cond.cols] = weights @ cond.data
+        return np.linalg.solve(self._dense, self.stochastic_rhs(y))
 
 
 def _increment_change(y_new, z_new, y_old, z_old) -> float:
-    """Relative Frobenius distance between successive rank-one increments."""
-    pair = FactoredVector._adopt(
-        np.column_stack([y_new, y_old]), np.column_stack([z_new, -z_old])
-    )
-    denom = np.linalg.norm(y_new) * np.linalg.norm(z_new)
-    return norm(pair) / denom if denom > 0 else np.inf
+    """Relative Frobenius distance between successive rank-one increments.
+
+    Both z have unit norm, so ||y1 z1^T - y0 z0^T||^2 equals
+    ||y1||^2 + ||y0||^2 - 2 (y1.y0)(z1.z0) = ||y1 - y0||^2 + (y1.y0) ||z1 - z0||^2;
+    the second form does not cancel near a fixed point.
+    """
+    dy = y_new - y_old
+    dz = z_new - z_old
+    change = dy @ dy + (y_new @ y_old) * (dz @ dz)
+    denom = np.linalg.norm(y_new)
+    return np.sqrt(max(change, 0.0)) / denom if denom > 0 else np.inf
 
 
 def enrich_rank_one(
@@ -107,15 +196,22 @@ def enrich_rank_one(
     rng: np.random.Generator | None = None,
     alt_tol: float = ALTERNATION_TOL,
     max_sweeps: int = MAX_SWEEPS,
+    workspace: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Next rank-one pair by alternating condensed solves.
 
     The stochastic factor starts at the first coordinate vector (the mean
     mode); restarts fall back to seeded random vectors.  The returned z has
-    unit norm, the magnitude rides in y.
+    unit norm, the magnitude rides in y.  ``workspace`` is the one
+    ``solve_pgd`` keeps for ``current``; without it one is built here.
     """
     n_x, n_xi = A.shape
     rng = rng or np.random.default_rng()
+    if workspace is None:
+        workspace = _Workspace(A)
+        workspace.reset(current)
+    elif workspace.current is not current:
+        raise ValueError("the workspace caches the blocks of another factor set")
 
     for attempt in range(MAX_RESTARTS + 1):
         if attempt == 0:
@@ -128,18 +224,12 @@ def enrich_rank_one(
         z_prev = None
         try:
             for _ in range(max_sweeps):
-                mat, weights = _spatial_system(A, z)
-                if abs(weights[0]) < 1e-300:
-                    raise _DegenerateEnrichment("spatial condensation vanished")
-                y = spla.spsolve(mat, _spatial_rhs(A, current, z))
+                y = workspace.solve_spatial(z)
                 ynorm = np.linalg.norm(y)
                 if not np.isfinite(ynorm) or ynorm == 0.0:
                     raise _DegenerateEnrichment("spatial solve returned a null factor")
 
-                mat, weights = _stochastic_system(A, y)
-                if abs(weights[0]) < 1e-300:
-                    raise _DegenerateEnrichment("stochastic condensation vanished")
-                z = spla.spsolve(mat, _stochastic_rhs(A, current, y))
+                z = workspace.solve_stochastic(y)
                 znorm = np.linalg.norm(z)
                 if not np.isfinite(znorm) or znorm == 0.0:
                     raise _DegenerateEnrichment("stochastic solve returned a null factor")
@@ -150,7 +240,8 @@ def enrich_rank_one(
                     break
                 y_prev, z_prev = y, z
             return y, z
-        except _DegenerateEnrichment:
+        except (_DegenerateEnrichment, np.linalg.LinAlgError):
+            # a singular or indefinite condensed matrix counts as degenerate
             continue
     raise RuntimeError(f"enrichment failed after {MAX_RESTARTS} random restarts")
 
@@ -280,8 +371,6 @@ def solve_pgd(
     update_every: int = 5,
     residual_every: int = 5,
     seed: int | None = 0,
-    alt_tol: float = ALTERNATION_TOL,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> PgdSolution:
     """Enrich until the relative residual drops below eps.
 
@@ -305,7 +394,8 @@ def solve_pgd(
     if fnorm == 0.0:
         return PgdSolution(FactoredVector.zero(n_x, n_xi), 0, 0.0, np.zeros((n_xi, 0)), True, (0.0,))
 
-    u = FactoredVector.zero(n_x, n_xi)
+    workspace = _Workspace(A)
+    u = workspace.current
     history = []
     converged = False
 
@@ -320,14 +410,17 @@ def solve_pgd(
 
     rel = np.inf
     while u.rank < max_rank and not converged:
-        y, z = enrich_rank_one(A, u, rng, alt_tol=alt_tol, max_sweeps=max_sweeps)
+        y, z = enrich_rank_one(A, u, rng, workspace=workspace)
         u = add(u, FactoredVector.rank_one(y, z))
+        workspace.extend(u)
         at_checkpoint = u.rank == 1 or u.rank % residual_every == 0
         if not (at_checkpoint or u.rank == max_rank):
             continue
         rel = residual_norm(A, u) / fnorm
         if update_policy == "every-k" and u.rank % update_every == 0:
             u, rel = apply_update(u, rel)
+            if u is not workspace.current:
+                workspace.reset(u)
         history.append(rel)
         if rel < eps:
             converged = True

@@ -7,6 +7,7 @@ from sglowrank.chaos import build_spectral_basis, build_stochastic_matrices
 from sglowrank.fem import assemble_convection_diffusion, assemble_diffusion, make_grid
 from sglowrank.lowrank import (
     FactoredVector,
+    StochasticOperator,
     add,
     build_operator,
     norm,
@@ -14,6 +15,7 @@ from sglowrank.lowrank import (
     scale,
 )
 from sglowrank.pgd import (
+    _Workspace,
     enrich_rank_one,
     handle_nonhomogeneous_bc,
     solve_pgd,
@@ -42,6 +44,13 @@ def cd_operator(level=3, M=2, p=2, sigma=0.05, c=8.0, nu=0.1):
     return handle_nonhomogeneous_bc(A, spatial.bc_lift), spatial
 
 
+def dense_condensed(cond, weights, n):
+    """sum_l w_l M_l as a dense n x n array, from a stacked condensation."""
+    mat = np.zeros((n, n))
+    mat[cond.rows, cond.cols] = weights @ cond.data
+    return mat
+
+
 class TestEnrichment:
     def test_deterministic_problem_exact_in_one_term(self):
         A = diffusion_operator(sigma=0.0, M=2)
@@ -53,35 +62,42 @@ class TestEnrichment:
         assert abs(abs(z[0]) - 1.0) <= 1e-12
 
     def test_condensed_matrix_matches_dense_galerkin(self, rng):
-        A = diffusion_operator(level=3, M=3, p=2)
-        from sglowrank.pgd import _spatial_system
+        # diffusion takes the banded Cholesky path, convection-diffusion banded LU
+        for A in (diffusion_operator(level=3, M=3, p=2), cd_operator()[0]):
+            ws = _Workspace(A)
+            dense = dense_operator(A)
+            n_x, n_xi = A.shape
+            z = rng.standard_normal(n_xi)
+            z /= np.linalg.norm(z)
+            y = rng.standard_normal(n_x)
+            # condensation (I (x) z)^T A (I (x) z) in the kron ordering z (x) y
+            P = np.kron(z.reshape(-1, 1), np.eye(n_x))
+            want = P.T @ dense @ P
+            mat = dense_condensed(ws.spatial, ws.stochastic.weights(z), n_x)
+            assert np.abs(mat - want).max() <= 1e-12 * np.abs(want).max()
+            sol = np.linalg.solve(want, ws.spatial_rhs(z))
+            assert np.abs(ws.solve_spatial(z) - sol).max() <= 1e-10 * np.abs(sol).max()
 
-        z = rng.standard_normal(A.shape[1])
-        z /= np.linalg.norm(z)
-        mat, _ = _spatial_system(A, z)
-        dense = dense_operator(A)
-        n_x, n_xi = A.shape
-        # condensation (I (x) z)^T A (I (x) z) in the kron ordering z (x) y
-        P = np.kron(z.reshape(-1, 1), np.eye(n_x))
-        want = P.T @ dense @ P
-        assert np.abs(mat.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+            # stochastic condensation (y (x) I)^T A (y (x) I), solved densely
+            Q = np.kron(np.eye(n_xi), y.reshape(-1, 1))
+            want = Q.T @ dense @ Q
+            mat = dense_condensed(ws.stochastic, ws.spatial.weights(y), n_xi)
+            assert np.abs(mat - want).max() <= 1e-12 * np.abs(want).max()
+            sol = np.linalg.solve(want, ws.stochastic_rhs(y))
+            assert np.abs(ws.solve_stochastic(y) - sol).max() <= 1e-10 * np.abs(sol).max()
 
     def test_alternation_fixed_point_residuals(self):
         A = diffusion_operator(level=3, M=3, p=2, sigma=0.05, c=4.0)
         current = FactoredVector.zero(*A.shape)
         y, z = enrich_rank_one(A, current, alt_tol=1e-12, max_sweeps=60)
-        from sglowrank.pgd import (
-            _spatial_rhs,
-            _spatial_system,
-            _stochastic_rhs,
-            _stochastic_system,
-        )
+        ws = _Workspace(A)
+        n_x, n_xi = A.shape
 
-        mat, _ = _spatial_system(A, z)
-        rhs = _spatial_rhs(A, current, z)
+        mat = dense_condensed(ws.spatial, ws.stochastic.weights(z), n_x)
+        rhs = ws.spatial_rhs(z)
         assert np.linalg.norm(mat @ y - rhs) <= 1e-8 * np.linalg.norm(rhs)
-        mat, _ = _stochastic_system(A, y)
-        rhs = _stochastic_rhs(A, current, y)
+        mat = dense_condensed(ws.stochastic, ws.spatial.weights(y), n_xi)
+        rhs = ws.stochastic_rhs(y)
         assert np.linalg.norm(mat @ z - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
     def test_normalization_convention(self):
@@ -90,15 +106,84 @@ class TestEnrichment:
         assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-12)
 
 
+class TestWorkspace:
+    def test_union_pattern_of_distinct_term_patterns(self, rng):
+        base = random_operator(rng, 9, 7, 4)
+
+        def masked(M):
+            keep = rng.random(M.shape) < 0.4
+            keep |= keep.T
+            np.fill_diagonal(keep, True)
+            return sp.csr_matrix(M.toarray() * keep)
+
+        terms = tuple((masked(G) if l else G, masked(K)) for l, (G, K) in enumerate(base.terms))
+        A = StochasticOperator(terms, base.rhs)
+        ws = _Workspace(A)
+        for cond, mats in ((ws.spatial, [K for _, K in terms]), (ws.stochastic, [G for G, _ in terms])):
+            # every term misses entries of the union pattern
+            assert all(M.nnz < cond.rows.size for M in mats)
+            n = mats[0].shape[0]
+            v = rng.standard_normal(n)
+            want_w = np.array([v @ (M @ v) for M in mats])
+            got_w = cond.weights(v)
+            assert np.abs(got_w - want_w).max() <= 1e-13 * np.abs(want_w).max()
+            want = sum(w * M.toarray() for w, M in zip(want_w, mats))
+            got = dense_condensed(cond, want_w, n)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_nonsymmetric_stochastic_matrix_rejected(self, rng):
+        A = random_operator(rng, 6, 5, 3)
+        G, K = A.terms[1]
+        G = G.tolil()
+        G[0, 1] += 1.0
+        bad = StochasticOperator((A.terms[0], (G.tocsr(), K), A.terms[2]), A.rhs)
+        with pytest.raises(ValueError, match="symmetric"):
+            _Workspace(bad)
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_pgd(bad, 1e-6)
+
+    @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion"])
+    def test_cached_blocks_give_dense_right_hand_sides(self, rng, kind):
+        A = diffusion_operator() if kind == "diffusion" else cd_operator()[0]
+        sol = solve_pgd(A, 1e-6)
+        n_x, n_xi = A.shape
+        Y, Z = sol.factors.Y, sol.factors.Z
+        # grown one pair at a time, as solve_pgd grows it, and rebuilt at once
+        grown = _Workspace(A)
+        for i in range(sol.kappa):
+            grown.extend(add(grown.current, FactoredVector.rank_one(Y[:, i], Z[:, i])))
+        rebuilt = _Workspace(A)
+        rebuilt.reset(sol.factors)
+
+        z = rng.standard_normal(n_xi)
+        y = rng.standard_normal(n_x)
+        F = A.rhs.materialize()
+        U = Y @ Z.T
+        terms = [(G.toarray(), K.toarray()) for G, K in A.terms]
+        want_x = F @ z - sum(K @ U @ (G @ z) for G, K in terms)
+        want_xi = F.T @ y - sum(G @ U.T @ (K.T @ y) for G, K in terms)
+        # at a converged U the two terms nearly cancel; compare at their scale
+        for ws in (grown, rebuilt):
+            err = np.linalg.norm(ws.spatial_rhs(z) - want_x)
+            assert err <= 1e-12 * np.linalg.norm(F @ z)
+            err = np.linalg.norm(ws.stochastic_rhs(y) - want_xi)
+            assert err <= 1e-12 * np.linalg.norm(F.T @ y)
+
+    def test_update_every_k_keeps_blocks_in_step(self):
+        A = diffusion_operator(level=3, M=4, p=2, sigma=0.15, c=2.0)
+        sol = solve_pgd(A, 1e-6, update_policy="every-k")
+        assert sol.converged
+        assert residual_norm(A, sol.factors) <= 1e-6 * norm(A.rhs)
+
+
 class TestUpdateStochastic:
     def test_kappa_one_reduces_to_half_step(self):
         A = diffusion_operator(sigma=0.05)
         y, z = enrich_rank_one(A, FactoredVector.zero(*A.shape))
         Z = update_stochastic(A, y.reshape(-1, 1))
-        from sglowrank.pgd import _stochastic_rhs, _stochastic_system
-
-        mat, _ = _stochastic_system(A, y)
-        want = np.linalg.solve(mat.toarray(), _stochastic_rhs(A, FactoredVector.zero(*A.shape), y))
+        ws = _Workspace(A)
+        mat = dense_condensed(ws.stochastic, ws.spatial.weights(y), A.shape[1])
+        want = np.linalg.solve(mat, ws.stochastic_rhs(y))
         assert np.abs(Z[:, 0] - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_matches_dense_block_solve(self, rng):
