@@ -61,6 +61,7 @@ REPORT_SCHEMA = {
     "solve.matvecs": int,
     "solve.final_rank": int,
     "solve.converged": bool,
+    "solve.status": str,
     "solve.residual_history": list,
     "timings": dict,
 }
@@ -279,6 +280,7 @@ def _report_dict(cfg: ExperimentConfig, result) -> dict:
             "matvecs": result.report.matvecs,
             "final_rank": result.report.final_rank,
             "converged": result.report.converged,
+            "status": result.report.status,
             "residual_history": list(result.report.residual_history),
         },
         "timings": {k: float(v) for k, v in result.wall_times.items()},
@@ -329,7 +331,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, fmt: str = "json") -> d
             writer.writerows(_mean_field_rows(result))
     if not result.report.converged:
         raise NonConvergence(
-            f"solver stopped at relative residual {report['solve']['residual_history'][-1]:.3e}"
+            f"solver stopped ({report['solve']['status']}) at relative residual "
+            f"{report['solve']['residual_history'][-1]:.3e}"
         )
     return report
 

@@ -1,26 +1,37 @@
 """Restarted low-rank projection solver and the end-to-end pipeline.
 
 The solver runs GMRES-style cycles on the right-preconditioned operator
-L = A M^{-1} with M the mean-based preconditioner G_0 (x) K_0 (the mean
-spatial block is factorized exactly once and reused).  Every basis vector
-produced inside a cycle is compressed by a truncation operator, so the
-basis is not orthogonal and both projections are computed through explicit
-Gram systems:
+L = A M^{-1} with M the mean-based preconditioner G_0 (x) K_0, G_0 = I
+(the mean spatial block is factorized exactly once and reused).  Every
+basis vector produced inside a cycle is compressed by a truncation
+operator, so the basis is not orthogonal and both projections are
+computed through explicit Gram systems:
 
     (V_j^T V_j) alpha = V_j^T w_j        (orthogonalization step)
     (W_m^T W_m) beta  = W_m^T r_k        (residual projection; W = L V)
 
-A matvec multiplies the stored rank by the M+1 operator terms, which
-usually makes it wider than the stochastic dimension n_xi.  Every matvec
-output and every residual wider than n_xi is therefore folded, exactly,
-into the n_x x n_xi block Y Z^T paired with the identity (``lowrank.fold``),
-so the stored W_j and r_k are at most n_xi columns wide.  Folded blocks
-share one orthonormal stochastic factor, as do all projection-truncated
-basis vectors, so the Gram entries and norms among them are Frobenius
-products of the spatial factors and need no QR.
+Every matvec output and every residual is stored as its dense
+n_x x n_xi block, paired with the identity frame (``lowrank.block`` /
+``lowrank.fold``).  A matvec of (Y, Z) solves X = K_0^{-1} Y once and folds
+all M+1 terms with one product [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T
+in a reused buffer; the mean term is Y itself because K_0 K_0^{-1} = I and
+G_0 = I, which the preconditioner checks once.  The m output blocks of a
+cycle sit in one array allocated before the first cycle, so W^T W and
+W^T r are one BLAS product each.
+
+With projection truncation onto a basis B every basis vector and the
+iterate are n_x x kappa blocks Y paired with B itself.  The generic rules
+of ``lowrank`` then keep all work in that frame: V^T w is one product
+W B and kappa-wide Frobenius dots (``inners``), the combination
+w - sum alpha_i V_i is the block W next to the summed Y_i (n_xi + kappa
+columns) before its projection, and the cycle update u + V beta is the
+summed Y.  SVD truncation runs through the same loop.
 
 The cycle update is u <- T(u + V beta); the outer loop checks the true
-untruncated residual and stops on ||r|| / ||f|| < eps.  With right
+untruncated residual and stops on ||r|| / ||f|| < eps, after a cycle that
+removes less than a fraction STAGNATION_TOL of the residual (the basis
+cannot represent a better iterate), on a vanished truncated residual, or
+after max_cycles; ``SolveReport.status`` says which.  With right
 preconditioning the accumulated iterate lives in the preconditioned
 variable, so M^{-1} is applied once on return.
 
@@ -37,19 +48,26 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
 from .chaos import build_spectral_basis, build_stochastic_matrices
-from .lowrank import (
+# apply_operator is not called here; it stays a module attribute because
+# perfbench/spans.py traces krylov.apply_operator
+from .lowrank import (  # noqa: F401
     FactoredVector,
     StochasticOperator,
     TruncationOperator,
     add,
     apply_operator,
+    block,
     build_operator,
+    combine,
+    coordinates,
     fold,
     inner,
+    inners,
     norm,
     scale,
 )
@@ -73,36 +91,83 @@ __all__ = [
 BASIS_DROP_TOL = 1e-13
 #: numerical-rank threshold of the dense Gram solves
 GRAM_RCOND = 1e-12
+#: a cycle that keeps more than 1 - STAGNATION_TOL of the residual ends the
+#: solve as basis-limited.  Measured reduction factors: cycles of projection
+#: runs whose basis cannot represent the solution keep 0.999975-1.0 of it,
+#: converging cycles of the test and benchmark cells at most 0.044.
+STAGNATION_TOL = 1e-2
 
 
-class MeanPreconditioner:
-    """Exact factorization of the mean spatial block, applied columnwise."""
+class _Preconditioner:
+    """Scratch the folded matvec reuses: the spatial stack
+    [T_0 | K_1 X | ... | K_M X] and the stochastic stack [G_0 Z | ... | G_M Z]
+    of the last frame Z it saw."""
 
     def __init__(self, A: StochasticOperator):
-        self._mean = A.mean_spatial
-        self._lu = spla.splu(A.mean_spatial.tocsc())
         self.shape = A.shape
+        self._mean = A.mean_spatial
+        self._G = [G for G, _ in A.terms]
+        self._spatial = np.empty(0)
+        self._frame: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
+
+    def spatial_stack(self, width: int) -> np.ndarray:
+        n_x = self.shape[0]
+        if self._spatial.size < n_x * width:
+            self._spatial = np.empty(n_x * width)
+        return self._spatial[: n_x * width].reshape(n_x, width)
+
+    def stochastic_stack(self, Z: np.ndarray) -> np.ndarray:
+        cached_Z, stack = self._frame
+        if cached_Z is not Z:
+            stack = np.hstack([G @ Z for G in self._G])
+            self._frame = (Z, stack)
+        return stack
+
+
+class MeanPreconditioner(_Preconditioner):
+    """Exact factorization of the mean spatial block, applied columnwise.
+
+    M = G_0 (x) K_0 with G_0 = I, checked exactly once here, so that
+    M^{-1} = I (x) K_0^{-1} and the mean term of A M^{-1} is the identity.
+    """
+
+    def __init__(self, A: StochasticOperator):
+        G0 = A.terms[0][0]
+        n_xi = A.shape[1]
+        identity = sp.identity(n_xi, format="csr")
+        if G0.shape != (n_xi, n_xi) or (sp.csr_matrix(G0) != identity).nnz:
+            raise ValueError("the mean preconditioner needs G_0 = I exactly")
+        super().__init__(A)
+        self._lu = spla.splu(A.mean_spatial.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self._last: tuple[FactoredVector | None, FactoredVector | None] = (None, None)
 
     def solve_spatial(self, Y: np.ndarray) -> np.ndarray:
         if Y.shape[1] == 0:
             return np.array(Y)
         return self._lu.solve(np.asarray(Y))
 
+    def mean_term(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Spatial factor of the mean term of A M^{-1}: K_0 K_0^{-1} Y = Y."""
+        return Y
+
     def apply(self, u: FactoredVector) -> FactoredVector:
         """M u, moving an initial guess into the preconditioned variable."""
         return FactoredVector._adopt(self._mean @ u.Y, u.Z, u.orthonormal)
 
     def solve(self, u: FactoredVector) -> FactoredVector:
-        """M^{-1} u = (I (x) K_0^{-1}) u; rank is unchanged."""
-        return FactoredVector._adopt(self.solve_spatial(u.Y), u.Z, u.orthonormal)
+        """M^{-1} u = (I (x) K_0^{-1}) u; rank is unchanged.
+
+        The last result is kept: the solver's final M^{-1} u_hat repeats the
+        solve of its last residual check.
+        """
+        if self._last[0] is not u:
+            self._last = (u, FactoredVector._adopt(self.solve_spatial(u.Y), u.Z, u.orthonormal))
+        return self._last[1]
 
 
-class IdentityPreconditioner:
-    def __init__(self, A: StochasticOperator):
-        self.shape = A.shape
-
-    def solve_spatial(self, Y: np.ndarray) -> np.ndarray:
-        return np.array(Y)
+class IdentityPreconditioner(_Preconditioner):
+    def mean_term(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return self._mean @ X
 
     def solve(self, u: FactoredVector) -> FactoredVector:
         return u
@@ -120,8 +185,25 @@ def build_preconditioner(A: StochasticOperator, kind: str):
 
 
 def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> FactoredVector:
-    """(A M^{-1}) u in factored form, folded to at most n_xi columns."""
-    return fold(apply_operator(A, P.solve(u)))
+    """(A M^{-1}) u as its dense n_x x n_xi block, paired with the identity.
+
+    With X = M^{-1}-applied Y, one product of the stacked factors folds all
+    terms, [T_0 | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T, where T_0 is
+    the preconditioner's mean term (Y itself for the mean preconditioner).
+    Both stacks live in the preconditioner's reused scratch.
+    """
+    n_x, n_xi = A.shape
+    if u.shape != (n_x, n_xi):
+        raise ValueError(f"operator shape {(n_x, n_xi)} does not match vector {u.shape}")
+    if u.rank == 0:
+        return FactoredVector.zero(n_x, n_xi)
+    r = u.rank
+    X = np.ascontiguousarray(P.solve(u).Y)
+    S = P.spatial_stack(r * A.num_terms)
+    S[:, :r] = P.mean_term(u.Y, X)
+    for l, (_, K) in enumerate(A.terms[1:], start=1):
+        S[:, l * r : (l + 1) * r] = K @ X
+    return block(S @ P.stochastic_stack(u.Z).T)
 
 
 @dataclass(frozen=True)
@@ -144,11 +226,19 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """Counts and residual history of one solve.
+
+    ``status`` says why it stopped: ``converged``, ``basis-limited`` (a
+    cycle kept more than 1 - STAGNATION_TOL of the residual),
+    ``max-cycles`` or ``basis-vanished`` (the truncated residual was zero).
+    """
+
     cycles: int
     matvecs: int
     residual_history: list[float]
     final_rank: int
     converged: bool
+    status: str
     wall_times: dict = field(default_factory=dict)
 
 
@@ -159,18 +249,50 @@ def _gram_solve(Gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         warnings.warn(
             f"{what} Gram system is numerically rank deficient "
             f"({rank}/{Gram.shape[0]}); shrinking the step",
-            stacklevel=3,
+            stacklevel=4,
         )
     return sol
 
 
-def _combination(vectors: list[FactoredVector], coeffs: np.ndarray) -> FactoredVector:
-    cols_y = [c * v.Y for v, c in zip(vectors, coeffs) if c != 0.0 and v.rank]
-    cols_z = [v.Z for v, c in zip(vectors, coeffs) if c != 0.0 and v.rank]
-    if not cols_y:
-        n_x, n_xi = vectors[0].shape
-        return FactoredVector.zero(n_x, n_xi)
-    return FactoredVector._adopt(np.hstack(cols_y), np.hstack(cols_z))
+def _cycle(A, P, cfg: SolverConfig, r, v0, u_hat, W: np.ndarray):
+    """One restart cycle from the unit basis vector v0 and the residual r.
+
+    Up to m matvecs are stored as rows of W; returns the updated iterate
+    T(u_hat + V beta) and the number of matvecs.  Every vector of the
+    cycle is released on return, before the next residual is formed.
+    """
+    n_x, n_xi = A.shape
+    V = [v0]
+    VtV = np.zeros((cfg.m, cfg.m))
+    VtV[0, 0] = inner(v0, v0)
+    for j in range(cfg.m):
+        w = apply_preconditioned(A, P, V[j])
+        if cfg.max_w_columns is not None and w.rank > cfg.max_w_columns:
+            raise MemoryError(
+                f"matvec rank {w.rank} exceeds max_w_columns={cfg.max_w_columns}"
+            )
+        # keep the block once: w becomes a view of its stored row, which is
+        # rewritten only by a later cycle
+        W[j] = w.Y.ravel()
+        w = block(W[j].reshape(n_x, n_xi))
+        if j + 1 == cfg.m:
+            break
+        alpha = _gram_solve(VtV[: j + 1, : j + 1], inners(V, w), "orthogonalization")
+        v_next = cfg.trunc.apply(combine([w] + V, np.concatenate([[1.0], -alpha])))
+        v_next_norm = norm(v_next)
+        if v_next_norm <= BASIS_DROP_TOL * norm(w):
+            break  # basis cannot grow further; use the j+1 vectors built
+        v_next = scale(v_next, 1.0 / v_next_norm)
+        V.append(v_next)
+        for i, v in enumerate(V):
+            VtV[i, j + 1] = VtV[j + 1, i] = inner(v, v_next)
+
+    m_eff = j + 1
+    Wm = W[:m_eff]
+    # r in the identity frame of the stored blocks
+    beta = _gram_solve(Wm @ Wm.T, Wm @ coordinates(r, w.Z).ravel(), "projection")
+    u_hat = cfg.trunc.apply(combine([u_hat] + V[:m_eff], np.concatenate([[1.0], beta])))
+    return u_hat, m_eff
 
 
 def solve(
@@ -178,7 +300,7 @@ def solve(
     cfg: SolverConfig,
     u0: FactoredVector | None = None,
 ) -> tuple[FactoredVector, SolveReport]:
-    """Run restarted low-rank projection cycles until the residual test passes.
+    """Run restarted low-rank projection cycles until a stopping test passes.
 
     Returns the solution in the original variable together with a report.
     The residual history holds the true relative residual at the top of each
@@ -191,7 +313,8 @@ def solve(
     n_x, n_xi = A.shape
     fnorm = norm(A.rhs)
     if fnorm == 0.0:
-        report = SolveReport(0, 0, [0.0], 0, True, {"setup": t_setup, "solve": 0.0})
+        report = SolveReport(0, 0, [0.0], 0, True, "converged",
+                             {"setup": t_setup, "solve": 0.0})
         return FactoredVector.zero(n_x, n_xi), report
 
     # iterate in the preconditioned variable u_hat = M u
@@ -203,10 +326,12 @@ def solve(
         u_given = u0
 
     t1 = time.perf_counter()
+    # the matvec output blocks of one cycle, one row each
+    W = np.empty((cfg.m, n_x * n_xi))
     history: list[float] = []
     cycles = 0
     matvecs = 0
-    converged = False
+    status = "max-cycles"
 
     for outer in range(cfg.max_cycles + 1):
         r = fold(add(A.rhs, scale(apply_preconditioned(A, P, u_hat), -1.0)))
@@ -220,7 +345,10 @@ def solve(
             )
         history.append(rel)
         if rel < cfg.eps:
-            converged = True
+            status = "converged"
+            break
+        if len(history) > 1 and rel > (1.0 - STAGNATION_TOL) * history[-2]:
+            status = "basis-limited"
             break
         if outer == cfg.max_cycles:
             break
@@ -229,50 +357,18 @@ def solve(
         v_norm = norm(v_tilde)
         if v_norm == 0.0:
             warnings.warn("truncated residual vanished; cannot build a basis", stacklevel=2)
+            status = "basis-vanished"
             break
-        V = [scale(v_tilde, 1.0 / v_norm)]
-        W: list[FactoredVector] = []
-        VtV = np.zeros((cfg.m, cfg.m))
-        VtV[0, 0] = inner(V[0], V[0])
-
-        for j in range(cfg.m):
-            w = apply_preconditioned(A, P, V[j])
-            matvecs += 1
-            if cfg.max_w_columns is not None and w.rank > cfg.max_w_columns:
-                raise MemoryError(
-                    f"matvec rank {w.rank} exceeds max_w_columns={cfg.max_w_columns}"
-                )
-            W.append(w)
-            if j + 1 == cfg.m:
-                break
-            Vtw = np.array([inner(v, w) for v in V])
-            alpha = _gram_solve(VtV[: j + 1, : j + 1], Vtw, "orthogonalization")
-            v_next = cfg.trunc.apply(_combination([w] + V, np.concatenate([[1.0], -alpha])))
-            v_next_norm = norm(v_next)
-            if v_next_norm <= BASIS_DROP_TOL * norm(w):
-                break  # basis cannot grow further; use the j+1 vectors built
-            v_next = scale(v_next, 1.0 / v_next_norm)
-            V.append(v_next)
-            for i, v in enumerate(V):
-                VtV[i, j + 1] = VtV[j + 1, i] = inner(v, v_next)
-
-        m_eff = len(W)
-        WtW = np.zeros((m_eff, m_eff))
-        for i in range(m_eff):
-            for j in range(i, m_eff):
-                WtW[i, j] = WtW[j, i] = inner(W[i], W[j])
-        Wtr = np.array([inner(w, r) for w in W])
-        beta = _gram_solve(WtW, Wtr, "projection")
-        u_hat = cfg.trunc.apply(
-            _combination([u_hat] + V[:m_eff], np.concatenate([[1.0], beta]))
-        )
+        u_hat, cycle_matvecs = _cycle(A, P, cfg, r, scale(v_tilde, 1.0 / v_norm), u_hat, W)
+        matvecs += cycle_matvecs
         cycles += 1
 
     t_solve = time.perf_counter() - t1
-    if not converged and history and history[-1] >= cfg.eps:
+    converged = status == "converged"
+    if not converged:
         warnings.warn(
             f"projection solver stopped after {cycles} cycles at relative "
-            f"residual {history[-1]:.3e}",
+            f"residual {history[-1]:.3e} ({status})",
             stacklevel=2,
         )
     if cycles == 0 and u_given is not None:
@@ -285,6 +381,7 @@ def solve(
         history,
         solution.rank,
         converged,
+        status,
         {"setup": t_setup, "solve": t_solve},
     )
     return solution, report

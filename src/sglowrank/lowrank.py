@@ -12,18 +12,28 @@ dimension stores more numbers than the dense n_x x n_xi block it
 represents; ``fold`` rewrites such a vector exactly as that block, Y Z^T,
 paired with the identity, which caps the width at n_xi.  Two
 rank-reduction operators bring ranks back down: a Frobenius-optimal SVD
-truncation computed through thin QR factorizations of the factors, and a
-projection onto a fixed orthonormal stochastic basis, which costs two
-matrix products and no factorization.
+truncation computed through thin QR factorizations of the factors (of the
+folded block when the input is wider than n_xi), and a projection onto a
+fixed orthonormal stochastic basis B, which costs two matrix products and
+no factorization.
+
+The stochastic factor Z is a frame that vectors share by identity: every
+folded block shares one identity, every projection onto B shares B.  Two
+rules make arithmetic in one shared frame cost no more than the blocks
+themselves.  ``combine`` sums the scaled spatial factors of vectors that
+share one Z object and concatenates only distinct frames, so a
+combination of projected vectors stays kappa columns wide (and projecting
+it onto its own frame returns it unchanged).  ``inners`` evaluates the
+inner products of many vectors against one vector w through one product
+Y_w (Z_w^T Z) per distinct Z, since <v, w> = <Y_v, Y_w Z_w^T Z_v>_F.
 
 Folded blocks and the outputs of both truncations have orthonormal
 stochastic factors by construction, and are flagged so when they are
 built.  For those the norm is the Frobenius norm of Y, and the inner
-product of two vectors sharing the same factor Z (every folded block,
-every projection onto one basis) is the Frobenius dot product of their
-spatial factors; no QR or Gram product is formed.  Other norms are
-evaluated from the small matrix R_Y R_Z^T of the factor QRs; this is
-orthogonally invariant and keeps the absolute error near machine
+product of two vectors sharing the same factor Z is the Frobenius dot
+product of their spatial factors; no QR or Gram product is formed.  Other
+norms are evaluated from the small matrix R_Y R_Z^T of the factor QRs;
+this is orthogonally invariant and keeps the absolute error near machine
 precision even when the represented vector is a tiny residual of large
 cancelling terms (a Gram-matrix evaluation would lose half the digits
 there).
@@ -45,11 +55,15 @@ __all__ = [
     "apply_operator",
     "add",
     "scale",
+    "combine",
     "inner",
+    "inners",
     "norm",
     "truncate_svd",
     "truncate_projection",
     "fold",
+    "block",
+    "coordinates",
     "residual",
     "residual_norm",
     "build_operator",
@@ -204,16 +218,81 @@ def scale(u: FactoredVector, alpha: float) -> FactoredVector:
     return FactoredVector._adopt(alpha * u.Y, u.Z, u.orthonormal)
 
 
+def combine(vectors, coeffs) -> FactoredVector:
+    """sum_i c_i v_i, summing the scaled Y of vectors that share one Z object.
+
+    Each distinct Z (in order of first appearance) contributes its summed
+    spatial factor once; distinct frames are concatenated.  A combination
+    within one frame keeps that Z and its ``orthonormal`` flag, so it is
+    no wider than the frame.  Zero coefficients and rank-0 vectors are
+    skipped.
+    """
+    frames: dict[int, list] = {}
+    for v, c in zip(vectors, coeffs):
+        if c == 0.0 or v.rank == 0:
+            continue
+        frame = frames.get(id(v.Z))
+        if frame is None:
+            frames[id(v.Z)] = [c * v.Y, v.Z, v.orthonormal]
+        else:
+            frame[0] += c * v.Y
+            frame[2] = frame[2] or v.orthonormal
+    if not frames:
+        return FactoredVector.zero(*vectors[0].shape)
+    if len(frames) == 1:
+        (Y, Z, orthonormal), = frames.values()
+        return FactoredVector._adopt(Y, Z, orthonormal)
+    parts = list(frames.values())
+    return FactoredVector._adopt(np.hstack([p[0] for p in parts]), np.hstack([p[1] for p in parts]))
+
+
+def block(W: np.ndarray) -> FactoredVector:
+    """The dense n_x x n_xi block W as a vector, paired with the identity
+    frame that every folded block of this size shares."""
+    return FactoredVector._adopt(W, _identity(W.shape[1]), orthonormal=True)
+
+
 def fold(u: FactoredVector) -> FactoredVector:
     """u itself if rank(u) <= n_xi, else exactly the block (Y Z^T, I).
 
     The identity factor is shared by every folded block of the same size,
     so ``inner`` and ``norm`` reduce to Frobenius products of Y.
     """
-    n_xi = u.shape[1]
-    if u.rank <= n_xi:
+    if u.rank <= u.shape[1]:
         return u
-    return FactoredVector._adopt(u.Y @ u.Z.T, _identity(n_xi), orthonormal=True)
+    return block(u.Y @ u.Z.T)
+
+
+def coordinates(u: FactoredVector, Z: np.ndarray) -> np.ndarray:
+    """Y_u (Z_u^T Z), the spatial factor that pairs u with the frame Z.
+
+    For orthonormal Z, (coordinates(u, Z), Z) is the orthogonal projection
+    of u's stochastic index onto span(Z).  A vector flagged orthonormal
+    whose Z is that very object is already in the frame: its Y is
+    returned as it is.
+    """
+    if u.Z is Z and u.orthonormal:
+        return u.Y
+    if u.rank == 0:
+        return np.zeros((u.shape[0], Z.shape[1]))
+    return u.Y @ (u.Z.T @ Z)
+
+
+def inners(vectors, w: FactoredVector) -> np.ndarray:
+    """[<v, w> for v in vectors] with one product coordinates(w, Z) per
+    distinct Z among the vectors: <v, w> = <Y_v, Y_w Z_w^T Z_v>_F."""
+    out = np.zeros(len(vectors))
+    frames: dict[int, np.ndarray] = {}
+    for i, v in enumerate(vectors):
+        if v.shape != w.shape:
+            raise ValueError(f"shape mismatch {v.shape} vs {w.shape}")
+        if v.rank == 0 or w.rank == 0:
+            continue
+        P = frames.get(id(v.Z))
+        if P is None:
+            P = frames[id(v.Z)] = coordinates(w, v.Z)
+        out[i] = np.vdot(v.Y, P)
+    return out
 
 
 def inner(u: FactoredVector, v: FactoredVector) -> float:
@@ -254,12 +333,14 @@ def truncate_svd(
     below SV_DROP_TOL times the largest are dropped in every mode so that
     roundoff never manufactures rank.  Singular values are folded into the
     spatial factor; the stochastic factor keeps orthonormal columns and the
-    result is flagged ``orthonormal``.
+    result is flagged ``orthonormal``.  An input wider than n_xi is folded
+    first (exactly), so the factor QRs see at most n_xi columns.
     """
     if (rank is None) == (tol is None):
         raise ValueError("specify exactly one of rank or tol")
     if u.rank == 0:
         return u
+    u = fold(u)
     Qy, Ry = np.linalg.qr(u.Y, mode="reduced")
     Qz, Rz = np.linalg.qr(u.Z, mode="reduced")
     U, s, Vt = np.linalg.svd(Ry @ Rz.T)
@@ -291,13 +372,16 @@ def truncate_projection(u: FactoredVector, basis: np.ndarray) -> FactoredVector:
 
 def _project(u: FactoredVector, B: np.ndarray) -> FactoredVector:
     """Projection onto a frozen orthonormal basis B, which the result shares as Z."""
-    Y = u.Y @ (u.Z.T @ B) if u.rank else np.zeros((u.shape[0], B.shape[1]))
-    return FactoredVector._adopt(Y, B, orthonormal=True)
+    return FactoredVector._adopt(coordinates(u, B), B, orthonormal=True)
 
 
 @dataclass(frozen=True)
 class TruncationOperator:
-    """Rank reduction strategy: fixed-rank SVD, tolerance SVD, or projection."""
+    """Rank reduction strategy: fixed-rank SVD, tolerance SVD, or projection.
+
+    Projection outputs share the operator's basis as Z, so projecting one
+    of them, or a ``combine`` of them, again returns its Y unchanged.
+    """
 
     kind: str  # "svd-rank" | "svd-tol" | "projection"
     rank: int | None = None

@@ -90,6 +90,7 @@ class TestRunExperiment:
         assert data["problem"]["M"] == 5
         assert data["problem"]["n_xi"] == 21
         assert data["solve"]["converged"] is True
+        assert data["solve"]["status"] == "converged"
         assert data["solve"]["residual_history"][-1] < 1e-5
         assert (tmp_path / "out" / "residual_history.csv").exists()
         assert report["problem"]["n_x_nodes"] == 17**2

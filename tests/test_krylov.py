@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import dense_gmres, dense_operator, dense_vec, random_factored
+from sglowrank import krylov, lowrank
 from sglowrank.chaos import build_spectral_basis, build_stochastic_matrices
 from sglowrank.fem import assemble_diffusion, make_grid
 from sglowrank.krylov import (
@@ -14,6 +16,7 @@ from sglowrank.krylov import (
     solve,
 )
 from sglowrank.lowrank import (
+    StochasticOperator,
     TruncationOperator,
     add,
     build_operator,
@@ -71,6 +74,35 @@ class TestPreconditioner:
         with pytest.raises(ValueError):
             build_preconditioner(galerkin_operator(), "amg")
 
+    @pytest.mark.parametrize("kind", ["mean-exact", "none"])
+    def test_folded_matvec_matches_dense(self, rng, kind):
+        # vectors in two frames, the first one again: the stochastic stack
+        # reused for a repeated Z must be rebuilt for a new one
+        A = galerkin_operator(level=3, M=3, p=2)
+        n_x, n_xi = A.shape
+        P = build_preconditioner(A, kind)
+        K0 = A.mean_spatial.toarray()
+        Minv = np.kron(np.eye(n_xi), np.linalg.inv(K0) if kind == "mean-exact" else np.eye(n_x))
+        D = dense_operator(A) @ Minv
+        u = random_factored(rng, n_x, n_xi, 4)
+        v = random_factored(rng, n_x, n_xi, 2)
+        for x in (u, v, u):
+            out = apply_preconditioned(A, P, x)
+            assert out.shape == (n_x, n_xi) and out.rank == n_xi
+            want = D @ dense_vec(x)
+            assert np.linalg.norm(dense_vec(out) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_rejects_inexact_identity_mean(self):
+        A = galerkin_operator()
+        G0 = A.terms[0][0].tolil()
+        G0[1, 1] = np.nextafter(1.0, 2.0)
+        terms = ((G0.tocsr(), A.terms[0][1]),) + A.terms[1:]
+        with pytest.raises(ValueError, match="G_0 = I"):
+            MeanPreconditioner(StochasticOperator(terms, A.rhs))
+        scaled = ((2.0 * sp.identity(A.shape[1], format="csr"), A.terms[0][1]),) + A.terms[1:]
+        with pytest.raises(ValueError, match="G_0 = I"):
+            MeanPreconditioner(StochasticOperator(scaled, A.rhs))
+
 
 class TestFold:
     """Matvec outputs and residuals wider than n_xi are folded exactly."""
@@ -108,6 +140,75 @@ class TestFold:
         A = galerkin_operator()
         u = random_factored(rng, *A.shape, A.shape[1])
         assert fold(u) is u
+
+
+class TestFixedFrame:
+    """With projection truncation the solve works in the frame of the basis."""
+
+    def test_basis_vectors_and_iterate_share_the_basis(self, monkeypatch):
+        A = galerkin_operator(level=4, M=5, p=3, sigma=0.05, c=4.0)
+        n_xi = A.shape[1]
+        trunc = TruncationOperator("projection", basis=solve_pgd(A, 1e-6).Zc)
+        kappa = trunc.rank
+        m = 6
+        # the unframed combination w - sum alpha_i V_i grows to n_xi + (m-1) kappa
+        assert kappa < n_xi < (m - 1) * kappa
+
+        inputs = []
+        matvec = krylov.apply_preconditioned
+
+        def recording_matvec(A_, P_, u):
+            inputs.append(u)
+            return matvec(A_, P_, u)
+
+        widths = []
+        set_factors = lowrank.FactoredVector._set_factors
+
+        def recording_set_factors(self, Y, Z):
+            widths.append(Y.shape[1])
+            set_factors(self, Y, Z)
+
+        monkeypatch.setattr(krylov, "apply_preconditioned", recording_matvec)
+        monkeypatch.setattr(lowrank.FactoredVector, "_set_factors", recording_set_factors)
+        u, report = solve(A, SolverConfig(eps=1e-6, trunc=trunc, m=m))
+        assert report.converged and report.matvecs > 1
+        framed = [x for x in inputs if x.rank]
+        assert len(framed) == len(inputs) - 1  # the zero initial iterate
+        assert all(x.Z is trunc.basis for x in framed)
+        assert u.Z is trunc.basis
+        assert max(widths) <= n_xi + kappa
+
+    def test_basis_limited_run_stops(self):
+        # a coarse basis learned at a loose tolerance cannot represent the
+        # fine solution to eps; the solve ends after the first flat cycle
+        spec = PipelineSpec(
+            kind="diffusion", domain=UNIT, corr_len=3.0, sigma=0.05, mean_a0=1.0,
+            degree=2, num_modes=4, coarse_level=4, fine_level=5, eps=1e-6,
+            pgd_eps=1e-3, m=8,
+        )
+        with pytest.warns(UserWarning, match="stopped after .* cycles .*basis-limited"):
+            res = pipeline(spec)
+        assert res.report.status == "basis-limited"
+        assert not res.report.converged
+        assert res.report.cycles <= 3
+        hist = res.report.residual_history
+        assert hist[-1] > (1.0 - krylov.STAGNATION_TOL) * hist[-2]
+
+    def test_status_of_other_stops(self):
+        A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
+        _, report = solve(A, SolverConfig(eps=1e-6, trunc=no_truncation(A)))
+        assert report.status == "converged" and report.converged
+        with pytest.warns(UserWarning, match="max-cycles"):
+            _, report = solve(A, SolverConfig(eps=1e-14, trunc=no_truncation(A), m=2,
+                                              max_cycles=1))
+        assert report.status == "max-cycles" and report.cycles == 1
+        # a basis orthogonal to the rhs's stochastic factor g_0 = e_1
+        # truncates the first residual to exactly zero
+        basis = np.eye(A.shape[1])[:, 1:4]
+        trunc = TruncationOperator("projection", basis=basis)
+        with pytest.warns(UserWarning, match="vanished"):
+            _, report = solve(A, SolverConfig(eps=1e-6, trunc=trunc))
+        assert report.status == "basis-vanished" and report.cycles == 0
 
 
 class TestSolve:

@@ -9,8 +9,10 @@ from sglowrank.lowrank import (
     TruncationOperator,
     add,
     apply_operator,
+    combine,
     fold,
     inner,
+    inners,
     load_factored,
     norm,
     residual_norm,
@@ -154,6 +156,57 @@ class TestFold:
         assert norm(u) == pytest.approx(np.linalg.norm(dense_of(u)), rel=1e-12)
 
 
+class TestSharedFrame:
+    """Vectors sharing one Z object combine and take inner products in it."""
+
+    def framed(self, rng, n_x, Z, count):
+        op = TruncationOperator("projection", basis=Z)
+        return op, [op.apply(random_factored(rng, n_x, Z.shape[0], 3)) for _ in range(count)]
+
+    def test_combination_in_one_frame_sums_y(self, rng):
+        B, _ = np.linalg.qr(rng.standard_normal((9, 4)))
+        op, vs = self.framed(rng, 7, B, 3)
+        coeffs = [0.5, -2.0, 1.5]
+        out = combine(vs, coeffs)
+        assert out.Z is op.basis and out.orthonormal and out.rank == 4
+        want = sum(c * dense_of(v) for c, v in zip(coeffs, vs))
+        assert np.abs(dense_of(out) - want).max() <= 1e-13 * np.abs(want).max()
+        # projecting onto its own frame leaves it as it is
+        assert np.array_equal(op.apply(out).Y, out.Y)
+
+    def test_combination_across_frames_concatenates(self, rng):
+        B, _ = np.linalg.qr(rng.standard_normal((9, 4)))
+        _, vs = self.framed(rng, 7, B, 2)
+        w = fold(random_factored(rng, 7, 9, 12))
+        skipped = random_factored(rng, 7, 9, 5)
+        out = combine([w, vs[0], skipped, vs[1]], [1.0, -0.5, 0.0, 2.0])
+        assert out.rank == 9 + 4 and not out.orthonormal
+        want = dense_of(w) - 0.5 * dense_of(vs[0]) + 2.0 * dense_of(vs[1])
+        assert np.abs(dense_of(out) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_inners_one_product_per_frame(self, rng, monkeypatch):
+        from sglowrank import lowrank
+
+        B, _ = np.linalg.qr(rng.standard_normal((9, 4)))
+        _, vs = self.framed(rng, 7, B, 3)
+        loose = random_factored(rng, 7, 9, 2)
+        vectors = vs + [loose, fold(random_factored(rng, 7, 9, 11))]
+        w = fold(random_factored(rng, 7, 9, 10))
+        calls = []
+        coordinates = lowrank.coordinates
+
+        def counting(u, Z):
+            calls.append(Z)
+            return coordinates(u, Z)
+
+        monkeypatch.setattr(lowrank, "coordinates", counting)
+        got = inners(vectors, w)
+        assert len(calls) == 3  # B, the loose Z, and the identity frame
+        want = [float(dense_vec(v) @ dense_vec(w)) for v in vectors]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert np.allclose(got, [inner(v, w) for v in vectors], rtol=1e-12)
+
+
 class TestSvdTruncation:
     def test_exact_rank_recovery(self, rng):
         base = random_factored(rng, 10, 8, 2)
@@ -191,6 +244,23 @@ class TestSvdTruncation:
         out = truncate_svd(u, rank=3)
         gram = out.Z.T @ out.Z
         assert np.abs(gram - np.eye(3)).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_input_folded_first(self, seed):
+        # reference: the factor-QR route on the unfolded n_xi + 30 columns
+        rng = np.random.default_rng(seed)
+        n_x, n_xi = 40, 12
+        u = random_factored(rng, n_x, n_xi, n_xi + 30)
+        Qy, Ry = np.linalg.qr(u.Y)
+        Qz, Rz = np.linalg.qr(u.Z)
+        U, s_ref, Vt = np.linalg.svd(Ry @ Rz.T)
+        for k in (n_xi, 5):
+            out = truncate_svd(u, rank=k)
+            assert out.rank == k
+            s_got = np.linalg.norm(out.Y, axis=0)
+            assert np.allclose(s_got, s_ref[:k], rtol=1e-12, atol=0.0)
+            want = (Qy @ U[:, :k] * s_ref[:k]) @ (Qz @ Vt[:k].T).T
+            assert np.abs(dense_of(out) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_argument_validation(self, rng):
         u = random_factored(rng, 4, 4, 2)
