@@ -35,10 +35,13 @@ after max_cycles; ``SolveReport.status`` says which.  With right
 preconditioning the accumulated iterate lives in the preconditioned
 variable, so M^{-1} is applied once on return.
 
-The pipeline assembles the coarse problem, runs the PGD solver to learn the
-stochastic basis, builds the multilevel truncation operator from it, and
+The pipeline builds the KL expansion and the chaos matrices once
+(``build_stochastic``), assembles the coarse problem and runs the PGD
+solver on it to learn the stochastic basis (``run_pgd``, through
+``build_problem``), builds the multilevel truncation operator from it, and
 solves the fine problem; coarse and fine levels share the stochastic
 discretization, so the basis transfers without interpolation.
+``PipelineSpec`` is the one configuration, shared with the command line.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .chaos import build_spectral_basis, build_stochastic_matrices
+from .chaos import StochasticMatrices, build_spectral_basis, build_stochastic_matrices
 # apply_operator is not called here; it stays a module attribute because
 # perfbench/spans.py traces krylov.apply_operator
 from .lowrank import (  # noqa: F401
@@ -83,6 +86,9 @@ __all__ = [
     "solve",
     "PipelineSpec",
     "PipelineResult",
+    "build_stochastic",
+    "build_problem",
+    "run_pgd",
     "pipeline",
 ]
 
@@ -389,18 +395,24 @@ def solve(
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Problem plus algorithm parameters for one coarse-to-fine run."""
+    """Problem plus algorithm parameters for one coarse-to-fine run.
 
-    kind: str  # "diffusion" | "convection-diffusion"
-    domain: tuple[float, float, float, float]
-    corr_len: float
-    sigma: float
-    mean_a0: float
-    degree: int
-    fine_level: int
-    eps: float
-    capture: float | None = None
-    num_modes: int | None = None
+    The single configuration of the package: the command line reads its
+    config files into this class, with the field names as keys.
+    Construction checks every field and raises one ValueError that names
+    all problems found.
+    """
+
+    kind: str = "diffusion"  # "diffusion" | "convection-diffusion"
+    domain: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0)
+    corr_len: float = 4.0
+    sigma: float = 0.05
+    mean_a0: float = 1.0
+    degree: int = 3
+    fine_level: int = 6
+    eps: float = 1e-5
+    capture: float = 0.95
+    num_modes: int | None = None  # overrides capture when set
     coarse_level: int | None = None  # None means choose automatically
     points_per_halfwave: float = 8.0
     nu: float | None = None
@@ -409,20 +421,53 @@ class PipelineSpec:
     m: int = 8
     truncation: str = "multilevel"  # "multilevel" | "svd"
     max_cycles: int = 50
-    preconditioner: str = "mean-exact"
-    pgd_eps: float | None = None
+    preconditioner: str = "mean-exact"  # "mean-exact" | "none"
+    pgd_eps: float | None = None  # PGD tolerance; None means eps
     pgd_max_rank: int = 500
-    pgd_update_policy: str = "at-end"
+    pgd_update_policy: str = "at-end"  # "at-end" | "every-k"
     pgd_update_every: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("diffusion", "convection-diffusion"):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.kind == "convection-diffusion" and self.nu is None:
-            raise ValueError("convection-diffusion needs a viscosity")
-        if self.truncation not in ("multilevel", "svd"):
-            raise ValueError(f"unknown truncation {self.truncation!r}")
+        d = self.domain
+        checks = [
+            (self.kind in ("diffusion", "convection-diffusion"),
+             f"kind must be diffusion or convection-diffusion, got {self.kind!r}"),
+            (len(d) == 4 and d[1] > d[0] and d[3] > d[2],
+             f"domain must be x_lo, x_hi, y_lo, y_hi with x_lo < x_hi and y_lo < y_hi, got {d}"),
+            (self.corr_len > 0, f"corr_len must be positive, got {self.corr_len}"),
+            (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),
+            (self.degree >= 0, f"degree must be >= 0, got {self.degree}"),
+            (self.fine_level >= 1, f"fine_level must be >= 1, got {self.fine_level}"),
+            (self.eps > 0, f"eps must be positive, got {self.eps}"),
+            (0 < self.capture < 1, f"capture must lie in (0, 1), got {self.capture}"),
+            (self.num_modes is None or self.num_modes >= 1,
+             f"num_modes must be >= 1, got {self.num_modes}"),
+            (self.coarse_level is None or self.coarse_level >= 1,
+             f"coarse_level must be >= 1 or auto, got {self.coarse_level}"),
+            (self.kind != "convection-diffusion" or (self.nu is not None and self.nu > 0),
+             "convection-diffusion needs a positive nu"),
+            (len(self.wind) == 2, f"wind must have two components, got {self.wind}"),
+            (self.stretch in ("auto", "none"), f"stretch must be auto or none, got {self.stretch!r}"),
+            (self.m >= 1, f"m must be >= 1, got {self.m}"),
+            (self.truncation in ("multilevel", "svd"),
+             f"truncation must be multilevel or svd, got {self.truncation!r}"),
+            (self.max_cycles >= 1, f"max_cycles must be >= 1, got {self.max_cycles}"),
+            (self.preconditioner in ("mean-exact", "none"),
+             f"preconditioner must be mean-exact or none, got {self.preconditioner!r}"),
+            (self.points_per_halfwave > 0,
+             f"points_per_halfwave must be positive, got {self.points_per_halfwave}"),
+            (self.pgd_eps is None or self.pgd_eps > 0,
+             f"pgd_eps must be positive, got {self.pgd_eps}"),
+            (self.pgd_max_rank >= 1, f"pgd_max_rank must be >= 1, got {self.pgd_max_rank}"),
+            (self.pgd_update_every >= 1,
+             f"pgd_update_every must be >= 1, got {self.pgd_update_every}"),
+            (self.pgd_update_policy in ("at-end", "every-k"),
+             f"pgd_update_policy must be at-end or every-k, got {self.pgd_update_policy!r}"),
+        ]
+        errors = [message for ok, message in checks if not ok]
+        if errors:
+            raise ValueError("; ".join(errors))
 
 
 @dataclass
@@ -432,7 +477,6 @@ class PipelineResult:
     pgd: PgdSolution
     kl: KLExpansion
     n_xi: int
-    coarse_level: int
     fine_grid: fem.Grid
     coarse_grid: fem.Grid
     fine_operator: StochasticOperator
@@ -440,51 +484,70 @@ class PipelineResult:
     wall_times: dict
 
 
-def _grid_for(spec: PipelineSpec, level: int) -> fem.Grid:
-    stretch = None
-    if spec.kind == "convection-diffusion" and spec.stretch == "auto":
-        stretch = fem.stretch_for_boundary_layer(level, spec.domain, spec.nu)
-    return fem.make_grid(level, spec.domain, stretch)
-
-
-def _assemble(spec: PipelineSpec, kl: KLExpansion, stoch, grid: fem.Grid) -> StochasticOperator:
-    if spec.kind == "diffusion":
-        spatial = fem.assemble_diffusion(grid, kl)
-        return build_operator(spatial, stoch)
-    spatial, _ = fem.assemble_convection_diffusion(grid, kl, spec.nu, spec.wind)
-    A = build_operator(spatial, stoch)
-    return handle_nonhomogeneous_bc(A, spatial.bc_lift)
-
-
-def pipeline(spec: PipelineSpec) -> PipelineResult:
-    """Coarse PGD, basis extraction, and the preconditioned fine-grid solve."""
-    times: dict[str, float] = {}
+def build_stochastic(spec: PipelineSpec) -> tuple[KLExpansion, StochasticMatrices]:
+    """The KL expansion of the field and the chaos coupling matrices."""
     kl = build_kl(
         ExponentialCovariance(spec.sigma, spec.corr_len, spec.domain),
         spec.mean_a0,
-        capture=spec.capture,
+        capture=None if spec.num_modes is not None else spec.capture,
         num_modes=spec.num_modes,
     )
-    basis = build_spectral_basis(kl.num_modes, spec.degree)
-    stoch = build_stochastic_matrices(basis)
+    return kl, build_stochastic_matrices(build_spectral_basis(kl.num_modes, spec.degree))
 
-    coarse_level = spec.coarse_level
-    if coarse_level is None:
-        coarse_level = fem.recommend_coarse_level(
-            kl, spec.points_per_halfwave, spec.kind, spec.nu
-        )
 
-    t0 = time.perf_counter()
-    coarse_grid = _grid_for(spec, coarse_level)
-    A_coarse = _assemble(spec, kl, stoch, coarse_grid)
-    pgd_sol = solve_pgd(
-        A_coarse,
+def build_problem(
+    spec: PipelineSpec, level: int, kl: KLExpansion, stoch: StochasticMatrices
+) -> tuple[fem.Grid, fem.SpatialMatrices, StochasticOperator]:
+    """Grid, spatial matrices and Galerkin operator of ``spec`` on ``level``.
+
+    Convection-diffusion grids are stretched towards the boundary layer
+    (unless ``stretch = none``) and the Dirichlet lift is folded into the
+    right-hand side.
+    """
+    stretch = None
+    if spec.kind == "convection-diffusion" and spec.stretch == "auto":
+        stretch = fem.stretch_for_boundary_layer(level, spec.domain, spec.nu)
+    grid = fem.make_grid(level, spec.domain, stretch)
+    if spec.kind == "diffusion":
+        spatial = fem.assemble_diffusion(grid, kl)
+        return grid, spatial, build_operator(spatial, stoch)
+    spatial, _ = fem.assemble_convection_diffusion(grid, kl, spec.nu, spec.wind)
+    A = handle_nonhomogeneous_bc(build_operator(spatial, stoch), spatial.bc_lift)
+    return grid, spatial, A
+
+
+def run_pgd(
+    spec: PipelineSpec, kl: KLExpansion, stoch: StochasticMatrices, level: int | None = None
+) -> tuple[fem.Grid, PgdSolution]:
+    """The grid of ``level`` and the PGD solution of ``spec`` on it.
+
+    ``level`` defaults to the coarse level: ``spec.coarse_level`` or, when
+    that is None, the level ``fem.recommend_coarse_level`` picks for the
+    field.  The tolerance is ``pgd_eps``, else ``eps``.
+    """
+    if level is None:
+        level = spec.coarse_level
+    if level is None:
+        level = fem.recommend_coarse_level(kl, spec.points_per_halfwave, spec.kind, spec.nu)
+    grid, _, A = build_problem(spec, level, kl, stoch)
+    sol = solve_pgd(
+        A,
         spec.pgd_eps if spec.pgd_eps is not None else spec.eps,
         max_rank=spec.pgd_max_rank,
         update_policy=spec.pgd_update_policy,
         update_every=spec.pgd_update_every,
         seed=spec.seed,
     )
+    return grid, sol
+
+
+def pipeline(spec: PipelineSpec) -> PipelineResult:
+    """Coarse PGD, basis extraction, and the preconditioned fine-grid solve."""
+    times: dict[str, float] = {}
+    kl, stoch = build_stochastic(spec)
+
+    t0 = time.perf_counter()
+    coarse_grid, pgd_sol = run_pgd(spec, kl, stoch)
     times["coarse"] = time.perf_counter() - t0
 
     kappa = pgd_sol.Zc.shape[1]
@@ -494,8 +557,7 @@ def pipeline(spec: PipelineSpec) -> PipelineResult:
         trunc = TruncationOperator("svd-rank", rank=kappa)
 
     t1 = time.perf_counter()
-    fine_grid = _grid_for(spec, spec.fine_level)
-    A_fine = _assemble(spec, kl, stoch, fine_grid)
+    fine_grid, _, A_fine = build_problem(spec, spec.fine_level, kl, stoch)
     times["fine_assembly"] = time.perf_counter() - t1
 
     cfg = SolverConfig(
@@ -516,8 +578,7 @@ def pipeline(spec: PipelineSpec) -> PipelineResult:
         report,
         pgd_sol,
         kl,
-        basis.size,
-        coarse_level,
+        stoch.G0.shape[0],
         fine_grid,
         coarse_grid,
         A_fine,

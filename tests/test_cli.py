@@ -1,27 +1,34 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sglowrank.cli import (
     ConfigError,
-    ExperimentConfig,
+    _echo,
     load_config,
     main,
     run_comparison,
     run_experiment,
 )
+from sglowrank.krylov import PipelineSpec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FAST = [
-    "problem = diffusion",
+    "kind = diffusion",
     "corr_len = 4.0",
     "sigma = 0.05",
     "degree = 2",
     "coarse_level = 3",
     "fine_level = 4",
     "eps = 1e-5",
-    "restart = 8",
+    "m = 8",
     "seed = 11",
 ]
 
@@ -36,7 +43,7 @@ class TestConfigParsing:
     def test_file_and_overrides(self, tmp_path):
         path = write_cfg(tmp_path, FAST + ["# a comment", "", "capture = 0.95"])
         cfg = load_config(str(path), ["eps=1e-4", "seed=3"])
-        assert cfg.problem == "diffusion"
+        assert cfg.kind == "diffusion"
         assert cfg.eps == 1e-4
         assert cfg.seed == 3
         assert cfg.capture == 0.95
@@ -51,22 +58,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(str(path))
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(str(tmp_path / "absent.cfg"))
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, ["eps=-1"])
         with pytest.raises(ConfigError):
-            load_config(None, ["problem=heat"])
+            load_config(None, ["kind=heat"])
         with pytest.raises(ConfigError):
             load_config(None, ["truncation=magic"])
 
     def test_cd_requires_nu(self):
         with pytest.raises(ConfigError, match="nu"):
-            load_config(None, ["problem=convection-diffusion"])
+            load_config(None, ["kind=convection-diffusion"])
 
     def test_echo_roundtrip(self):
-        cfg = ExperimentConfig()
-        echoed = cfg.echo()
-        assert echoed["problem"] == "diffusion"
+        cfg = PipelineSpec()
+        echoed = _echo(cfg)
+        assert echoed["kind"] == "diffusion"
         assert echoed["domain"] == [0.0, 1.0, 0.0, 1.0]
 
     def test_schema_rejects_malformed_reports(self):
@@ -96,12 +107,13 @@ class TestRunExperiment:
         assert report["problem"]["n_x_nodes"] == 17**2
 
     def test_dof_bookkeeping(self, tmp_path):
-        cfg = load_config(None, [
-            "problem=diffusion", "corr_len=4.0", "degree=3",
-            "coarse_level=3", "fine_level=7", "eps=1e-5",
-        ])
-        # no solve needed to check the bookkeeping formula
-        assert (2**7 + 1) ** 2 * 56 == 931896
+        cfg = load_config(None, [s.replace(" ", "") for s in FAST])
+        problem = run_experiment(cfg, tmp_path / "out")["problem"]
+        # level 4: 17^2 nodes, 15^2 interior; M = 5 at degree 2: n_xi = 21
+        assert problem["n_x_nodes"] == 17**2 and problem["n_x_interior"] == 15**2
+        assert problem["n_xi"] == 21
+        assert problem["dof_nodes"] == 17**2 * 21 == 6069
+        assert problem["dof_interior"] == 15**2 * 21 == 4725
 
     def test_determinism_excluding_timings(self, tmp_path):
         cfg = load_config(None, [s.replace(" ", "") for s in FAST])
@@ -112,8 +124,8 @@ class TestRunExperiment:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
     def test_mean_field_dump(self, tmp_path):
-        cfg = load_config(None, [s.replace(" ", "") for s in FAST] + ["dump_mean_field=true"])
-        run_experiment(cfg, tmp_path / "out")
+        cfg = load_config(None, [s.replace(" ", "") for s in FAST])
+        run_experiment(cfg, tmp_path / "out", dump_mean_field=True)
         rows = list(csv.reader((tmp_path / "out" / "mean_field.csv").open()))
         assert rows[0] == ["x", "y", "mean_u"]
         assert len(rows) - 1 == 17**2
@@ -154,10 +166,35 @@ class TestMainEntry:
         assert (tmp_path / "out" / "report.json").exists()
 
     def test_invalid_config_exit_two(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, FAST + ["eps = -3"])
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert not (tmp_path / "out" / "report.json").exists()
+        for i, bad in enumerate([
+            "eps = -3", "eps = abc", "fine_level = 6.5", "domain = 0,1", "wind = 1",
+            "preconditioner = foo", "max_cycles = 0", "pgd_max_rank = 0", "pgd_update_every = 0",
+        ]):
+            path = write_cfg(tmp_path, FAST + [bad], name=f"bad{i}.cfg")
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / f"out{i}")])
+            assert code == 2, bad
+            assert "invalid configuration" in capsys.readouterr().err, bad
+            assert not (tmp_path / f"out{i}" / "report.json").exists(), bad
+
+    def test_module_entry_point(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sglowrank.cli", "run", "--set", "eps=-3",
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "invalid configuration" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_dump_mean_field_flag(self, tmp_path):
+        path = write_cfg(tmp_path, FAST)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--dump-mean-field"])
+        assert code == 0
+        rows = list(csv.reader((tmp_path / "out" / "mean_field.csv").open()))
+        assert len(rows) - 1 == 17**2
 
     def test_nonconvergence_exit_one(self, tmp_path):
         path = write_cfg(tmp_path, FAST + ["eps = 1e-13", "max_cycles = 1", "pgd_max_rank = 2"])
@@ -175,6 +212,25 @@ class TestMainEntry:
         basis = load_factored(tmp_path / "c" / "stochastic_basis.bin")
         Zc = basis.Z
         assert np.abs(Zc.T @ Zc - np.eye(Zc.shape[1])).max() < 1e-12
+
+    # (extra config lines, coarse level, kappa, basis rank, exit code of run);
+    # kappa and basis rank are the values measured for these cells.  A basis
+    # learned to pgd_eps = 1e-3 is smaller and cannot carry the fine solve
+    # to eps = 1e-5.
+    @pytest.mark.parametrize("extra,level,kappa,rank,run_code", [
+        ([], 3, 20, 20, 0),
+        (["coarse_level = auto"], 4, 25, 21, 0),
+        (["pgd_eps = 1e-3"], 3, 5, 5, 1),
+    ])
+    def test_coarse_only_matches_run(self, tmp_path, extra, level, kappa, rank, run_code):
+        path = write_cfg(tmp_path, FAST + extra)
+        assert main(["coarse-only", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == run_code
+        coarse = json.loads((tmp_path / "c" / "coarse_report.json").read_text())
+        run = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert coarse["coarse"] == run["coarse"]
+        assert coarse["problem"]["coarse_level"] == run["problem"]["coarse_level"] == level
+        assert (run["coarse"]["kappa"], run["coarse"]["basis_rank"]) == (kappa, rank)
 
     def test_export_matrices(self, tmp_path):
         path = write_cfg(tmp_path, FAST)
