@@ -315,9 +315,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        spec = load_config(args.config, args.set)
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
+        seed = [] if args.seed is None else [f"seed={args.seed}"]
+        spec = load_config(args.config, args.set + seed)
         out_dir = Path(args.out)
         if args.command == "run":
             run_experiment(spec, out_dir, args.format, args.dump_mean_field)

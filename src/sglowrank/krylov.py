@@ -219,7 +219,6 @@ class SolverConfig:
     m: int = 8
     max_cycles: int = 50
     preconditioner: str = "mean-exact"
-    max_w_columns: int | None = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -273,10 +272,6 @@ def _cycle(A, P, cfg: SolverConfig, r, v0, u_hat, W: np.ndarray):
     VtV[0, 0] = inner(v0, v0)
     for j in range(cfg.m):
         w = apply_preconditioned(A, P, V[j])
-        if cfg.max_w_columns is not None and w.rank > cfg.max_w_columns:
-            raise MemoryError(
-                f"matvec rank {w.rank} exceeds max_w_columns={cfg.max_w_columns}"
-            )
         # keep the block once: w becomes a view of its stored row, which is
         # rewritten only by a later cycle
         W[j] = w.Y.ravel()
@@ -424,8 +419,6 @@ class PipelineSpec:
     preconditioner: str = "mean-exact"  # "mean-exact" | "none"
     pgd_eps: float | None = None  # PGD tolerance; None means eps
     pgd_max_rank: int = 500
-    pgd_update_policy: str = "at-end"  # "at-end" | "every-k"
-    pgd_update_every: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -437,6 +430,7 @@ class PipelineSpec:
              f"domain must be x_lo, x_hi, y_lo, y_hi with x_lo < x_hi and y_lo < y_hi, got {d}"),
             (self.corr_len > 0, f"corr_len must be positive, got {self.corr_len}"),
             (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),
+            (self.mean_a0 > 0, f"mean_a0 must be positive, got {self.mean_a0}"),
             (self.degree >= 0, f"degree must be >= 0, got {self.degree}"),
             (self.fine_level >= 1, f"fine_level must be >= 1, got {self.fine_level}"),
             (self.eps > 0, f"eps must be positive, got {self.eps}"),
@@ -460,10 +454,7 @@ class PipelineSpec:
             (self.pgd_eps is None or self.pgd_eps > 0,
              f"pgd_eps must be positive, got {self.pgd_eps}"),
             (self.pgd_max_rank >= 1, f"pgd_max_rank must be >= 1, got {self.pgd_max_rank}"),
-            (self.pgd_update_every >= 1,
-             f"pgd_update_every must be >= 1, got {self.pgd_update_every}"),
-            (self.pgd_update_policy in ("at-end", "every-k"),
-             f"pgd_update_policy must be at-end or every-k, got {self.pgd_update_policy!r}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
         ]
         errors = [message for ok, message in checks if not ok]
         if errors:
@@ -534,8 +525,6 @@ def run_pgd(
         A,
         spec.pgd_eps if spec.pgd_eps is not None else spec.eps,
         max_rank=spec.pgd_max_rank,
-        update_policy=spec.pgd_update_policy,
-        update_every=spec.pgd_update_every,
         seed=spec.seed,
     )
     return grid, sol

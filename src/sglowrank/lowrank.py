@@ -377,24 +377,20 @@ def _project(u: FactoredVector, B: np.ndarray) -> FactoredVector:
 
 @dataclass(frozen=True)
 class TruncationOperator:
-    """Rank reduction strategy: fixed-rank SVD, tolerance SVD, or projection.
+    """Rank reduction strategy: fixed-rank SVD or projection onto a basis.
 
     Projection outputs share the operator's basis as Z, so projecting one
     of them, or a ``combine`` of them, again returns its Y unchanged.
     """
 
-    kind: str  # "svd-rank" | "svd-tol" | "projection"
+    kind: str  # "svd-rank" | "projection"
     rank: int | None = None
-    tol: float | None = None
     basis: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind == "svd-rank":
             if not self.rank or self.rank < 1:
                 raise ValueError("svd-rank truncation needs a positive rank")
-        elif self.kind == "svd-tol":
-            if self.tol is None or self.tol <= 0:
-                raise ValueError("svd-tol truncation needs a positive tolerance")
         elif self.kind == "projection":
             if self.basis is None:
                 raise ValueError("projection truncation needs a basis")
@@ -407,8 +403,6 @@ class TruncationOperator:
     def apply(self, u: FactoredVector) -> FactoredVector:
         if self.kind == "svd-rank":
             return truncate_svd(u, rank=self.rank)
-        if self.kind == "svd-tol":
-            return truncate_svd(u, tol=self.tol)
         return _project(u, self.basis)
 
 
@@ -423,18 +417,14 @@ def residual_norm(A: StochasticOperator, u: FactoredVector) -> float:
     return norm(fold(residual(A, u)))
 
 
-def build_operator(
-    spatial,
-    stoch,
-    drop_zero_terms: bool = True,
-    symmetric: bool | None = None,
-) -> StochasticOperator:
+def build_operator(spatial, stoch) -> StochasticOperator:
     """Assemble the Kronecker-sum operator from spatial and stochastic parts.
 
     Convection and stabilization matrices are folded into the mean spatial
     block (they pair with the same G_0), which keeps the per-matvec rank
-    growth at M+1 terms.  KL terms whose spatial matrix vanishes (for
-    example at sigma = 0) are dropped.  The right-hand side is the rank-one
+    growth at M+1 terms; the operator is symmetric exactly when there is no
+    transport term.  KL terms whose spatial matrix vanishes (for example at
+    sigma = 0) are dropped.  The right-hand side is the rank-one
     tensor g_0 (x) f_0; Dirichlet lift contributions are added separately by
     the solver layer.
     """
@@ -443,14 +433,11 @@ def build_operator(
         mean = mean + spatial.N
     if spatial.S is not None:
         mean = mean + spatial.S
-    has_transport = spatial.N is not None
-    if symmetric is None:
-        symmetric = not has_transport
 
     terms = [(stoch.G0, mean.tocsr())]
     term_index = [0]
     for l, K in enumerate(spatial.K[1:], start=1):
-        if drop_zero_terms and (K.nnz == 0 or abs(K).max() == 0.0):
+        if K.nnz == 0 or abs(K).max() == 0.0:
             continue
         terms.append((stoch.Gl[l - 1], K))
         term_index.append(l)
@@ -462,7 +449,7 @@ def build_operator(
         rhs = FactoredVector.zero(spatial.f0.shape[0], n_xi)
     bc_values = spatial.bc_lift.values_full if spatial.bc_lift is not None else None
     return StochasticOperator(
-        tuple(terms), rhs, symmetric=symmetric,
+        tuple(terms), rhs, symmetric=spatial.N is None,
         term_index=tuple(term_index), bc_values=bc_values,
     )
 

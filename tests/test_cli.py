@@ -70,6 +70,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(None, ["truncation=magic"])
 
+    def test_documented_configs_parse(self):
+        # the shipped config files, and every command in README.md with the
+        # config file and --set overrides it names
+        root = SRC.parent
+        configs = sorted((root / "configs").glob("*.cfg"))
+        assert len(configs) == 2
+        for path in configs:
+            load_config(str(path))
+        text = (root / "README.md").read_text().replace("\\\n", " ")
+        commands = [line.split() for line in text.splitlines() if line.startswith("sglowrank ")]
+        assert sum("--set" in words for words in commands) >= 10
+        for words in commands:
+            config = words[words.index("--config") + 1] if "--config" in words else None
+            sets = [words[i + 1] for i, word in enumerate(words) if word == "--set"]
+            assert isinstance(load_config(config and str(root / config), sets), PipelineSpec)
+
     def test_cd_requires_nu(self):
         with pytest.raises(ConfigError, match="nu"):
             load_config(None, ["kind=convection-diffusion"])
@@ -169,12 +185,18 @@ class TestMainEntry:
         for i, bad in enumerate([
             "eps = -3", "eps = abc", "fine_level = 6.5", "domain = 0,1", "wind = 1",
             "preconditioner = foo", "max_cycles = 0", "pgd_max_rank = 0", "pgd_update_every = 0",
+            "mean_a0 = 0", "seed = -1", "pgd_update_policy = every-k",
         ]):
             path = write_cfg(tmp_path, FAST + [bad], name=f"bad{i}.cfg")
             code = main(["run", "--config", str(path), "--out", str(tmp_path / f"out{i}")])
             assert code == 2, bad
             assert "invalid configuration" in capsys.readouterr().err, bad
             assert not (tmp_path / f"out{i}" / "report.json").exists(), bad
+        path = write_cfg(tmp_path, FAST)
+        code = main(["run", "--config", str(path), "--seed", "-1", "--out", str(tmp_path / "seed")])
+        assert code == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (tmp_path / "seed" / "report.json").exists()
 
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

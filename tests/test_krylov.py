@@ -351,16 +351,6 @@ class TestSolve:
         assert not report.converged
         assert len(report.residual_history) == 3
 
-    def test_memory_guard_compares_folded_width(self):
-        A = galerkin_operator()
-        n_xi = A.shape[1]
-        trunc = TruncationOperator("svd-rank", rank=6)
-        assert A.num_terms * trunc.rank > n_xi  # unfolded matvec width
-        _, report = solve(A, SolverConfig(eps=1e-3, trunc=trunc, max_w_columns=n_xi))
-        assert report.matvecs > 0
-        with pytest.raises(MemoryError, match="max_w_columns"):
-            solve(A, SolverConfig(eps=1e-3, trunc=trunc, max_w_columns=n_xi - 1))
-
     def test_config_validation(self):
         A = galerkin_operator()
         with pytest.raises(ValueError):

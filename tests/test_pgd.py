@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import dense_operator, dense_vec, random_operator
+from sglowrank import pgd
 from sglowrank.chaos import build_spectral_basis, build_stochastic_matrices
 from sglowrank.fem import assemble_convection_diffusion, assemble_diffusion, make_grid
 from sglowrank.lowrank import (
@@ -86,10 +87,12 @@ class TestEnrichment:
             sol = np.linalg.solve(want, ws.stochastic_rhs(y))
             assert np.abs(ws.solve_stochastic(y) - sol).max() <= 1e-10 * np.abs(sol).max()
 
-    def test_alternation_fixed_point_residuals(self):
+    def test_alternation_fixed_point_residuals(self, monkeypatch):
         A = diffusion_operator(level=3, M=3, p=2, sigma=0.05, c=4.0)
         current = FactoredVector.zero(*A.shape)
-        y, z = enrich_rank_one(A, current, alt_tol=1e-12, max_sweeps=60)
+        monkeypatch.setattr(pgd, "ALTERNATION_TOL", 1e-12)
+        monkeypatch.setattr(pgd, "MAX_SWEEPS", 60)
+        y, z = enrich_rank_one(A, current)
         ws = _Workspace(A)
         n_x, n_xi = A.shape
 
@@ -169,12 +172,6 @@ class TestWorkspace:
             err = np.linalg.norm(ws.stochastic_rhs(y) - want_xi)
             assert err <= 1e-12 * np.linalg.norm(F.T @ y)
 
-    def test_update_every_k_keeps_blocks_in_step(self):
-        A = diffusion_operator(level=3, M=4, p=2, sigma=0.15, c=2.0)
-        sol = solve_pgd(A, 1e-6, update_policy="every-k")
-        assert sol.converged
-        assert residual_norm(A, sol.factors) <= 1e-6 * norm(A.rhs)
-
 
 class TestUpdateStochastic:
     def test_kappa_one_reduces_to_half_step(self):
@@ -242,11 +239,12 @@ class TestSolvePgd:
         # residuals are checked at rank one and every fifth enrichment
         assert len(sol.residual_history) >= sol.kappa // 5
 
-    def test_rank_lands_on_block_boundaries(self):
+    def test_rank_lands_on_block_boundaries(self, monkeypatch):
         A = diffusion_operator(level=3, M=4, p=2, sigma=0.15, c=2.0)
         sol = solve_pgd(A, 1e-6)
         assert sol.kappa == 1 or sol.kappa % 5 == 0
-        fine = solve_pgd(A, 1e-6, residual_every=1)
+        monkeypatch.setattr(pgd, "RESIDUAL_EVERY", 1)
+        fine = solve_pgd(A, 1e-6)
         assert fine.kappa <= sol.kappa
 
     def test_monotone_residual_history_spd(self):
@@ -297,11 +295,6 @@ class TestSolvePgd:
             sol = solve_pgd(A, 1e-12, max_rank=3)
         assert not sol.converged
         assert sol.kappa == 3
-
-    def test_update_policy_validation(self):
-        A = diffusion_operator()
-        with pytest.raises(ValueError):
-            solve_pgd(A, 1e-4, update_policy="sometimes")
 
 
 class TestBoundaryLift:
