@@ -23,7 +23,6 @@ from .krylov import (
     PipelineResult,
     PipelineSpec,
     SolveReport,
-    SolverConfig,
     pipeline,
     solve,
 )

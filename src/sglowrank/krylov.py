@@ -1,8 +1,9 @@
 """Restarted low-rank projection solver and the end-to-end pipeline.
 
 The solver runs GMRES-style cycles on the right-preconditioned operator
-L = A M^{-1} with M the mean-based preconditioner G_0 (x) K_0, G_0 = I
-(the mean spatial block is factorized exactly once and reused).  Every
+L = A M^{-1}.  M is always the mean-based block preconditioner
+G_0 (x) K_0 = I (x) K_0 (Powell & Elman, IMA J. Numer. Anal. 2009); the
+mean spatial block is factorized exactly once and reused.  Every
 basis vector produced inside a cycle is compressed by a truncation
 operator, so the basis is not orthogonal and both projections are
 computed through explicit Gram systems:
@@ -25,7 +26,10 @@ of ``lowrank`` then keep all work in that frame: V^T w is one product
 W B and kappa-wide Frobenius dots (``inners``), the combination
 w - sum alpha_i V_i is the block W next to the summed Y_i (n_xi + kappa
 columns) before its projection, and the cycle update u + V beta is the
-summed Y.  SVD truncation runs through the same loop.
+summed Y.  SVD truncation runs through the same loop.  Every norm is
+taken in an orthonormal stochastic frame (``lowrank.norm``): the identity
+of the folded blocks and of the right-hand side, B, or the factor an SVD
+truncation returns.
 
 The cycle update is u <- T(u + V beta); the outer loop checks the true
 untruncated residual and stops on ||r|| / ||f|| < eps, after a cycle that
@@ -41,14 +45,15 @@ solver on it to learn the stochastic basis (``run_pgd``, through
 ``build_problem``), builds the multilevel truncation operator from it, and
 solves the fine problem; coarse and fine levels share the stochastic
 discretization, so the basis transfers without interpolation.
-``PipelineSpec`` is the one configuration, shared with the command line.
+``PipelineSpec`` is the one configuration, shared with the command line;
+``solve`` takes the truncation and its four settings as plain arguments.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,8 +84,6 @@ from .randfield import ExponentialCovariance, KLExpansion, build_kl
 
 __all__ = [
     "MeanPreconditioner",
-    "IdentityPreconditioner",
-    "SolverConfig",
     "SolveReport",
     "apply_preconditioned",
     "solve",
@@ -104,17 +107,29 @@ GRAM_RCOND = 1e-12
 STAGNATION_TOL = 1e-2
 
 
-class _Preconditioner:
-    """Scratch the folded matvec reuses: the spatial stack
-    [T_0 | K_1 X | ... | K_M X] and the stochastic stack [G_0 Z | ... | G_M Z]
-    of the last frame Z it saw."""
+class MeanPreconditioner:
+    """Exact factorization of the mean spatial block, applied columnwise.
+
+    M = G_0 (x) K_0 with G_0 = I, checked exactly once here, so that
+    M^{-1} = I (x) K_0^{-1} and the mean term of A M^{-1} is the identity.
+    It also keeps the scratch the folded matvec reuses: the spatial stack
+    [Y | K_1 X | ... | K_M X] and the stochastic stack [G_0 Z | ... | G_M Z]
+    of the last frame Z it saw.
+    """
 
     def __init__(self, A: StochasticOperator):
+        G0 = A.terms[0][0]
+        n_xi = A.shape[1]
+        identity = sp.identity(n_xi, format="csr")
+        if G0.shape != (n_xi, n_xi) or (sp.csr_matrix(G0) != identity).nnz:
+            raise ValueError("the mean preconditioner needs G_0 = I exactly")
         self.shape = A.shape
         self._mean = A.mean_spatial
         self._G = [G for G, _ in A.terms]
         self._spatial = np.empty(0)
         self._frame: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
+        self._lu = spla.splu(A.mean_spatial.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self._last: tuple[FactoredVector | None, FactoredVector | None] = (None, None)
 
     def spatial_stack(self, width: int) -> np.ndarray:
         n_x = self.shape[0]
@@ -129,33 +144,6 @@ class _Preconditioner:
             self._frame = (Z, stack)
         return stack
 
-
-class MeanPreconditioner(_Preconditioner):
-    """Exact factorization of the mean spatial block, applied columnwise.
-
-    M = G_0 (x) K_0 with G_0 = I, checked exactly once here, so that
-    M^{-1} = I (x) K_0^{-1} and the mean term of A M^{-1} is the identity.
-    """
-
-    def __init__(self, A: StochasticOperator):
-        G0 = A.terms[0][0]
-        n_xi = A.shape[1]
-        identity = sp.identity(n_xi, format="csr")
-        if G0.shape != (n_xi, n_xi) or (sp.csr_matrix(G0) != identity).nnz:
-            raise ValueError("the mean preconditioner needs G_0 = I exactly")
-        super().__init__(A)
-        self._lu = spla.splu(A.mean_spatial.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        self._last: tuple[FactoredVector | None, FactoredVector | None] = (None, None)
-
-    def solve_spatial(self, Y: np.ndarray) -> np.ndarray:
-        if Y.shape[1] == 0:
-            return np.array(Y)
-        return self._lu.solve(np.asarray(Y))
-
-    def mean_term(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Spatial factor of the mean term of A M^{-1}: K_0 K_0^{-1} Y = Y."""
-        return Y
-
     def apply(self, u: FactoredVector) -> FactoredVector:
         """M u, moving an initial guess into the preconditioned variable."""
         return FactoredVector._adopt(self._mean @ u.Y, u.Z, u.orthonormal)
@@ -167,36 +155,18 @@ class MeanPreconditioner(_Preconditioner):
         solve of its last residual check.
         """
         if self._last[0] is not u:
-            self._last = (u, FactoredVector._adopt(self.solve_spatial(u.Y), u.Z, u.orthonormal))
+            X = self._lu.solve(np.asarray(u.Y)) if u.rank else np.array(u.Y)
+            self._last = (u, FactoredVector._adopt(X, u.Z, u.orthonormal))
         return self._last[1]
-
-
-class IdentityPreconditioner(_Preconditioner):
-    def mean_term(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return self._mean @ X
-
-    def solve(self, u: FactoredVector) -> FactoredVector:
-        return u
-
-    def apply(self, u: FactoredVector) -> FactoredVector:
-        return u
-
-
-def build_preconditioner(A: StochasticOperator, kind: str):
-    if kind == "mean-exact":
-        return MeanPreconditioner(A)
-    if kind == "none":
-        return IdentityPreconditioner(A)
-    raise ValueError(f"unknown preconditioner {kind!r}")
 
 
 def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> FactoredVector:
     """(A M^{-1}) u as its dense n_x x n_xi block, paired with the identity.
 
-    With X = M^{-1}-applied Y, one product of the stacked factors folds all
-    terms, [T_0 | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T, where T_0 is
-    the preconditioner's mean term (Y itself for the mean preconditioner).
-    Both stacks live in the preconditioner's reused scratch.
+    With X = K_0^{-1} Y, one product of the stacked factors folds all terms,
+    [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T: the mean term is Y
+    itself because K_0 K_0^{-1} = I.  Both stacks live in the
+    preconditioner's reused scratch.
     """
     n_x, n_xi = A.shape
     if u.shape != (n_x, n_xi):
@@ -206,27 +176,10 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
     r = u.rank
     X = np.ascontiguousarray(P.solve(u).Y)
     S = P.spatial_stack(r * A.num_terms)
-    S[:, :r] = P.mean_term(u.Y, X)
+    S[:, :r] = u.Y
     for l, (_, K) in enumerate(A.terms[1:], start=1):
         S[:, l * r : (l + 1) * r] = K @ X
     return block(S @ P.stochastic_stack(u.Z).T)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    eps: float
-    trunc: TruncationOperator
-    m: int = 8
-    max_cycles: int = 50
-    preconditioner: str = "mean-exact"
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("restart length m must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be >= 1")
 
 
 @dataclass
@@ -259,7 +212,7 @@ def _gram_solve(Gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return sol
 
 
-def _cycle(A, P, cfg: SolverConfig, r, v0, u_hat, W: np.ndarray):
+def _cycle(A, P, trunc: TruncationOperator, m: int, r, v0, u_hat, W: np.ndarray):
     """One restart cycle from the unit basis vector v0 and the residual r.
 
     Up to m matvecs are stored as rows of W; returns the updated iterate
@@ -268,18 +221,18 @@ def _cycle(A, P, cfg: SolverConfig, r, v0, u_hat, W: np.ndarray):
     """
     n_x, n_xi = A.shape
     V = [v0]
-    VtV = np.zeros((cfg.m, cfg.m))
+    VtV = np.zeros((m, m))
     VtV[0, 0] = inner(v0, v0)
-    for j in range(cfg.m):
+    for j in range(m):
         w = apply_preconditioned(A, P, V[j])
         # keep the block once: w becomes a view of its stored row, which is
         # rewritten only by a later cycle
         W[j] = w.Y.ravel()
         w = block(W[j].reshape(n_x, n_xi))
-        if j + 1 == cfg.m:
+        if j + 1 == m:
             break
         alpha = _gram_solve(VtV[: j + 1, : j + 1], inners(V, w), "orthogonalization")
-        v_next = cfg.trunc.apply(combine([w] + V, np.concatenate([[1.0], -alpha])))
+        v_next = trunc.apply(combine([w] + V, np.concatenate([[1.0], -alpha])))
         v_next_norm = norm(v_next)
         if v_next_norm <= BASIS_DROP_TOL * norm(w):
             break  # basis cannot grow further; use the j+1 vectors built
@@ -292,23 +245,34 @@ def _cycle(A, P, cfg: SolverConfig, r, v0, u_hat, W: np.ndarray):
     Wm = W[:m_eff]
     # r in the identity frame of the stored blocks
     beta = _gram_solve(Wm @ Wm.T, Wm @ coordinates(r, w.Z).ravel(), "projection")
-    u_hat = cfg.trunc.apply(combine([u_hat] + V[:m_eff], np.concatenate([[1.0], beta])))
+    u_hat = trunc.apply(combine([u_hat] + V[:m_eff], np.concatenate([[1.0], beta])))
     return u_hat, m_eff
 
 
 def solve(
     A: StochasticOperator,
-    cfg: SolverConfig,
+    trunc: TruncationOperator,
+    eps: float,
+    m: int = 8,
+    max_cycles: int = 50,
     u0: FactoredVector | None = None,
 ) -> tuple[FactoredVector, SolveReport]:
     """Run restarted low-rank projection cycles until a stopping test passes.
 
-    Returns the solution in the original variable together with a report.
-    The residual history holds the true relative residual at the top of each
-    cycle, including the final accepted value.
+    ``trunc`` compresses every basis vector and iterate, ``eps`` is the
+    relative residual to reach, ``m`` the restart length, ``max_cycles``
+    the cycle cap and ``u0`` an optional initial guess.  Returns the solution in the original variable
+    together with a report.  The residual history holds the true relative
+    residual at the top of each cycle, including the final accepted value.
     """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if m < 1:
+        raise ValueError("restart length m must be >= 1")
+    if max_cycles < 1:
+        raise ValueError("max_cycles must be >= 1")
     t0 = time.perf_counter()
-    P = build_preconditioner(A, cfg.preconditioner)
+    P = MeanPreconditioner(A)
     t_setup = time.perf_counter() - t0
 
     n_x, n_xi = A.shape
@@ -328,13 +292,13 @@ def solve(
 
     t1 = time.perf_counter()
     # the matvec output blocks of one cycle, one row each
-    W = np.empty((cfg.m, n_x * n_xi))
+    W = np.empty((m, n_x * n_xi))
     history: list[float] = []
     cycles = 0
     matvecs = 0
     status = "max-cycles"
 
-    for outer in range(cfg.max_cycles + 1):
+    for outer in range(max_cycles + 1):
         r = fold(add(A.rhs, scale(apply_preconditioned(A, P, u_hat), -1.0)))
         rel = norm(r) / fnorm
         if history and rel > history[-1]:
@@ -345,22 +309,22 @@ def solve(
                 stacklevel=2,
             )
         history.append(rel)
-        if rel < cfg.eps:
+        if rel < eps:
             status = "converged"
             break
         if len(history) > 1 and rel > (1.0 - STAGNATION_TOL) * history[-2]:
             status = "basis-limited"
             break
-        if outer == cfg.max_cycles:
+        if outer == max_cycles:
             break
 
-        v_tilde = cfg.trunc.apply(r)
+        v_tilde = trunc.apply(r)
         v_norm = norm(v_tilde)
         if v_norm == 0.0:
             warnings.warn("truncated residual vanished; cannot build a basis", stacklevel=2)
             status = "basis-vanished"
             break
-        u_hat, cycle_matvecs = _cycle(A, P, cfg, r, scale(v_tilde, 1.0 / v_norm), u_hat, W)
+        u_hat, cycle_matvecs = _cycle(A, P, trunc, m, r, scale(v_tilde, 1.0 / v_norm), u_hat, W)
         matvecs += cycle_matvecs
         cycles += 1
 
@@ -416,7 +380,6 @@ class PipelineSpec:
     m: int = 8
     truncation: str = "multilevel"  # "multilevel" | "svd"
     max_cycles: int = 50
-    preconditioner: str = "mean-exact"  # "mean-exact" | "none"
     pgd_eps: float | None = None  # PGD tolerance; None means eps
     pgd_max_rank: int = 500
     seed: int = 0
@@ -433,7 +396,7 @@ class PipelineSpec:
             (self.mean_a0 > 0, f"mean_a0 must be positive, got {self.mean_a0}"),
             (self.degree >= 0, f"degree must be >= 0, got {self.degree}"),
             (self.fine_level >= 1, f"fine_level must be >= 1, got {self.fine_level}"),
-            (self.eps > 0, f"eps must be positive, got {self.eps}"),
+            (0 < self.eps < 1, f"eps must lie in (0, 1), got {self.eps}"),
             (0 < self.capture < 1, f"capture must lie in (0, 1), got {self.capture}"),
             (self.num_modes is None or self.num_modes >= 1,
              f"num_modes must be >= 1, got {self.num_modes}"),
@@ -447,16 +410,18 @@ class PipelineSpec:
             (self.truncation in ("multilevel", "svd"),
              f"truncation must be multilevel or svd, got {self.truncation!r}"),
             (self.max_cycles >= 1, f"max_cycles must be >= 1, got {self.max_cycles}"),
-            (self.preconditioner in ("mean-exact", "none"),
-             f"preconditioner must be mean-exact or none, got {self.preconditioner!r}"),
             (self.points_per_halfwave > 0,
              f"points_per_halfwave must be positive, got {self.points_per_halfwave}"),
-            (self.pgd_eps is None or self.pgd_eps > 0,
-             f"pgd_eps must be positive, got {self.pgd_eps}"),
+            (self.pgd_eps is None or 0 < self.pgd_eps < 1,
+             f"pgd_eps must lie in (0, 1), got {self.pgd_eps}"),
             (self.pgd_max_rank >= 1, f"pgd_max_rank must be >= 1, got {self.pgd_max_rank}"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
         ]
         errors = [message for ok, message in checks if not ok]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
+                errors.append(f"{f.name} must be finite, got {value}")
         if errors:
             raise ValueError("; ".join(errors))
 
@@ -549,15 +514,8 @@ def pipeline(spec: PipelineSpec) -> PipelineResult:
     fine_grid, _, A_fine = build_problem(spec, spec.fine_level, kl, stoch)
     times["fine_assembly"] = time.perf_counter() - t1
 
-    cfg = SolverConfig(
-        eps=spec.eps,
-        trunc=trunc,
-        m=spec.m,
-        max_cycles=spec.max_cycles,
-        preconditioner=spec.preconditioner,
-    )
     t2 = time.perf_counter()
-    solution, report = solve(A_fine, cfg)
+    solution, report = solve(A_fine, trunc, spec.eps, spec.m, spec.max_cycles)
     times["fine_solve"] = time.perf_counter() - t2
     times.update(report.wall_times)
     report.wall_times = times

@@ -31,12 +31,11 @@ Folded blocks and the outputs of both truncations have orthonormal
 stochastic factors by construction, and are flagged so when they are
 built.  For those the norm is the Frobenius norm of Y, and the inner
 product of two vectors sharing the same factor Z is the Frobenius dot
-product of their spatial factors; no QR or Gram product is formed.  Other
-norms are evaluated from the small matrix R_Y R_Z^T of the factor QRs;
-this is orthogonally invariant and keeps the absolute error near machine
-precision even when the represented vector is a tiny residual of large
-cancelling terms (a Gram-matrix evaluation would lose half the digits
-there).
+product of their spatial factors; no QR or Gram product is formed.  Every
+other norm is the Frobenius norm of the block Y Z^T, the vector in the
+identity frame, so every norm is taken in an orthonormal frame and its
+error is the round-off of forming that block (a Gram-matrix evaluation
+would lose half the digits of a small residual of large terms).
 """
 
 from __future__ import annotations
@@ -310,34 +309,26 @@ def inner(u: FactoredVector, v: FactoredVector) -> float:
 
 
 def norm(u: FactoredVector) -> float:
-    """Frobenius norm of mat(u), stable under representational cancellation."""
+    """Frobenius norm of mat(u), taken in an orthonormal frame: ||Y||_F for
+    flagged vectors, else ||Y Z^T||_F."""
     if u.rank == 0:
         return 0.0
     if u.orthonormal:
         return float(np.linalg.norm(u.Y))
-    if u.rank == 1:
-        return float(np.linalg.norm(u.Y[:, 0]) * np.linalg.norm(u.Z[:, 0]))
-    Ry = np.linalg.qr(u.Y, mode="r")
-    Rz = np.linalg.qr(u.Z, mode="r")
-    return float(np.linalg.norm(Ry @ Rz.T))
+    return float(np.linalg.norm(u.Y @ u.Z.T))
 
 
-def truncate_svd(
-    u: FactoredVector, rank: int | None = None, tol: float | None = None
-) -> FactoredVector:
+def truncate_svd(u: FactoredVector, rank: int | None = None) -> FactoredVector:
     """Best approximation of mat(u) by SVD through QR of the factors.
 
-    With ``rank``, keeps at most that many terms (Eckart-Young optimal).
-    With ``tol``, keeps the fewest terms whose discarded singular values
-    satisfy sum sigma_k^2 <= tol^2 * sum_all sigma_k^2.  Singular values
-    below SV_DROP_TOL times the largest are dropped in every mode so that
-    roundoff never manufactures rank.  Singular values are folded into the
-    spatial factor; the stochastic factor keeps orthonormal columns and the
-    result is flagged ``orthonormal``.  An input wider than n_xi is folded
-    first (exactly), so the factor QRs see at most n_xi columns.
+    Keeps at most ``rank`` terms (Eckart-Young optimal), or every term when
+    ``rank`` is None.  Singular values below SV_DROP_TOL times the largest
+    are dropped in every mode so that roundoff never manufactures rank.
+    Singular values are folded into the spatial factor; the stochastic
+    factor keeps orthonormal columns and the result is flagged
+    ``orthonormal``.  An input wider than n_xi is folded first (exactly), so
+    the factor QRs see at most n_xi columns.
     """
-    if (rank is None) == (tol is None):
-        raise ValueError("specify exactly one of rank or tol")
     if u.rank == 0:
         return u
     u = fold(u)
@@ -349,11 +340,6 @@ def truncate_svd(
     keep = int(np.sum(s > SV_DROP_TOL * s[0]))
     if rank is not None:
         keep = min(keep, rank)
-    else:
-        total = float(np.sum(s**2))
-        tail = np.concatenate([np.cumsum((s**2)[::-1])[::-1][1:], [0.0]])
-        keep = min(keep, int(np.searchsorted(-tail, -(tol**2) * total)) + 1)
-        keep = max(keep, 1)
     Y = Qy @ (U[:, :keep] * s[:keep])
     Z = Qz @ Vt[:keep].T
     return FactoredVector._adopt(Y, Z, orthonormal=True)
@@ -411,10 +397,8 @@ def residual(A: StochasticOperator, u: FactoredVector) -> FactoredVector:
 
 
 def residual_norm(A: StochasticOperator, u: FactoredVector) -> float:
-    """||f - A u||_2 of the folded residual, at most n_xi columns wide."""
-    if u.rank == 0:
-        return norm(A.rhs)
-    return norm(fold(residual(A, u)))
+    """||f - A u||_2, the norm of the residual's n_x x n_xi block."""
+    return norm(residual(A, u))
 
 
 def build_operator(spatial, stoch) -> StochasticOperator:

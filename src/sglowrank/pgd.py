@@ -339,9 +339,7 @@ def handle_nonhomogeneous_bc(A: StochasticOperator, lift) -> StochasticOperator:
     if not y_cols:
         rhs = FactoredVector.zero(n_x, n_xi)
     else:
-        rhs = truncate_svd(
-            FactoredVector(np.hstack(y_cols), np.hstack(z_cols)), tol=1e-15
-        )
+        rhs = truncate_svd(FactoredVector(np.hstack(y_cols), np.hstack(z_cols)))
     return StochasticOperator(
         A.terms, rhs, symmetric=A.symmetric,
         term_index=A.term_index, bc_values=lift.values_full,

@@ -13,7 +13,7 @@ import pytest
 from oracles import nystrom_eigenvalues
 from sglowrank.chaos import build_index_set, build_spectral_basis, build_stochastic_matrices
 from sglowrank.fem import assemble_diffusion, make_grid, recommend_coarse_level
-from sglowrank.krylov import PipelineSpec, SolverConfig, pipeline, solve
+from sglowrank.krylov import PipelineSpec, pipeline, solve
 from sglowrank.lowrank import (
     TruncationOperator,
     add,
@@ -360,12 +360,12 @@ def test_criterion_10_degenerate_cases():
     kl0 = build_kl(ExponentialCovariance(0.0, 4.0, UNIT), 1.0, num_modes=2)
     stoch = build_stochastic_matrices(build_spectral_basis(2, 2))
     A = build_operator(assemble_diffusion(make_grid(4, UNIT), kl0), stoch)
-    cfg = SolverConfig(eps=1e-12, trunc=TruncationOperator("svd-rank", rank=5), m=8)
-    u, rep = solve(A, cfg)
+    trunc = TruncationOperator("svd-rank", rank=5)
+    u, rep = solve(A, trunc, 1e-12, m=8)
     ok &= rep.converged and rep.cycles == 1 and rep.matvecs == 1
 
     # exact initial guess: zero cycles
-    u2, rep2 = solve(A, cfg, u0=u)
+    u2, rep2 = solve(A, trunc, 1e-12, m=8, u0=u)
     ok &= rep2.cycles == 0 and rep2.matvecs == 0
     elapsed = time.time() - t0
     ok &= elapsed < 30.0

@@ -186,6 +186,8 @@ class TestMainEntry:
             "eps = -3", "eps = abc", "fine_level = 6.5", "domain = 0,1", "wind = 1",
             "preconditioner = foo", "max_cycles = 0", "pgd_max_rank = 0", "pgd_update_every = 0",
             "mean_a0 = 0", "seed = -1", "pgd_update_policy = every-k",
+            "eps = 2", "pgd_eps = 1", "wind = nan, 1", "domain = -inf, inf, -1, 1",
+            "corr_len = inf", "nu = inf",
         ]):
             path = write_cfg(tmp_path, FAST + [bad], name=f"bad{i}.cfg")
             code = main(["run", "--config", str(path), "--out", str(tmp_path / f"out{i}")])

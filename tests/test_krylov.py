@@ -9,9 +9,7 @@ from sglowrank.fem import assemble_diffusion, make_grid
 from sglowrank.krylov import (
     MeanPreconditioner,
     PipelineSpec,
-    SolverConfig,
     apply_preconditioned,
-    build_preconditioner,
     pipeline,
     solve,
 )
@@ -70,19 +68,13 @@ class TestPreconditioner:
         diff = add(out, scale(u, -1.0))
         assert norm(diff) <= 1e-12 * norm(u)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            build_preconditioner(galerkin_operator(), "amg")
-
-    @pytest.mark.parametrize("kind", ["mean-exact", "none"])
-    def test_folded_matvec_matches_dense(self, rng, kind):
+    def test_folded_matvec_matches_dense(self, rng):
         # vectors in two frames, the first one again: the stochastic stack
         # reused for a repeated Z must be rebuilt for a new one
         A = galerkin_operator(level=3, M=3, p=2)
         n_x, n_xi = A.shape
-        P = build_preconditioner(A, kind)
-        K0 = A.mean_spatial.toarray()
-        Minv = np.kron(np.eye(n_xi), np.linalg.inv(K0) if kind == "mean-exact" else np.eye(n_x))
+        P = MeanPreconditioner(A)
+        Minv = np.kron(np.eye(n_xi), np.linalg.inv(A.mean_spatial.toarray()))
         D = dense_operator(A) @ Minv
         u = random_factored(rng, n_x, n_xi, 4)
         v = random_factored(rng, n_x, n_xi, 2)
@@ -125,12 +117,12 @@ class TestFold:
         # stochastic singular space of the untruncated solution
         A = galerkin_operator()
         if kind == "projection":
-            u_star, _ = solve(A, SolverConfig(eps=1e-10, trunc=no_truncation(A)))
+            u_star, _ = solve(A, no_truncation(A), 1e-10)
             trunc = TruncationOperator("projection", basis=truncate_svd(u_star, rank=6).Z)
         else:
             trunc = TruncationOperator("svd-rank", rank=6)
         assert A.num_terms * trunc.rank > A.shape[1]
-        u, report = solve(A, SolverConfig(eps=1e-3, trunc=trunc, m=6))
+        u, report = solve(A, trunc, 1e-3, m=6)
         assert report.converged
         b = dense_vec(A.rhs)
         dense_rel = np.linalg.norm(b - dense_operator(A) @ dense_vec(u)) / np.linalg.norm(b)
@@ -170,7 +162,7 @@ class TestFixedFrame:
 
         monkeypatch.setattr(krylov, "apply_preconditioned", recording_matvec)
         monkeypatch.setattr(lowrank.FactoredVector, "_set_factors", recording_set_factors)
-        u, report = solve(A, SolverConfig(eps=1e-6, trunc=trunc, m=m))
+        u, report = solve(A, trunc, 1e-6, m=m)
         assert report.converged and report.matvecs > 1
         framed = [x for x in inputs if x.rank]
         assert len(framed) == len(inputs) - 1  # the zero initial iterate
@@ -196,18 +188,17 @@ class TestFixedFrame:
 
     def test_status_of_other_stops(self):
         A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
-        _, report = solve(A, SolverConfig(eps=1e-6, trunc=no_truncation(A)))
+        _, report = solve(A, no_truncation(A), 1e-6)
         assert report.status == "converged" and report.converged
         with pytest.warns(UserWarning, match="max-cycles"):
-            _, report = solve(A, SolverConfig(eps=1e-14, trunc=no_truncation(A), m=2,
-                                              max_cycles=1))
+            _, report = solve(A, no_truncation(A), 1e-14, m=2, max_cycles=1)
         assert report.status == "max-cycles" and report.cycles == 1
         # a basis orthogonal to the rhs's stochastic factor g_0 = e_1
         # truncates the first residual to exactly zero
         basis = np.eye(A.shape[1])[:, 1:4]
         trunc = TruncationOperator("projection", basis=basis)
         with pytest.warns(UserWarning, match="vanished"):
-            _, report = solve(A, SolverConfig(eps=1e-6, trunc=trunc))
+            _, report = solve(A, trunc, 1e-6)
         assert report.status == "basis-vanished" and report.cycles == 0
 
 
@@ -216,8 +207,7 @@ class TestSolve:
         # sigma = 0 with the exact mean preconditioner: L = I, so the first
         # matvec already spans the residual and the basis cannot grow
         A = galerkin_operator(sigma=0.0, M=2)
-        cfg = SolverConfig(eps=1e-12, trunc=no_truncation(A), m=8)
-        u, report = solve(A, cfg)
+        u, report = solve(A, no_truncation(A), 1e-12, m=8)
         assert report.converged
         assert report.cycles == 1
         assert report.matvecs == 1
@@ -225,65 +215,41 @@ class TestSolve:
 
     def test_exact_initial_guess_returns_zero_cycles(self):
         A = galerkin_operator(level=2, M=2, p=1, sigma=0.05)
-        cfg = SolverConfig(eps=1e-8, trunc=no_truncation(A), m=4)
-        u_star, _ = solve(A, cfg)
-        u, report = solve(A, cfg, u0=u_star)
+        u_star, _ = solve(A, no_truncation(A), 1e-8, m=4)
+        u, report = solve(A, no_truncation(A), 1e-8, m=4, u0=u_star)
         assert report.cycles == 0
         assert report.matvecs == 0
         assert np.array_equal(u.Y, u_star.Y)
         assert np.array_equal(u.Z, u_star.Z)
 
     def test_matches_dense_gmres_without_truncation(self):
+        # one cycle is one restart of dense GMRES on the right-preconditioned
+        # operator D M^{-1}, mapped back to the original variable u = M^{-1} x_hat
         A = galerkin_operator(level=2, M=2, p=2, sigma=0.1)
-        n = A.shape[0] * A.shape[1]
+        n_xi = A.shape[1]
         m = min(A.shape)  # basis of that size exhausts the residual space
-        cfg = SolverConfig(eps=1e-10, trunc=no_truncation(A), m=m,
-                           preconditioner="none", max_cycles=40)
-        u, report = solve(A, cfg)
+        u, report = solve(A, no_truncation(A), 1e-10, m=m, max_cycles=40)
         assert report.converged
-        # one reference cycle of dense GMRES from the same start
-        D = dense_operator(A)
-        b = dense_vec(A.rhs)
-        ref = dense_gmres(D, b, m)
-        got_first_cycle = None
-        # replay: run a single cycle by capping max_cycles
-        cfg1 = SolverConfig(eps=1e-30, trunc=no_truncation(A), m=m,
-                            preconditioner="none", max_cycles=1)
+        Minv = np.kron(np.eye(n_xi), np.linalg.inv(A.mean_spatial.toarray()))
+        ref = Minv @ dense_gmres(dense_operator(A) @ Minv, dense_vec(A.rhs), m)
         with pytest.warns(UserWarning):
-            u1, rep1 = solve(A, cfg1)
-        got_first_cycle = dense_vec(u1)
-        denom = np.linalg.norm(ref)
-        assert np.linalg.norm(got_first_cycle - ref) <= 1e-9 * denom
+            u1, _ = solve(A, no_truncation(A), 1e-30, m=m, max_cycles=1)
+        assert np.linalg.norm(dense_vec(u1) - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_converges_to_machine_precision_small(self):
         A = galerkin_operator(level=2, M=2, p=1, sigma=0.05)
-        cfg = SolverConfig(eps=1e-12, trunc=no_truncation(A), m=min(A.shape))
-        u, report = solve(A, cfg)
+        u, report = solve(A, no_truncation(A), 1e-12, m=min(A.shape))
         assert report.converged
         assert report.residual_history[-1] < 1e-12
         D = dense_operator(A)
         want = np.linalg.solve(D, dense_vec(A.rhs))
         assert np.linalg.norm(dense_vec(u) - want) <= 1e-9 * np.linalg.norm(want)
 
-    def test_preconditioned_and_unpreconditioned_agree(self):
-        # same small SPD instance, no truncation: both runs must land on the
-        # same solution even though the search spaces differ
-        A = galerkin_operator(level=2, M=2, p=1, sigma=0.1)
-        m = min(A.shape)
-        cfg_n = SolverConfig(eps=1e-11, trunc=no_truncation(A), m=m, preconditioner="none")
-        cfg_p = SolverConfig(eps=1e-11, trunc=no_truncation(A), m=m, preconditioner="mean-exact")
-        u_n, rep_n = solve(A, cfg_n)
-        u_p, rep_p = solve(A, cfg_p)
-        assert rep_n.converged and rep_p.converged
-        diff = norm(add(u_n, scale(u_p, -1.0)))
-        assert diff <= 1e-9 * norm(u_p)
-
     def test_truncated_run_converges_with_pgd_basis(self):
         A = galerkin_operator(level=4, M=3, p=2, sigma=0.1, c=2.0)
         pgd_sol = solve_pgd(A, 1e-6)
         trunc = TruncationOperator("projection", basis=pgd_sol.Zc)
-        cfg = SolverConfig(eps=1e-6, trunc=trunc, m=8)
-        u, report = solve(A, cfg)
+        u, report = solve(A, trunc, 1e-6, m=8)
         assert report.converged
         assert report.residual_history[-1] < 1e-6
         assert u.rank <= pgd_sol.Zc.shape[1]
@@ -304,8 +270,7 @@ class TestSolve:
                 return out
 
         trunc = RecordingTrunc(TruncationOperator("projection", basis=pgd_sol.Zc))
-        cfg = SolverConfig(eps=1e-5, trunc=trunc, m=6)
-        u, report = solve(A, cfg)
+        u, report = solve(A, trunc, 1e-5, m=6)
         assert u.rank <= kappa
         # every truncated object (basis vectors and iterates) is exactly
         # projection-rank sized
@@ -326,8 +291,8 @@ class TestSolve:
 
         basis = load_factored(tmp_path / "basis.bin").Z
         A_fine = galerkin_operator(level=5, M=3, p=2, sigma=0.1)
-        cfg = SolverConfig(eps=1e-6, trunc=TruncationOperator("projection", basis=basis), m=8)
-        u, report = solve(A_fine, cfg)
+        trunc = TruncationOperator("projection", basis=basis)
+        u, report = solve(A_fine, trunc, 1e-6, m=8)
         assert report.converged
         assert report.residual_history[-1] < 1e-6
 
@@ -335,8 +300,7 @@ class TestSolve:
         A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
         pgd_sol = solve_pgd(A, 1e-7)
         trunc = TruncationOperator("projection", basis=pgd_sol.Zc)
-        cfg = SolverConfig(eps=1e-7, trunc=trunc, m=4, max_cycles=10)
-        u, report = solve(A, cfg)
+        u, report = solve(A, trunc, 1e-7, m=4, max_cycles=10)
         hist = np.array(report.residual_history)
         assert np.all(np.diff(hist) <= 0.0)
         # the last entry is the true relative residual of the returned vector
@@ -345,18 +309,16 @@ class TestSolve:
     def test_nonconvergence_reported(self):
         A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
         trunc = TruncationOperator("svd-rank", rank=1)
-        cfg = SolverConfig(eps=1e-12, trunc=trunc, m=2, max_cycles=2)
         with pytest.warns(UserWarning, match="stopped"):
-            u, report = solve(A, cfg)
+            u, report = solve(A, trunc, 1e-12, m=2, max_cycles=2)
         assert not report.converged
         assert len(report.residual_history) == 3
 
     def test_config_validation(self):
         A = galerkin_operator()
-        with pytest.raises(ValueError):
-            SolverConfig(eps=0.0, trunc=no_truncation(A))
-        with pytest.raises(ValueError):
-            SolverConfig(eps=1e-5, trunc=no_truncation(A), m=0)
+        for bad in (dict(eps=0.0), dict(eps=1e-5, m=0), dict(eps=1e-5, max_cycles=0)):
+            with pytest.raises(ValueError):
+                solve(A, no_truncation(A), **bad)
 
 
 class TestPipeline:
