@@ -184,7 +184,7 @@ def _report_dict(spec: PipelineSpec, result) -> dict:
             "status": result.report.status,
             "residual_history": list(result.report.residual_history),
         },
-        "timings": {k: float(v) for k, v in result.wall_times.items()},
+        "timings": {k: float(v) for k, v in result.report.wall_times.items()},
     }
 
 
@@ -273,8 +273,8 @@ def run_comparison(spec: PipelineSpec, variants, out_dir: Path) -> list[dict]:
                     matvecs=result.report.matvecs,
                     rel_residual=result.report.residual_history[-1],
                     converged=result.report.converged,
-                    coarse_time=result.wall_times.get("coarse", 0.0),
-                    solve_time=result.wall_times.get("fine_solve", 0.0),
+                    coarse_time=result.report.wall_times.get("coarse", 0.0),
+                    solve_time=result.report.wall_times.get("fine_solve", 0.0),
                 )
         except Exception as exc:  # per-variant failures must not abort the rest
             entry.update(error=str(exc), converged=False)
@@ -303,9 +303,9 @@ def main(argv=None) -> int:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config entry")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the rng seed")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         if name == "run":
+            p.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="csv also writes the one-row summary.csv")
             p.add_argument("--dump-mean-field", action="store_true",
                            help="also write the nodal mean field to mean_field.csv")
         if name == "compare":
@@ -315,8 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        seed = [] if args.seed is None else [f"seed={args.seed}"]
-        spec = load_config(args.config, args.set + seed)
+        spec = load_config(args.config, args.set)
         out_dir = Path(args.out)
         if args.command == "run":
             run_experiment(spec, out_dir, args.format, args.dump_mean_field)

@@ -265,8 +265,8 @@ def solve(
     together with a report.  The residual history holds the true relative
     residual at the top of each cycle, including the final accepted value.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if m < 1:
         raise ValueError("restart length m must be >= 1")
     if max_cycles < 1:
@@ -404,6 +404,10 @@ class PipelineSpec:
              f"coarse_level must be >= 1 or auto, got {self.coarse_level}"),
             (self.kind != "convection-diffusion" or (self.nu is not None and self.nu > 0),
              "convection-diffusion needs a positive nu"),
+            (self.kind != "diffusion" or self.nu is None,
+             f"nu applies to convection-diffusion only, got {self.nu} for diffusion"),
+            (self.kind != "diffusion" or tuple(self.wind) == PipelineSpec.wind,
+             f"wind applies to convection-diffusion only, got {self.wind} for diffusion"),
             (len(self.wind) == 2, f"wind must have two components, got {self.wind}"),
             (self.stretch in ("auto", "none"), f"stretch must be auto or none, got {self.stretch!r}"),
             (self.m >= 1, f"m must be >= 1, got {self.m}"),
@@ -437,7 +441,6 @@ class PipelineResult:
     coarse_grid: fem.Grid
     fine_operator: StochasticOperator
     truncation_rank: int
-    wall_times: dict
 
 
 def build_stochastic(spec: PipelineSpec) -> tuple[KLExpansion, StochasticMatrices]:
@@ -530,5 +533,4 @@ def pipeline(spec: PipelineSpec) -> PipelineResult:
         coarse_grid,
         A_fine,
         kappa,
-        times,
     )

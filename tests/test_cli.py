@@ -33,6 +33,11 @@ FAST = [
 ]
 
 
+# a convection-diffusion cell, for the checks of its own keys
+FAST_CD = ["kind = convection-diffusion" if line.startswith("kind") else line for line in FAST]
+FAST_CD += ["nu = 0.05"]
+
+
 def write_cfg(tmp_path, lines, name="exp.cfg"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
@@ -182,23 +187,29 @@ class TestMainEntry:
         assert (tmp_path / "out" / "report.json").exists()
 
     def test_invalid_config_exit_two(self, tmp_path, capsys):
-        for i, bad in enumerate([
+        assert load_config(str(write_cfg(tmp_path, FAST_CD, name="cd.cfg"))).nu == 0.05
+        diffusion = [
             "eps = -3", "eps = abc", "fine_level = 6.5", "domain = 0,1", "wind = 1",
             "preconditioner = foo", "max_cycles = 0", "pgd_max_rank = 0", "pgd_update_every = 0",
             "mean_a0 = 0", "seed = -1", "pgd_update_policy = every-k",
-            "eps = 2", "pgd_eps = 1", "wind = nan, 1", "domain = -inf, inf, -1, 1",
-            "corr_len = inf", "nu = inf",
-        ]):
-            path = write_cfg(tmp_path, FAST + [bad], name=f"bad{i}.cfg")
+            "eps = 2", "pgd_eps = 1", "domain = -inf, inf, -1, 1", "corr_len = inf",
+            "nu = 0.01", "wind = 1, 0",
+        ]
+        cases = [FAST + [bad] for bad in diffusion]
+        cases += [FAST_CD + [bad] for bad in ("wind = nan, 1", "nu = inf")]
+        for i, lines in enumerate(cases):
+            path = write_cfg(tmp_path, lines, name=f"bad{i}.cfg")
             code = main(["run", "--config", str(path), "--out", str(tmp_path / f"out{i}")])
-            assert code == 2, bad
-            assert "invalid configuration" in capsys.readouterr().err, bad
-            assert not (tmp_path / f"out{i}" / "report.json").exists(), bad
+            assert code == 2, lines[-1]
+            assert "invalid configuration" in capsys.readouterr().err, lines[-1]
+            assert not (tmp_path / f"out{i}" / "report.json").exists(), lines[-1]
         path = write_cfg(tmp_path, FAST)
-        code = main(["run", "--config", str(path), "--seed", "-1", "--out", str(tmp_path / "seed")])
-        assert code == 2
-        assert "invalid configuration" in capsys.readouterr().err
-        assert not (tmp_path / "seed" / "report.json").exists()
+        # --format belongs to run only, and the seed is set like every other key
+        for argv in (["compare", "--format", "csv"], ["run", "--seed", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--config", str(path), "--out", str(tmp_path / "flag")])
+            assert exc.value.code == 2, argv
+            assert not (tmp_path / "flag").exists(), argv
 
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -270,7 +281,7 @@ class TestMainEntry:
     def test_seed_flag_overrides(self, tmp_path):
         path = write_cfg(tmp_path, FAST)
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "s"),
-                     "--seed", "99"])
+                     "--set", "seed=99"])
         assert code == 0
         data = json.loads((tmp_path / "s" / "report.json").read_text())
         assert data["config"]["seed"] == 99

@@ -316,7 +316,8 @@ class TestSolve:
 
     def test_config_validation(self):
         A = galerkin_operator()
-        for bad in (dict(eps=0.0), dict(eps=1e-5, m=0), dict(eps=1e-5, max_cycles=0)):
+        for bad in (dict(eps=0.0), dict(eps=1.0), dict(eps=2.0), dict(eps=1e-5, m=0),
+                    dict(eps=1e-5, max_cycles=0)):
             with pytest.raises(ValueError):
                 solve(A, no_truncation(A), **bad)
 

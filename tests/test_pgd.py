@@ -53,9 +53,9 @@ def dense_condensed(cond, weights, n):
 
 
 class TestEnrichment:
-    def test_deterministic_problem_exact_in_one_term(self):
+    def test_deterministic_problem_exact_in_one_term(self, rng):
         A = diffusion_operator(sigma=0.0, M=2)
-        y, z = enrich_rank_one(A, FactoredVector.zero(*A.shape))
+        y, z = enrich_rank_one(_Workspace(A), rng)
         u = FactoredVector.rank_one(y, z)
         assert residual_norm(A, u) <= 1e-10 * norm(A.rhs)
         # stochastic factor proportional to the first coordinate vector
@@ -87,13 +87,12 @@ class TestEnrichment:
             sol = np.linalg.solve(want, ws.stochastic_rhs(y))
             assert np.abs(ws.solve_stochastic(y) - sol).max() <= 1e-10 * np.abs(sol).max()
 
-    def test_alternation_fixed_point_residuals(self, monkeypatch):
+    def test_alternation_fixed_point_residuals(self, monkeypatch, rng):
         A = diffusion_operator(level=3, M=3, p=2, sigma=0.05, c=4.0)
-        current = FactoredVector.zero(*A.shape)
         monkeypatch.setattr(pgd, "ALTERNATION_TOL", 1e-12)
         monkeypatch.setattr(pgd, "MAX_SWEEPS", 60)
-        y, z = enrich_rank_one(A, current)
         ws = _Workspace(A)
+        y, z = enrich_rank_one(ws, rng)
         n_x, n_xi = A.shape
 
         mat = dense_condensed(ws.spatial, ws.stochastic.weights(z), n_x)
@@ -103,9 +102,9 @@ class TestEnrichment:
         rhs = ws.stochastic_rhs(y)
         assert np.linalg.norm(mat @ z - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
-    def test_normalization_convention(self):
+    def test_normalization_convention(self, rng):
         A = diffusion_operator(sigma=0.05)
-        y, z = enrich_rank_one(A, FactoredVector.zero(*A.shape))
+        y, z = enrich_rank_one(_Workspace(A), rng)
         assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -151,12 +150,10 @@ class TestWorkspace:
         sol = solve_pgd(A, 1e-6)
         n_x, n_xi = A.shape
         Y, Z = sol.factors.Y, sol.factors.Z
-        # grown one pair at a time, as solve_pgd grows it, and rebuilt at once
-        grown = _Workspace(A)
+        # grown one pair at a time, as solve_pgd grows it
+        ws = _Workspace(A)
         for i in range(sol.kappa):
-            grown.extend(add(grown.current, FactoredVector.rank_one(Y[:, i], Z[:, i])))
-        rebuilt = _Workspace(A)
-        rebuilt.reset(sol.factors)
+            ws.extend(Y[:, i], Z[:, i])
 
         z = rng.standard_normal(n_xi)
         y = rng.standard_normal(n_x)
@@ -166,21 +163,21 @@ class TestWorkspace:
         want_x = F @ z - sum(K @ U @ (G @ z) for G, K in terms)
         want_xi = F.T @ y - sum(G @ U.T @ (K.T @ y) for G, K in terms)
         # at a converged U the two terms nearly cancel; compare at their scale
-        for ws in (grown, rebuilt):
-            err = np.linalg.norm(ws.spatial_rhs(z) - want_x)
-            assert err <= 1e-12 * np.linalg.norm(F @ z)
-            err = np.linalg.norm(ws.stochastic_rhs(y) - want_xi)
-            assert err <= 1e-12 * np.linalg.norm(F.T @ y)
+        err = np.linalg.norm(ws.spatial_rhs(z) - want_x)
+        assert err <= 1e-12 * np.linalg.norm(F @ z)
+        err = np.linalg.norm(ws.stochastic_rhs(y) - want_xi)
+        assert err <= 1e-12 * np.linalg.norm(F.T @ y)
 
 
 class TestUpdateStochastic:
-    def test_kappa_one_reduces_to_half_step(self):
+    def test_kappa_one_reduces_to_half_step(self, rng):
         A = diffusion_operator(sigma=0.05)
-        y, z = enrich_rank_one(A, FactoredVector.zero(*A.shape))
-        Z = update_stochastic(A, y.reshape(-1, 1))
         ws = _Workspace(A)
+        y, z = enrich_rank_one(ws, rng)
         mat = dense_condensed(ws.stochastic, ws.spatial.weights(y), A.shape[1])
         want = np.linalg.solve(mat, ws.stochastic_rhs(y))
+        ws.extend(y, z)
+        Z = update_stochastic(ws)
         assert np.abs(Z[:, 0] - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_matches_dense_block_solve(self, rng):
@@ -188,7 +185,10 @@ class TestUpdateStochastic:
         n_x, n_xi = A.shape
         kappa = 3
         Y = rng.standard_normal((n_x, kappa))
-        Z = update_stochastic(A, Y)
+        ws = _Workspace(A)
+        for y in Y.T:
+            ws.extend(y, rng.standard_normal(n_xi))
+        Z = update_stochastic(ws)
         # dense block system: (i, j) block sum_l (y_i^T K_l y_j) G_l
         blocks = np.zeros((kappa * n_xi, kappa * n_xi))
         for G, K in A.terms:
@@ -206,10 +206,10 @@ class TestUpdateStochastic:
             A = random_operator(inst, 8, 6, 3)
             dense = dense_operator(A)
             exact = np.linalg.solve(dense, dense_vec(A.rhs))
-            u = FactoredVector.zero(8, 6)
+            ws = _Workspace(A)
             for _ in range(2):
-                y, z = enrich_rank_one(A, u, inst)
-                u = add(u, FactoredVector.rank_one(y, z))
+                ws.extend(*enrich_rank_one(ws, inst))
+            u = ws.current
 
             def energy_error(vec):
                 e = dense_vec(vec) - exact
@@ -217,7 +217,7 @@ class TestUpdateStochastic:
 
             before_energy = energy_error(u)
             before_res = residual_norm(A, u)
-            updated = FactoredVector(u.Y, update_stochastic(A, u.Y))
+            updated = FactoredVector(u.Y, update_stochastic(ws))
             assert energy_error(updated) <= before_energy * (1.0 + 1e-9)
             assert residual_norm(A, updated) <= before_res * 1.05
 
@@ -295,6 +295,30 @@ class TestSolvePgd:
             sol = solve_pgd(A, 1e-12, max_rank=3)
         assert not sol.converged
         assert sol.kappa == 3
+        with pytest.raises(ValueError, match="max_rank"):
+            solve_pgd(A, 1e-12, max_rank=0)
+
+    @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion"])
+    def test_nonconverging_update_warns_and_is_kept_only_if_no_worse(self, monkeypatch, kind):
+        if kind == "diffusion":
+            A = diffusion_operator(level=3, M=3, p=2, sigma=0.1, c=2.0)
+        else:
+            A = cd_operator(level=2, M=2, p=1)[0]
+        fnorm = norm(A.rhs)
+        # no Krylov iterate reaches a zero residual: CG and GMRES use up maxiter
+        monkeypatch.setattr(pgd, "UPDATE_RTOL", 0.0)
+        with pytest.warns(UserWarning, match="stochastic update did not converge"):
+            sol = solve_pgd(A, 1e-6)
+        assert sol.converged
+        assert sol.rel_residual == residual_norm(A, sol.factors) / fnorm
+        assert sol.rel_residual <= sol.residual_history[-2]
+
+        # an update that measures worse is dropped for the enriched factors
+        monkeypatch.setattr(pgd, "update_stochastic", lambda ws: np.zeros_like(ws.current.Z))
+        enriched = solve_pgd(A, 1e-6)
+        assert enriched.residual_history[-1] == enriched.residual_history[-2]
+        assert enriched.rel_residual == residual_norm(A, enriched.factors) / fnorm
+        assert np.any(enriched.factors.Z)
 
 
 class TestBoundaryLift:
