@@ -5,11 +5,25 @@ stiffness matrix, one weighted stiffness matrix per KL mode, and for the
 convection-diffusion benchmark the convection matrix, the streamline
 diffusion stabilization, and the Dirichlet boundary lift.
 
-Grids are tensor products of 1D node arrays, uniform or vertically
-stretched, refinement level l meaning 2^l elements per side.  Node
-numbering is lexicographic by (y, x).  Homogeneous Dirichlet conditions are
-imposed by restriction to interior nodes; non-homogeneous data is folded
-into per-term right-hand-side contributions -A_l[int, bnd] g_D.
+Grids are tensor products of 1D node arrays, x uniform and y uniform or
+vertically stretched, refinement level l meaning 2^l elements per side.
+Node numbering is lexicographic by (y, x), so a matrix acting on nodal
+values is a sum of Kronecker products kron(B_y, B_x) of 1D Q1 matrices.
+That form is exact, not an approximation of the 2x2 Gauss rule: the rule
+is the tensor product of two 2-point rules, every KL mode is a product
+sigma*sqrt(lambda)*a_x(x)*a_y(y), and on the uniform x the streamline
+parameter delta depends on the element row only.  With A, M and C the 1D
+stiffness, mass and convection matrices (weighted at the Gauss points),
+
+    K = kron(A_y, M_x) + kron(M_y, A_x),
+    N = w_x kron(M_y, C_x) + w_y kron(C_y, M_x),
+    S = w_x^2 kron(M_y^d, A_x) + w_y^2 kron(A_y^d, M_x)
+        + w_x w_y (kron(C_y^d, C_x^T) + kron(C_y^d^T, C_x)),
+
+with ^d marking the delta-weighted y factors.  Homogeneous Dirichlet
+conditions are imposed by restricting every 1D factor to the interior
+nodes; non-homogeneous data is folded into per-term right-hand-side
+contributions -(A_l g_D)[interior].
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
 
-from .randfield import KLExpansion, eval_mode, max_theta_and_halfwave
+from .randfield import KLExpansion, max_theta_and_halfwave, mode_factors
 
 __all__ = [
     "Grid",
@@ -38,18 +52,12 @@ __all__ = [
     "export_matrix_market",
 ]
 
-# 2x2 Gauss rule on the reference square [-1, 1]^2, weights all 1
+# 2-point Gauss rule on the reference interval [-1, 1], weights 1
 _GP = 1.0 / np.sqrt(3.0)
-_GAUSS = np.array([(-_GP, -_GP), (_GP, -_GP), (_GP, _GP), (-_GP, _GP)])
-# corner order: (-1,-1), (1,-1), (1,1), (-1,1)
-_CORNERS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
-
-# shape values and reference gradients at the Gauss points, shape (4 nodes, 4 pts)
-_N = np.array(
-    [[0.25 * (1 + cx * gx) * (1 + cy * gy) for gx, gy in _GAUSS] for cx, cy in _CORNERS]
-)
-_DNX = np.array([[0.25 * cx * (1 + cy * gy) for gx, gy in _GAUSS] for cx, cy in _CORNERS])
-_DNY = np.array([[0.25 * cy * (1 + cx * gx) for gx, gy in _GAUSS] for cx, cy in _CORNERS])
+# values of the two linear shape functions at the two points (node, point)
+# and their reference derivatives
+_PSI = 0.5 * np.array([[1.0 + _GP, 1.0 - _GP], [1.0 - _GP, 1.0 + _GP]])
+_DPSI = np.array([-0.5, 0.5])
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,8 @@ class BoundaryLift:
     """Dirichlet data and its per-term contribution to the reduced rhs.
 
     ``values_full`` holds g_D at boundary nodes (zero at interior nodes);
-    ``coupling[l]`` is -A_l[interior, boundary] @ g_D for operator term l.
+    ``coupling[l]`` is -(A_l g_D)[interior] for operator term l, which equals
+    -A_l[interior, boundary] g_D[boundary].
     """
 
     values_full: np.ndarray
@@ -184,102 +193,72 @@ def stretch_for_boundary_layer(
     return GridStretch(0.5 * (lo + hi))
 
 
-def _element_geometry(grid: Grid):
-    """Element sizes, Gauss point coordinates, and connectivity."""
-    hx = np.diff(grid.x_coords)
-    hy = np.diff(grid.y_coords)
-    nex, ney = len(hx), len(hy)
-    HX = np.tile(hx, ney)
-    HY = np.repeat(hy, nex)
-    x0 = np.tile(grid.x_coords[:-1], ney)
-    y0 = np.repeat(grid.y_coords[:-1], nex)
-    # Gauss points mapped to each element, shape (n_e, 4)
-    XG = x0[:, None] + 0.5 * HX[:, None] * (1.0 + _GAUSS[:, 0])[None, :]
-    YG = y0[:, None] + 0.5 * HY[:, None] * (1.0 + _GAUSS[:, 1])[None, :]
-    nx = len(grid.x_coords)
-    ex = np.tile(np.arange(nex), ney)
-    ey = np.repeat(np.arange(ney), nex)
-    n00 = ey * nx + ex
-    conn = np.column_stack([n00, n00 + 1, n00 + 1 + nx, n00 + nx])
-    return HX, HY, XG, YG, conn
+def _gauss_points(t: np.ndarray) -> np.ndarray:
+    """The two Gauss points of every element of the node array t, shape (n_e, 2)."""
+    h = np.diff(t)
+    return t[:-1, None] + 0.5 * h[:, None] * (1.0 + np.array([-_GP, _GP]))
 
 
-def _scatter(grid: Grid, conn: np.ndarray, Ke: np.ndarray) -> sp.csr_matrix:
-    n = grid.n_nodes
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    A = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n))
-    return A.tocsr()
+def _matrices_1d(t: np.ndarray, coef=1.0) -> tuple[sp.csr_matrix, ...]:
+    """1D Q1 stiffness, mass and convection matrices on all nodes t.
+
+    ``coef`` weights the integrand at the Gauss points; it broadcasts to
+    shape (n_e, 2).  A = int c psi_a' psi_b', M = int c psi_a psi_b and
+    C = int c psi_a psi_b' (derivative on the trial index).
+    """
+    h = np.diff(t)
+    coef = np.broadcast_to(coef, (len(h), 2))
+    stiff = np.einsum("eg,a,b->eab", coef, _DPSI, _DPSI) * (2.0 / h)[:, None, None]
+    mass = np.einsum("eg,ag,bg->eab", coef, _PSI, _PSI) * (0.5 * h)[:, None, None]
+    conv = np.einsum("eg,ag,b->eab", coef, _PSI, _DPSI)
+    first = np.arange(len(h))[:, None, None]
+    rows = np.broadcast_to(first + np.arange(2)[:, None], stiff.shape).ravel()
+    cols = np.broadcast_to(first + np.arange(2)[None, :], stiff.shape).ravel()
+    n = len(t)
+    return tuple(
+        sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        for Ke in (stiff, mass, conv)
+    )
 
 
-def _stiffness_full(grid: Grid, coef_at_gauss: np.ndarray) -> sp.csr_matrix:
-    """Weighted stiffness on all nodes; coef_at_gauss has shape (n_e, 4)."""
-    HX, HY, _, _, conn = _element_geometry(grid)
-    gx = np.einsum("eg,ag,bg->eab", coef_at_gauss, _DNX, _DNX) * (HY / HX)[:, None, None]
-    gy = np.einsum("eg,ag,bg->eab", coef_at_gauss, _DNY, _DNY) * (HX / HY)[:, None, None]
-    return _scatter(grid, conn, gx + gy)
+def _stiffness(grid: Grid, cx, cy=1.0) -> list[tuple]:
+    """Kronecker pairs (y factor, x factor) of int cx(x) cy(y) grad phi_a . grad phi_b."""
+    Ax, Mx, _ = _matrices_1d(grid.x_coords, cx)
+    Ay, My, _ = _matrices_1d(grid.y_coords, cy)
+    return [(Ay, Mx), (My, Ax)]
 
 
-def _convection_full(grid: Grid, wind: tuple[float, float]) -> sp.csr_matrix:
-    """[N]_{ab} = integral (w . grad phi_b) phi_a, derivative on the trial index."""
-    HX, HY, _, _, conn = _element_geometry(grid)
-    wx, wy = wind
-    # (w . grad N_b) N_a detJ with detJ = hx hy / 4
-    cx = np.einsum("ag,bg->ab", _N, _DNX)
-    cy = np.einsum("ag,bg->ab", _N, _DNY)
-    Ke = wx * 0.5 * HY[:, None, None] * cx + wy * 0.5 * HX[:, None, None] * cy
-    return _scatter(grid, conn, Ke)
+def _interior(pairs: list[tuple]) -> sp.csr_matrix:
+    """sum kron(B_y, B_x) restricted to the interior nodes."""
+    return sum(sp.kron(By[1:-1, 1:-1], Bx[1:-1, 1:-1], format="csr") for By, Bx in pairs)
 
 
-def _streamline_full(grid: Grid, wind: tuple[float, float], delta: np.ndarray) -> sp.csr_matrix:
-    HX, HY, _, _, conn = _element_geometry(grid)
-    wx, wy = wind
-    dxa = (2.0 / HX)[:, None, None] * _DNX[None, :, :] * wx
-    dya = (2.0 / HY)[:, None, None] * _DNY[None, :, :] * wy
-    wgrad = dxa + dya  # (n_e, 4 nodes, 4 pts)
-    detj = 0.25 * HX * HY
-    Ke = np.einsum("e,eag,ebg->eab", delta * detj, wgrad, wgrad)
-    return _scatter(grid, conn, Ke)
+def _coupling(pairs: list[tuple], g: np.ndarray) -> np.ndarray:
+    """-(sum kron(B_y, B_x)) g at the interior nodes, g given as an (n_y, n_x) array."""
+    Ag = sum(By @ (Bx @ g.T).T for By, Bx in pairs)
+    return -Ag[1:-1, 1:-1].ravel()
 
 
-def _load_full(grid: Grid, value: float = 1.0) -> np.ndarray:
-    HX, HY, _, _, conn = _element_geometry(grid)
-    detj = 0.25 * HX * HY
-    fe = value * detj[:, None] * _N.sum(axis=1)[None, :]
-    f = np.zeros(grid.n_nodes)
-    np.add.at(f, conn.ravel(), fe.ravel())
-    return f
+def _mode_factors(grid: Grid, kl: KLExpansion) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-axis factors of every KL mode at the Gauss points of each axis."""
+    xg, yg = _gauss_points(grid.x_coords), _gauss_points(grid.y_coords)
+    return [mode_factors(kl, l, xg, yg) for l in range(kl.num_modes)]
 
 
-def _kl_coefficients_at_gauss(grid: Grid, kl: KLExpansion) -> list[np.ndarray]:
-    _, _, XG, YG, _ = _element_geometry(grid)
-    pts = np.stack([XG, YG], axis=-1)
-    return [eval_mode(kl, l, pts) for l in range(kl.num_modes)]
-
-
-def _coercivity_check(grid: Grid, kl: KLExpansion, coefs: list[np.ndarray]) -> None:
+def _coercivity_check(kl: KLExpansion, factors: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Warn when the field can lose positivity at a hypercube corner."""
-    if not coefs:
+    if not factors:
         return
-    # worst case over xi in [-sqrt3, sqrt3]^M is a0 - sqrt3 * sum |modes|
-    total = np.abs(np.stack(coefs)).sum(axis=0)
-    worst = kl.mean_a0 - np.sqrt(3.0) * total.max()
+    # worst case over xi in [-sqrt3, sqrt3]^M is a0 - sqrt3 * sum |modes|,
+    # the sum taken at every Gauss point (x_i, y_j) as an outer product
+    fx = np.abs([f.ravel() for f, _ in factors])
+    fy = np.abs([f.ravel() for _, f in factors])
+    worst = kl.mean_a0 - np.sqrt(3.0) * (fx.T @ fy).max()
     if worst <= 0:
         warnings.warn(
             f"random field may lose coercivity: min over corners reaches {worst:.3e}",
             stacklevel=3,
         )
-
-
-def _reduce(grid: Grid, A: sp.csr_matrix) -> sp.csr_matrix:
-    idx = grid.interior_indices()
-    return A[idx][:, idx].tocsr()
-
-
-def _coupling(grid: Grid, A: sp.csr_matrix, g_full: np.ndarray) -> np.ndarray:
-    idx = grid.interior_indices()
-    bnd = grid.boundary_indices()
-    return -(A[idx][:, bnd] @ g_full[bnd])
 
 
 def assemble_diffusion(grid: Grid, kl: KLExpansion) -> SpatialMatrices:
@@ -289,18 +268,19 @@ def assemble_diffusion(grid: Grid, kl: KLExpansion) -> SpatialMatrices:
     sigma*sqrt(lambda_l)*a_l evaluated at the 2x2 Gauss points; homogeneous
     Dirichlet rows and columns are eliminated.
     """
-    coefs = _kl_coefficients_at_gauss(grid, kl)
-    _coercivity_check(grid, kl, coefs)
-    n_e = (len(grid.x_coords) - 1) * (len(grid.y_coords) - 1)
-    mean = np.full((n_e, 4), float(kl.mean_a0))
-    K = [_reduce(grid, _stiffness_full(grid, mean))]
-    K.extend(_reduce(grid, _stiffness_full(grid, c)) for c in coefs)
-    f0 = _load_full(grid)[grid.interior_indices()]
+    factors = _mode_factors(grid, kl)
+    _coercivity_check(kl, factors)
+    K = [_interior(_stiffness(grid, kl.mean_a0))]
+    K.extend(_interior(_stiffness(grid, fx, fy)) for fx, fy in factors)
+    # the load int phi_a is the row sum of the unit-weight mass matrix
+    _, Mx, _ = _matrices_1d(grid.x_coords)
+    _, My, _ = _matrices_1d(grid.y_coords)
+    f0 = np.kron(My.sum(axis=1).A1[1:-1], Mx.sum(axis=1).A1[1:-1])
     return SpatialMatrices(tuple(K), f0, grid)
 
 
 def _dirichlet_values_cd(grid: Grid) -> np.ndarray:
-    """Nodal Dirichlet data of the convection-diffusion benchmark.
+    """Nodal Dirichlet data of the convection-diffusion benchmark, shape (n_y, n_x).
 
     g = x on the inflow wall y = y_lo, g = -1 / +1 on the side walls, and
     g = 0 on the whole outflow row y = y_hi including its corners.
@@ -311,7 +291,7 @@ def _dirichlet_values_cd(grid: Grid) -> np.ndarray:
     g[:, -1] = 1.0
     g[0, :] = grid.x_coords
     g[-1, :] = 0.0
-    return g.ravel()
+    return g
 
 
 def assemble_convection_diffusion(
@@ -323,40 +303,38 @@ def assemble_convection_diffusion(
     """Spatial matrices nu*K_l, N, S and boundary lift for the wind benchmark."""
     if nu <= 0:
         raise ValueError("viscosity must be positive")
-    coefs = _kl_coefficients_at_gauss(grid, kl)
-    _coercivity_check(grid, kl, coefs)
-    HX, HY, _, _, _ = _element_geometry(grid)
+    factors = _mode_factors(grid, kl)
+    _coercivity_check(kl, factors)
+    x, y = grid.x_coords, grid.y_coords
+    n_ex = len(x) - 1
 
+    wx, wy = wind
     wnorm = float(np.hypot(*wind))
-    # element length in the wind direction
-    h_k = (abs(wind[0]) * HX + abs(wind[1]) * HY) / wnorm
+    # element length in the wind direction; x is uniform, so per element row
+    h_k = (abs(wx) * (x[-1] - x[0]) / n_ex + abs(wy) * np.diff(y)) / wnorm
     peclet = wnorm * h_k / (2.0 * nu)
     delta = np.where(peclet > 1.0, h_k / (2.0 * wnorm) * (1.0 - 1.0 / peclet), 0.0)
 
-    n_e = len(HX)
-    mean = np.full((n_e, 4), float(kl.mean_a0))
-    K0_full = _stiffness_full(grid, mean) * nu
-    Kl_full = [_stiffness_full(grid, c) * nu for c in coefs]
-    N_full = _convection_full(grid, wind)
-    S_full = _streamline_full(grid, wind, delta)
+    Ax, Mx, Cx = _matrices_1d(x)
+    _, My, Cy = _matrices_1d(y)
+    Ad, Md, Cd = _matrices_1d(y, delta[:, None])
+    N = [(My, wx * Cx), (wy * Cy, Mx)]
+    S = [(Md, wx * wx * Ax), (Ad, wy * wy * Mx), (Cd, wx * wy * Cx.T), (Cd.T, wx * wy * Cx)]
+    K0 = _stiffness(grid, nu * kl.mean_a0)
+    Kl = [_stiffness(grid, nu * fx, fy) for fx, fy in factors]
 
-    g_full = _dirichlet_values_cd(grid)
-    mean_full = (K0_full + N_full + S_full).tocsr()
-    coupling = [_coupling(grid, mean_full, g_full)]
-    coupling.extend(_coupling(grid, A, g_full) for A in Kl_full)
-    lift = BoundaryLift(g_full, tuple(coupling))
-
-    K = [_reduce(grid, K0_full)]
-    K.extend(_reduce(grid, A) for A in Kl_full)
+    g = _dirichlet_values_cd(grid)
+    coupling = [_coupling(K0 + N + S, g)]
+    coupling.extend(_coupling(pairs, g) for pairs in Kl)
     spatial = SpatialMatrices(
-        tuple(K),
+        tuple(_interior(pairs) for pairs in [K0] + Kl),
         np.zeros(grid.n_interior),
         grid,
-        N=_reduce(grid, N_full),
-        S=_reduce(grid, S_full),
-        bc_lift=lift,
+        N=_interior(N),
+        S=_interior(S),
+        bc_lift=BoundaryLift(g.ravel(), tuple(coupling)),
     )
-    return spatial, PecletData(peclet, delta)
+    return spatial, PecletData(np.repeat(peclet, n_ex), np.repeat(delta, n_ex))
 
 
 def recommend_coarse_level(

@@ -373,10 +373,8 @@ class PipelineSpec:
     capture: float = 0.95
     num_modes: int | None = None  # overrides capture when set
     coarse_level: int | None = None  # None means choose automatically
-    points_per_halfwave: float = 8.0
     nu: float | None = None
     wind: tuple[float, float] = (0.0, 1.0)
-    stretch: str = "auto"  # "auto" | "none", convection-diffusion only
     m: int = 8
     truncation: str = "multilevel"  # "multilevel" | "svd"
     max_cycles: int = 50
@@ -409,13 +407,10 @@ class PipelineSpec:
             (self.kind != "diffusion" or tuple(self.wind) == PipelineSpec.wind,
              f"wind applies to convection-diffusion only, got {self.wind} for diffusion"),
             (len(self.wind) == 2, f"wind must have two components, got {self.wind}"),
-            (self.stretch in ("auto", "none"), f"stretch must be auto or none, got {self.stretch!r}"),
             (self.m >= 1, f"m must be >= 1, got {self.m}"),
             (self.truncation in ("multilevel", "svd"),
              f"truncation must be multilevel or svd, got {self.truncation!r}"),
             (self.max_cycles >= 1, f"max_cycles must be >= 1, got {self.max_cycles}"),
-            (self.points_per_halfwave > 0,
-             f"points_per_halfwave must be positive, got {self.points_per_halfwave}"),
             (self.pgd_eps is None or 0 < self.pgd_eps < 1,
              f"pgd_eps must lie in (0, 1), got {self.pgd_eps}"),
             (self.pgd_max_rank >= 1, f"pgd_max_rank must be >= 1, got {self.pgd_max_rank}"),
@@ -459,17 +454,15 @@ def build_problem(
 ) -> tuple[fem.Grid, fem.SpatialMatrices, StochasticOperator]:
     """Grid, spatial matrices and Galerkin operator of ``spec`` on ``level``.
 
-    Convection-diffusion grids are stretched towards the boundary layer
-    (unless ``stretch = none``) and the Dirichlet lift is folded into the
-    right-hand side.
+    Convection-diffusion grids are stretched towards the boundary layer and
+    the Dirichlet lift is folded into the right-hand side.
     """
-    stretch = None
-    if spec.kind == "convection-diffusion" and spec.stretch == "auto":
-        stretch = fem.stretch_for_boundary_layer(level, spec.domain, spec.nu)
-    grid = fem.make_grid(level, spec.domain, stretch)
     if spec.kind == "diffusion":
+        grid = fem.make_grid(level, spec.domain)
         spatial = fem.assemble_diffusion(grid, kl)
         return grid, spatial, build_operator(spatial, stoch)
+    stretch = fem.stretch_for_boundary_layer(level, spec.domain, spec.nu)
+    grid = fem.make_grid(level, spec.domain, stretch)
     spatial, _ = fem.assemble_convection_diffusion(grid, kl, spec.nu, spec.wind)
     A = handle_nonhomogeneous_bc(build_operator(spatial, stoch), spatial.bc_lift)
     return grid, spatial, A
@@ -487,7 +480,7 @@ def run_pgd(
     if level is None:
         level = spec.coarse_level
     if level is None:
-        level = fem.recommend_coarse_level(kl, spec.points_per_halfwave, spec.kind, spec.nu)
+        level = fem.recommend_coarse_level(kl, problem_kind=spec.kind, nu=spec.nu)
     grid, _, A = build_problem(spec, level, kl, stoch)
     sol = solve_pgd(
         A,

@@ -254,8 +254,9 @@ def update_stochastic(workspace: _Workspace) -> np.ndarray:
     H_l = Y^T K_l Y is read from the cached K_l Y columns, by a
     preconditioned Krylov iteration (conjugate gradients when every K_l is
     symmetric, GMRES otherwise).  The preconditioner inverts the mean block
-    Z -> Z H_0^{-T}.  A solve that stops short of ``UPDATE_RTOL`` warns and
-    returns its last iterate.
+    Z -> Z H_0^{-T}.  CG gets max(200, 20 kappa) steps, GMRES that budget
+    rounded up to whole restart cycles; a solve that stops short of
+    ``UPDATE_RTOL`` warns and returns its last iterate.
     """
     Y = workspace.current.Y
     n_xi, kappa = workspace.current.shape[1], Y.shape[1]
@@ -281,15 +282,16 @@ def update_stochastic(workspace: _Workspace) -> np.ndarray:
     op = spla.LinearOperator((size, size), matvec=matvec, dtype=float)
     M = spla.LinearOperator((size, size), matvec=precond, dtype=float)
     b = rhs.ravel(order="F")
-    maxiter = max(200, 20 * kappa)
-    solver = spla.cg if workspace._symmetric else spla.gmres
-    kwargs = {"rtol": UPDATE_RTOL, "atol": 0.0, "maxiter": maxiter, "M": M}
-    if solver is spla.gmres:
-        kwargs["restart"] = 50
-    zflat, info = solver(op, b, **kwargs)
+    budget = max(200, 20 * kappa)  # inner steps
+    if workspace._symmetric:
+        zflat, info = spla.cg(op, b, rtol=UPDATE_RTOL, atol=0.0, maxiter=budget, M=M)
+    else:
+        # scipy's GMRES counts restart cycles of 50 steps: round the budget up
+        zflat, info = spla.gmres(op, b, rtol=UPDATE_RTOL, atol=0.0, restart=50,
+                                 maxiter=-(-budget // 50), M=M)
     if info != 0:
         warnings.warn(
-            f"stochastic update did not converge (info={info}, maxiter={maxiter})",
+            f"stochastic update did not converge (info={info}, budget={budget} steps)",
             stacklevel=2,
         )
     return zflat.reshape(n_xi, kappa, order="F")

@@ -43,6 +43,7 @@ __all__ = [
     "solve_1d_eigenproblem",
     "build_kl",
     "eval_mode",
+    "mode_factors",
     "max_theta_and_halfwave",
 ]
 
@@ -78,13 +79,6 @@ class ExponentialCovariance:
     def midpoints(self) -> tuple[float, float]:
         x_lo, x_hi, y_lo, y_hi = self.domain
         return (0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi))
-
-    def kernel(self, p, q):
-        """Covariance value C(p, q) for points p, q of shape (..., 2)."""
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        d = np.abs(p - q).sum(axis=-1)
-        return self.sigma**2 * np.exp(-d / self.corr_len)
 
 
 @dataclass(frozen=True)
@@ -264,6 +258,19 @@ def build_kl(
         n1d *= 2
 
 
+def mode_factors(kl: KLExpansion, index: int, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis factors of the coefficient function of xi_index.
+
+    The mode at (x, y) is the product of the two returned arrays:
+    sigma*sqrt(lambda)*a_x(x - m_x) at the x values and a_y(y - m_y) at the y
+    values, with (m_x, m_y) the domain midpoint.
+    """
+    mx, my = kl.cov.midpoints
+    mode = kl.modes[index]
+    fx = kl.sigma * math.sqrt(mode.lam) * mode.pair_x.evaluate(np.asarray(x, dtype=float) - mx)
+    return fx, mode.pair_y.evaluate(np.asarray(y, dtype=float) - my)
+
+
 def eval_mode(kl: KLExpansion, index: int, points) -> np.ndarray:
     """Coefficient function of xi_index: sigma*sqrt(lambda)*a_index(x).
 
@@ -283,10 +290,8 @@ def eval_mode(kl: KLExpansion, index: int, points) -> np.ndarray:
         raise ValueError("point outside domain in x")
     if np.any(py < y_lo - eps_y) or np.any(py > y_hi + eps_y):
         raise ValueError("point outside domain in y")
-    mx, my = kl.cov.midpoints
-    mode = kl.modes[index]
-    vals = mode.pair_x.evaluate(px - mx) * mode.pair_y.evaluate(py - my)
-    return kl.sigma * math.sqrt(mode.lam) * vals
+    fx, fy = mode_factors(kl, index, px, py)
+    return fx * fy
 
 
 def max_theta_and_halfwave(kl: KLExpansion) -> tuple[float, float]:

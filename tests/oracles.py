@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: dense
 Kronecker algebra, a collocation eigensolver for the covariance kernel, a
-plain dense GMRES, quadrature evaluation of polynomial moments, and series
-solutions of the deterministic limit problems.
+plain dense GMRES, quadrature evaluation of polynomial moments, a Q1
+element loop on the 2D grid, and series solutions of the deterministic
+limit problems.
 """
 
 import numpy as np
@@ -126,6 +127,56 @@ def quad_moment(f, n_points=64):
     """Integral of f against the uniform density on [-sqrt3, sqrt3]."""
     x, w = legendre_quadrature(n_points)
     return float(np.dot(w, f(x)))
+
+
+# ---------------------------------------------------------------------------
+# Q1 finite elements by a loop over the 2D elements
+
+
+def q1_element_loop(x, y, coefs, nu=None, wind=(0.0, 1.0)):
+    """Dense full-grid Q1 matrices on the tensor grid of node arrays x and y.
+
+    Nodes are numbered y-major: node (x[i], y[j]) is j * len(x) + i.  Every
+    integral uses the 2x2 Gauss rule on each element.  Returns a dict with
+    ``K``, one stiffness matrix int c grad phi_a . grad phi_b per scalar
+    function c(px, py) in ``coefs``, and the load ``f`` = int phi_a.  With
+    ``nu`` it adds the convection matrix ``N`` = int (w . grad phi_b) phi_a,
+    the streamline matrix ``S`` = int delta (w . grad phi_a)(w . grad phi_b)
+    and the per-element ``peclet`` and ``delta`` (element order y-major).
+    """
+    nx, n = len(x), len(x) * len(y)
+    out = {"K": [np.zeros((n, n)) for _ in coefs], "f": np.zeros(n)}
+    if nu is not None:
+        out.update(N=np.zeros((n, n)), S=np.zeros((n, n)), peclet=[], delta=[])
+        wnorm = np.hypot(*wind)
+    gauss = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+    corners = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+    for j in range(len(y) - 1):
+        for i in range(nx - 1):
+            hx, hy = x[i + 1] - x[i], y[j + 1] - y[j]
+            nodes = [(j + (cy + 1) // 2) * nx + i + (cx + 1) // 2 for cx, cy in corners]
+            block = np.ix_(nodes, nodes)
+            if nu is not None:
+                h_k = (abs(wind[0]) * hx + abs(wind[1]) * hy) / wnorm
+                peclet = wnorm * h_k / (2.0 * nu)
+                delta = h_k / (2.0 * wnorm) * (1.0 - 1.0 / peclet) if peclet > 1.0 else 0.0
+                out["peclet"].append(peclet)
+                out["delta"].append(delta)
+            for s in gauss:
+                for t in gauss:
+                    px, py = x[i] + 0.5 * hx * (1.0 + s), y[j] + 0.5 * hy * (1.0 + t)
+                    jac = 0.25 * hx * hy
+                    phi = np.array([0.25 * (1 + cx * s) * (1 + cy * t) for cx, cy in corners])
+                    dx = np.array([0.5 / hx * cx * (1 + cy * t) for cx, cy in corners])
+                    dy = np.array([0.5 / hy * cy * (1 + cx * s) for cx, cy in corners])
+                    for K, c in zip(out["K"], coefs):
+                        K[block] += jac * c(px, py) * (np.outer(dx, dx) + np.outer(dy, dy))
+                    out["f"][nodes] += jac * phi
+                    if nu is not None:
+                        wgrad = wind[0] * dx + wind[1] * dy
+                        out["N"][block] += jac * np.outer(phi, wgrad)
+                        out["S"][block] += jac * delta * np.outer(wgrad, wgrad)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from oracles import poisson_square_series, vertical_wind_profile
+from oracles import poisson_square_series, q1_element_loop, vertical_wind_profile
 from sglowrank.fem import (
     GridStretch,
     assemble_convection_diffusion,
@@ -13,7 +13,7 @@ from sglowrank.fem import (
     recommend_coarse_level,
     stretch_for_boundary_layer,
 )
-from sglowrank.randfield import ExponentialCovariance, build_kl
+from sglowrank.randfield import ExponentialCovariance, build_kl, eval_mode
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 BIG = (-1.0, 1.0, -1.0, 1.0)
@@ -103,9 +103,12 @@ class TestDiffusionAssembly:
         xi = rng.uniform(-np.sqrt(3), np.sqrt(3), size=4)
         combo = spatial.K[0] + sum(x * K for x, K in zip(xi, spatial.K[1:]))
 
-        frozen = _assemble_frozen(grid, kl, xi)
-        denom = np.abs(frozen.toarray()).max()
-        assert np.abs((combo - frozen).toarray()).max() <= 1e-12 * denom
+        def frozen(px, py):
+            return kl.mean_a0 + sum(x * eval_mode(kl, l, (px, py)) for l, x in enumerate(xi))
+
+        inner = np.ix_(grid.interior_indices(), grid.interior_indices())
+        want = q1_element_loop(grid.x_coords, grid.y_coords, [frozen])["K"][0][inner]
+        assert np.abs(combo.toarray() - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_load_vector_integrates_one(self):
         grid = make_grid(4, UNIT)
@@ -127,17 +130,55 @@ class TestDiffusionAssembly:
         assert np.linalg.eigvalsh(K0).min() > 0.0
 
 
-def _assemble_frozen(grid, kl, xi):
-    """Direct assembly with the scalar coefficient a(x, xi) frozen at xi."""
-    from sglowrank.fem import _element_geometry, _reduce, _stiffness_full
-    from sglowrank.randfield import eval_mode
-
-    _, _, XG, YG, _ = _element_geometry(grid)
-    pts = np.stack([XG, YG], axis=-1)
-    coef = np.full(XG.shape, kl.mean_a0)
+def mode_functions(kl, scale=1.0):
+    """Scalar coefficient functions of the mean and of every KL mode."""
+    funcs = [lambda px, py: scale * kl.mean_a0]
     for l in range(kl.num_modes):
-        coef = coef + xi[l] * eval_mode(kl, l, pts)
-    return _reduce(grid, _stiffness_full(grid, coef))
+        funcs.append(lambda px, py, l=l: scale * eval_mode(kl, l, (px, py)))
+    return funcs
+
+
+def assert_close(got, want, rtol=1e-13):
+    got = got.toarray() if hasattr(got, "toarray") else np.asarray(got)
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestAgainstElementLoop:
+    """Both assemblers entry for entry against a plain 2D element loop."""
+
+    @pytest.mark.parametrize("stretch", [None, GridStretch(1.3)], ids=["uniform", "stretched"])
+    def test_diffusion(self, stretch):
+        grid = make_grid(3, UNIT, stretch)
+        kl = kl_for(c=2.0, sigma=0.3, M=4)
+        spatial = assemble_diffusion(grid, kl)
+        ref = q1_element_loop(grid.x_coords, grid.y_coords, mode_functions(kl))
+        idx = grid.interior_indices()
+        for K, want in zip(spatial.K, ref["K"], strict=True):
+            assert_close(K, want[np.ix_(idx, idx)])
+        assert_close(spatial.f0, ref["f"][idx])
+
+    @pytest.mark.parametrize("wind", [(0.0, 1.0), (0.6, 0.8)], ids=["vertical", "oblique"])
+    @pytest.mark.parametrize("stretched", [False, True], ids=["uniform", "stretched"])
+    def test_convection_diffusion(self, stretched, wind):
+        nu = 1 / 200
+        stretch = stretch_for_boundary_layer(4, BIG, nu) if stretched else None
+        grid = make_grid(4, BIG, stretch)
+        kl = kl_for(domain=BIG, c=2.0, sigma=0.3, M=3)
+        spatial, pec = assemble_convection_diffusion(grid, kl, nu, wind)
+        ref = q1_element_loop(grid.x_coords, grid.y_coords, mode_functions(kl, nu), nu, wind)
+        idx = grid.interior_indices()
+        inner = np.ix_(idx, idx)
+        for K, want in zip(spatial.K, ref["K"], strict=True):
+            assert_close(K, want[inner])
+        assert_close(spatial.N, ref["N"][inner])
+        assert_close(spatial.S, ref["S"][inner])
+        assert_close(pec.peclet, ref["peclet"])
+        assert_close(pec.delta, ref["delta"])
+        # the lift couplings are -(A_l g)[interior] with the mean term A_0 = nu K_0 + N + S
+        g = spatial.bc_lift.values_full
+        mats = [ref["K"][0] + ref["N"] + ref["S"]] + ref["K"][1:]
+        for coupling, A in zip(spatial.bc_lift.coupling, mats, strict=True):
+            assert_close(coupling, -(A @ g)[idx])
 
 
 class TestConvectionDiffusion:

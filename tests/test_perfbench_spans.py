@@ -44,9 +44,13 @@ def test_instrument_enters_traces_and_restores():
     assert pgd.enrich_rank_one is originals["pgd.enrich_rank_one"]
 
     calls = tracer.calls()
-    for name in ("krylov.solve", "krylov.matvec", "krylov.precond", "lowrank.inner",
+    for name in ("randfield.build_kl", "chaos.build", "fem.assemble", "lowrank.build_operator",
+                 "krylov.solve", "krylov.matvec", "krylov.precond", "lowrank.inner",
                  "lowrank.norm", "lowrank.truncate", "pgd.enrich"):
         assert calls[name] > 0, name
+    # per pipeline, make_grid and assemble_diffusion on the coarse and the fine
+    # level: an assembler no longer called through ``fem`` drops out of fem.assemble_s
+    assert calls["fem.assemble"] == 2 * 2 * 2
     metrics = spans.layer_metrics(tracer)
     assert metrics["lowrank.truncate_rank_in_max"] > 0
     assert metrics["krylov.basis_bytes"] > 0

@@ -303,13 +303,27 @@ class TestSolvePgd:
         if kind == "diffusion":
             A = diffusion_operator(level=3, M=3, p=2, sigma=0.1, c=2.0)
         else:
-            A = cd_operator(level=2, M=2, p=1)[0]
+            A = cd_operator()[0]
         fnorm = norm(A.rhs)
-        # no Krylov iterate reaches a zero residual: CG and GMRES use up maxiter
+        n_xi = A.shape[1]
+        # GMRES inner steps per update, counted through its per-step callback
+        gmres, steps = pgd.spla.gmres, []
+
+        def counting_gmres(op, b, **kwargs):
+            calls = []
+            out = gmres(op, b, callback=calls.append, callback_type="pr_norm", **kwargs)
+            steps.append((b.size // n_xi, len(calls)))
+            return out
+
+        monkeypatch.setattr(pgd.spla, "gmres", counting_gmres)
+        # no Krylov iterate reaches a zero residual: CG and GMRES use up their budget
         monkeypatch.setattr(pgd, "UPDATE_RTOL", 0.0)
         with pytest.warns(UserWarning, match="stochastic update did not converge"):
             sol = solve_pgd(A, 1e-6)
         assert sol.converged
+        assert bool(steps) == (kind == "convection-diffusion")
+        for kappa, count in steps:
+            assert count <= max(200, 20 * kappa)
         assert sol.rel_residual == residual_norm(A, sol.factors) / fnorm
         assert sol.rel_residual <= sol.residual_history[-2]
 
