@@ -3,22 +3,25 @@
 Subcommands:
 
 * ``run``: execute the full coarse-to-fine pipeline for one experiment and
-  write a JSON report plus CSV summaries.
+  write ``report.json``, ``residual_history.csv``, the one-row
+  ``summary.csv`` and the nodal mean field ``mean_field.csv``.
 * ``compare``: run several solver variants (multilevel truncation, SVD
   truncation, direct PGD on the fine grid) on the identical problem and
-  write a side-by-side CSV.
-* ``coarse-only``: stop after the coarse PGD stage; saves the stochastic
-  basis in the binary factor format.
-* ``export-matrices``: dump the assembled spatial and stochastic matrices
-  in Matrix Market format.
+  write ``comparison.csv`` and ``comparison.json``.
+* ``coarse-only``: stop after the coarse PGD stage; writes
+  ``coarse_report.json``, the coarse solution factors Y and Z as
+  ``coarse_solution.npz`` and the stochastic basis as
+  ``stochastic_basis.npy`` (both read with ``numpy.load``).
+* ``export-matrices``: write the assembled spatial and stochastic matrices
+  in Matrix Market format and the load vector as text.
 
-Configs are flat ``key = value`` text files (``#`` starts a comment);
-``--set key=value`` overrides individual entries.  The keys are the field
-names of ``krylov.PipelineSpec``, which also holds the defaults and the
-validation.  ``run --dump-mean-field`` also writes the nodal mean field.
-Without an installed console script, run ``python -m sglowrank.cli`` with
-``src`` on ``PYTHONPATH``.  Exit codes: 0 success, 1 non-convergence,
-2 invalid configuration, 3 internal error.
+This module writes every file the package produces; the numerical modules
+do no file I/O.  Configs are flat ``key = value`` text files (``#`` starts
+a comment); ``--set key=value`` overrides individual entries.  The keys
+are the field names of ``krylov.PipelineSpec``, which also holds the
+defaults and the validation.  Without an installed console script, run
+``python -m sglowrank.cli`` with ``src`` on ``PYTHONPATH``.  Exit codes:
+0 success, 1 non-convergence, 2 invalid configuration, 3 internal error.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.io import mmwrite
 
 from . import fem
 from .krylov import PipelineSpec, build_problem, build_stochastic, pipeline, run_pgd
-from .lowrank import FactoredVector, save_factored
 
 SCHEMA_VERSION = 1
 VARIANTS = ("lrp-multilevel", "lrp-svd", "pgd-direct")
@@ -153,39 +156,46 @@ def _mean_field_rows(result) -> list[tuple[float, float, float]]:
     return [(float(x), float(y), float(v)) for (x, y), v in zip(pts, full)]
 
 
-def _report_dict(spec: PipelineSpec, result) -> dict:
-    grid = result.fine_grid
-    n_nodes = grid.n_nodes
+def _coarse_report(spec: PipelineSpec, kl, n_xi: int, coarse_grid, sol) -> dict:
+    """The report sections ``run`` and ``coarse-only`` share: config, problem, coarse."""
     return {
         "schema_version": SCHEMA_VERSION,
         "config": _echo(spec),
         "problem": {
-            "M": result.kl.num_modes,
-            "capture_ratio": result.kl.capture_ratio,
-            "n_xi": result.n_xi,
-            "n_x_interior": grid.n_interior,
-            "n_x_nodes": n_nodes,
-            "dof_nodes": n_nodes * result.n_xi,
-            "dof_interior": grid.n_interior * result.n_xi,
-            "coarse_level": result.coarse_grid.level,
-            "fine_level": grid.level,
+            "M": kl.num_modes,
+            "capture_ratio": kl.capture_ratio,
+            "n_xi": n_xi,
+            "coarse_level": coarse_grid.level,
         },
         "coarse": {
-            "kappa": result.pgd.kappa,
-            "rel_residual": result.pgd.rel_residual,
-            "converged": result.pgd.converged,
-            "basis_rank": int(result.pgd.Zc.shape[1]),
+            "kappa": sol.kappa,
+            "rel_residual": sol.rel_residual,
+            "converged": sol.converged,
+            "basis_rank": int(sol.Zc.shape[1]),
         },
-        "solve": {
-            "cycles": result.report.cycles,
-            "matvecs": result.report.matvecs,
-            "final_rank": result.report.final_rank,
-            "converged": result.report.converged,
-            "status": result.report.status,
-            "residual_history": list(result.report.residual_history),
-        },
-        "timings": {k: float(v) for k, v in result.report.wall_times.items()},
     }
+
+
+def _report_dict(spec: PipelineSpec, result) -> dict:
+    report = _coarse_report(spec, result.kl, result.n_xi, result.coarse_grid, result.pgd)
+    grid = result.fine_grid
+    report["problem"].update(
+        n_x_interior=grid.n_interior,
+        n_x_nodes=grid.n_nodes,
+        dof_nodes=grid.n_nodes * result.n_xi,
+        dof_interior=grid.n_interior * result.n_xi,
+        fine_level=grid.level,
+    )
+    report["solve"] = {
+        "cycles": result.report.cycles,
+        "matvecs": result.report.matvecs,
+        "final_rank": result.report.final_rank,
+        "converged": result.report.converged,
+        "status": result.report.status,
+        "residual_history": list(result.report.residual_history),
+    }
+    report["timings"] = {k: float(v) for k, v in result.report.wall_times.items()}
+    return report
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -200,37 +210,33 @@ def _write_history_csv(path: Path, history) -> None:
             writer.writerow([k, f"{r:.16e}"])
 
 
-def run_experiment(
-    spec: PipelineSpec, out_dir: Path, fmt: str = "json", dump_mean_field: bool = False
-) -> dict:
-    """Full pipeline run; writes report files and returns the report dict."""
+def run_experiment(spec: PipelineSpec, out_dir: Path) -> dict:
+    """Full pipeline run; writes the four result files and returns the report dict."""
     out_dir.mkdir(parents=True, exist_ok=True)
     result = pipeline(spec)
     report = _report_dict(spec, result)
     validate_report(report)
     _write_json(out_dir / "report.json", report)
     _write_history_csv(out_dir / "residual_history.csv", report["solve"]["residual_history"])
-    if fmt == "csv":
-        row = {
-            "problem": spec.kind,
-            "corr_len": spec.corr_len,
-            "M": report["problem"]["M"],
-            "n_xi": report["problem"]["n_xi"],
-            "fine_level": spec.fine_level,
-            "kappa": report["coarse"]["kappa"],
-            "cycles": report["solve"]["cycles"],
-            "matvecs": report["solve"]["matvecs"],
-            "rel_residual": report["solve"]["residual_history"][-1],
-        }
-        with open(out_dir / "summary.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(row))
-            writer.writeheader()
-            writer.writerow(row)
-    if dump_mean_field:
-        with open(out_dir / "mean_field.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "mean_u"])
-            writer.writerows(_mean_field_rows(result))
+    row = {
+        "problem": spec.kind,
+        "corr_len": spec.corr_len,
+        "M": report["problem"]["M"],
+        "n_xi": report["problem"]["n_xi"],
+        "fine_level": spec.fine_level,
+        "kappa": report["coarse"]["kappa"],
+        "cycles": report["solve"]["cycles"],
+        "matvecs": report["solve"]["matvecs"],
+        "rel_residual": report["solve"]["residual_history"][-1],
+    }
+    with open(out_dir / "summary.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(row))
+        writer.writeheader()
+        writer.writerow(row)
+    with open(out_dir / "mean_field.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "mean_u"])
+        writer.writerows(_mean_field_rows(result))
     if not result.report.converged:
         raise NonConvergence(
             f"solver stopped ({report['solve']['status']}) at relative residual "
@@ -303,11 +309,6 @@ def main(argv=None) -> int:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config entry")
         p.add_argument("--out", default="out", help="output directory")
-        if name == "run":
-            p.add_argument("--format", choices=("json", "csv"), default="json",
-                           help="csv also writes the one-row summary.csv")
-            p.add_argument("--dump-mean-field", action="store_true",
-                           help="also write the nodal mean field to mean_field.csv")
         if name == "compare":
             p.add_argument("--variants", default="lrp-multilevel,lrp-svd",
                            help="comma-separated subset of "
@@ -318,7 +319,7 @@ def main(argv=None) -> int:
         spec = load_config(args.config, args.set)
         out_dir = Path(args.out)
         if args.command == "run":
-            run_experiment(spec, out_dir, args.format, args.dump_mean_field)
+            run_experiment(spec, out_dir)
         elif args.command == "compare":
             variants = [v.strip() for v in args.variants.split(",") if v.strip()]
             rows = run_comparison(spec, variants, out_dir)
@@ -341,21 +342,13 @@ def main(argv=None) -> int:
 
 
 def coarse_only(spec: PipelineSpec, out_dir: Path) -> dict:
-    """Coarse assembly and PGD only; exports the stochastic basis."""
+    """Coarse assembly and PGD only; saves the coarse solution and the stochastic basis."""
     out_dir.mkdir(parents=True, exist_ok=True)
     kl, stoch = build_stochastic(spec)
     grid, sol = run_pgd(spec, kl, stoch)
-    save_factored(out_dir / "coarse_solution.bin", sol.factors)
-    basis_vec = FactoredVector(np.zeros((grid.n_interior, sol.Zc.shape[1])), sol.Zc)
-    save_factored(out_dir / "stochastic_basis.bin", basis_vec)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _echo(spec),
-        "problem": {"M": kl.num_modes, "n_xi": stoch.G0.shape[0],
-                    "n_x_interior": grid.n_interior, "coarse_level": grid.level},
-        "coarse": {"kappa": sol.kappa, "rel_residual": sol.rel_residual,
-                   "converged": sol.converged, "basis_rank": int(sol.Zc.shape[1])},
-    }
+    np.savez(out_dir / "coarse_solution.npz", Y=sol.factors.Y, Z=sol.factors.Z)
+    np.save(out_dir / "stochastic_basis.npy", sol.Zc)
+    payload = _coarse_report(spec, kl, stoch.G0.shape[0], grid, sol)
     _write_json(out_dir / "coarse_report.json", payload)
     if not sol.converged:
         raise NonConvergence(f"coarse PGD stopped at {sol.rel_residual:.3e}")
@@ -368,14 +361,14 @@ def export_matrices(spec: PipelineSpec, out_dir: Path) -> None:
     kl, stoch = build_stochastic(spec)
     _, spatial, _ = build_problem(spec, spec.fine_level, kl, stoch)
     for l, K in enumerate(spatial.K):
-        fem.export_matrix_market(K, out_dir / f"K{l}.mtx")
+        mmwrite(out_dir / f"K{l}.mtx", K)
     if spatial.N is not None:
-        fem.export_matrix_market(spatial.N, out_dir / "N.mtx")
+        mmwrite(out_dir / "N.mtx", spatial.N)
     if spatial.S is not None:
-        fem.export_matrix_market(spatial.S, out_dir / "S.mtx")
-    fem.export_matrix_market(stoch.G0, out_dir / "G0.mtx")
+        mmwrite(out_dir / "S.mtx", spatial.S)
+    mmwrite(out_dir / "G0.mtx", stoch.G0)
     for l, G in enumerate(stoch.Gl, start=1):
-        fem.export_matrix_market(G, out_dir / f"G{l}.mtx")
+        mmwrite(out_dir / f"G{l}.mtx", G)
     np.savetxt(out_dir / "f0.txt", spatial.f0)
 
 

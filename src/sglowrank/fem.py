@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from .randfield import KLExpansion, max_theta_and_halfwave, mode_factors
 
@@ -49,7 +48,6 @@ __all__ = [
     "assemble_convection_diffusion",
     "recommend_coarse_level",
     "interior_to_full",
-    "export_matrix_market",
 ]
 
 # 2-point Gauss rule on the reference interval [-1, 1], weights 1
@@ -58,6 +56,13 @@ _GP = 1.0 / np.sqrt(3.0)
 # and their reference derivatives
 _PSI = 0.5 * np.array([[1.0 + _GP, 1.0 - _GP], [1.0 - _GP, 1.0 + _GP]])
 _DPSI = np.array([-0.5, 0.5])
+
+#: grid points per half wavelength of the shortest retained KL mode
+POINTS_PER_HALFWAVE = 8.0
+#: finest level recommend_coarse_level returns
+MAX_COARSE_LEVEL = 12
+#: largest element height ratio of a boundary-layer grading
+MAX_STRETCH_RATIO = 1.5
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,8 @@ class GridStretch:
 @dataclass(frozen=True)
 class Grid:
     level: int
-    domain: tuple[float, float, float, float]
     x_coords: np.ndarray
     y_coords: np.ndarray
-    stretch: GridStretch | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -163,13 +166,13 @@ def make_grid(level: int, domain: tuple[float, float, float, float], stretch: Gr
         heights *= (y_hi - y_lo) / heights.sum()
         y = np.concatenate([[y_lo], y_lo + np.cumsum(heights)])
         y[-1] = y_hi
-    return Grid(level, domain, x, y, stretch)
+    return Grid(level, x, y)
 
 
 def stretch_for_boundary_layer(
-    level: int, domain: tuple[float, float, float, float], nu: float, ratio_cap: float = 1.5
+    level: int, domain: tuple[float, float, float, float], nu: float
 ) -> GridStretch | None:
-    """Grading whose wall element height is about nu, ratio capped for quality.
+    """Grading whose wall element height is about nu, ratio at most MAX_STRETCH_RATIO.
 
     Returns None when the uniform grid already resolves the layer.
     """
@@ -181,9 +184,9 @@ def stretch_for_boundary_layer(
     def wall_height(r):
         return height * (r - 1.0) / (r**n - 1.0)
 
-    if wall_height(ratio_cap) >= nu:
-        return GridStretch(ratio_cap)
-    lo, hi = 1.0 + 1e-12, ratio_cap
+    if wall_height(MAX_STRETCH_RATIO) >= nu:
+        return GridStretch(MAX_STRETCH_RATIO)
+    lo, hi = 1.0 + 1e-12, MAX_STRETCH_RATIO
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if wall_height(mid) > nu:
@@ -303,6 +306,8 @@ def assemble_convection_diffusion(
     """Spatial matrices nu*K_l, N, S and boundary lift for the wind benchmark."""
     if nu <= 0:
         raise ValueError("viscosity must be positive")
+    if not any(wind):
+        raise ValueError(f"wind must be nonzero, got {wind}")
     factors = _mode_factors(grid, kl)
     _coercivity_check(kl, factors)
     x, y = grid.x_coords, grid.y_coords
@@ -338,27 +343,24 @@ def assemble_convection_diffusion(
 
 
 def recommend_coarse_level(
-    kl: KLExpansion,
-    points_per_halfwave: float = 8.0,
-    problem_kind: str = "diffusion",
-    nu: float | None = None,
-    max_level: int = 12,
+    kl: KLExpansion, problem_kind: str = "diffusion", nu: float | None = None
 ) -> int:
     """Coarsest dyadic level resolving the retained KL modes.
 
-    The target spacing is half_wavelength / points_per_halfwave; since dyadic
+    The target spacing is half_wavelength / POINTS_PER_HALFWAVE; since dyadic
     spacings cannot match it exactly, the coarsest level within a factor two
     of the target is chosen.  For convection-diffusion the level must also
     resolve the outflow layer of width O(nu): the spacing must not exceed the
     geometric mean of the wall-normal extent and nu, which is what a graded
-    mesh with wall element about nu supports.
+    mesh with wall element about nu supports.  No level exceeds
+    MAX_COARSE_LEVEL.
     """
     _, halfwave = max_theta_and_halfwave(kl)
     Lx, Ly = kl.cov.lengths
     side = max(Lx, Ly)
-    target = 2.0 * halfwave / points_per_halfwave
+    target = 2.0 * halfwave / POINTS_PER_HALFWAVE
     level = 1
-    while side / 2**level > target and level < max_level:
+    while side / 2**level > target and level < MAX_COARSE_LEVEL:
         level += 1
 
     if problem_kind == "convection-diffusion":
@@ -366,7 +368,7 @@ def recommend_coarse_level(
             raise ValueError("nu is required for convection-diffusion")
         layer_target = np.sqrt(Ly * nu)
         layer_level = 1
-        while Ly / 2**layer_level > layer_target and layer_level < max_level:
+        while Ly / 2**layer_level > layer_target and layer_level < MAX_COARSE_LEVEL:
             layer_level += 1
         level = max(level, layer_level)
     elif problem_kind != "diffusion":
@@ -379,7 +381,3 @@ def interior_to_full(grid: Grid, interior_values: np.ndarray, boundary_values: n
     full = np.zeros(grid.n_nodes) if boundary_values is None else boundary_values.copy()
     full[grid.interior_indices()] += interior_values
     return full
-
-
-def export_matrix_market(matrix, path) -> None:
-    mmwrite(str(path), sp.coo_matrix(matrix))

@@ -407,6 +407,7 @@ class PipelineSpec:
             (self.kind != "diffusion" or tuple(self.wind) == PipelineSpec.wind,
              f"wind applies to convection-diffusion only, got {self.wind} for diffusion"),
             (len(self.wind) == 2, f"wind must have two components, got {self.wind}"),
+            (any(self.wind), f"wind must be nonzero, got {self.wind}"),
             (self.m >= 1, f"m must be >= 1, got {self.m}"),
             (self.truncation in ("multilevel", "svd"),
              f"truncation must be multilevel or svd, got {self.truncation!r}"),

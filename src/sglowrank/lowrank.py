@@ -41,7 +41,6 @@ would lose half the digits of a small residual of large terms).
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +65,6 @@ __all__ = [
     "residual",
     "residual_norm",
     "build_operator",
-    "save_factored",
-    "load_factored",
 ]
 
 #: singular values below this multiple of the largest are treated as rank noise
@@ -162,8 +159,7 @@ class StochasticOperator:
 
     ``symmetric`` marks every K_l symmetric (diffusion); the mean spatial
     block terms[0][1] already contains any convection and stabilization
-    terms.  ``term_index`` records the original mode index l of each kept
-    term (vanishing KL terms may be dropped at assembly).  ``bc_values``
+    terms; term l pairs G_l with K_l for every KL mode l.  ``bc_values``
     carries nodal Dirichlet data of the originating problem for
     reconstruction; it does not enter the algebra.
     """
@@ -171,14 +167,7 @@ class StochasticOperator:
     terms: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]
     rhs: FactoredVector
     symmetric: bool = True
-    term_index: tuple[int, ...] | None = None
     bc_values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.term_index is None:
-            object.__setattr__(self, "term_index", tuple(range(len(self.terms))))
-        elif len(self.term_index) != len(self.terms):
-            raise ValueError("term_index length must match the term count")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -407,8 +396,8 @@ def build_operator(spatial, stoch) -> StochasticOperator:
     Convection and stabilization matrices are folded into the mean spatial
     block (they pair with the same G_0), which keeps the per-matvec rank
     growth at M+1 terms; the operator is symmetric exactly when there is no
-    transport term.  KL terms whose spatial matrix vanishes (for example at
-    sigma = 0) are dropped.  The right-hand side is the rank-one
+    transport term.  Every KL term is kept, also one whose spatial matrix
+    vanishes (sigma = 0).  The right-hand side is the rank-one
     tensor g_0 (x) f_0; Dirichlet lift contributions are added separately by
     the solver layer.
     """
@@ -419,12 +408,7 @@ def build_operator(spatial, stoch) -> StochasticOperator:
         mean = mean + spatial.S
 
     terms = [(stoch.G0, mean.tocsr())]
-    term_index = [0]
-    for l, K in enumerate(spatial.K[1:], start=1):
-        if K.nnz == 0 or abs(K).max() == 0.0:
-            continue
-        terms.append((stoch.Gl[l - 1], K))
-        term_index.append(l)
+    terms.extend(zip(stoch.Gl, spatial.K[1:], strict=True))
 
     n_xi = stoch.g0.shape[0]
     if np.any(spatial.f0):
@@ -432,31 +416,4 @@ def build_operator(spatial, stoch) -> StochasticOperator:
     else:
         rhs = FactoredVector.zero(spatial.f0.shape[0], n_xi)
     bc_values = spatial.bc_lift.values_full if spatial.bc_lift is not None else None
-    return StochasticOperator(
-        tuple(terms), rhs, symmetric=spatial.N is None,
-        term_index=tuple(term_index), bc_values=bc_values,
-    )
-
-
-_MAGIC = b"SGLRFV01"
-
-
-def save_factored(path, u: FactoredVector) -> None:
-    """Write the factor pair as column-major arrays behind a small header."""
-    n_x, n_xi = u.shape
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<3q", n_x, n_xi, u.rank))
-        fh.write(np.asfortranarray(u.Y).tobytes(order="F"))
-        fh.write(np.asfortranarray(u.Z).tobytes(order="F"))
-
-
-def load_factored(path) -> FactoredVector:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path} is not a factored-vector file")
-        n_x, n_xi, rank = struct.unpack("<3q", fh.read(24))
-        Y = np.frombuffer(fh.read(8 * n_x * rank), dtype=float).reshape((n_x, rank), order="F")
-        Z = np.frombuffer(fh.read(8 * n_xi * rank), dtype=float).reshape((n_xi, rank), order="F")
-    return FactoredVector(Y, Z)
+    return StochasticOperator(tuple(terms), rhs, symmetric=spatial.N is None, bc_values=bc_values)

@@ -312,8 +312,7 @@ def handle_nonhomogeneous_bc(A: StochasticOperator, lift) -> StochasticOperator:
     if A.rhs.rank:
         y_cols.append(A.rhs.Y)
         z_cols.append(A.rhs.Z)
-    for (G, _), l in zip(A.terms, A.term_index):
-        coup = lift.coupling[l]
+    for (G, _), coup in zip(A.terms, lift.coupling, strict=True):
         if not np.any(coup):
             continue
         e1 = np.zeros(n_xi)
@@ -327,10 +326,7 @@ def handle_nonhomogeneous_bc(A: StochasticOperator, lift) -> StochasticOperator:
         rhs = FactoredVector.zero(n_x, n_xi)
     else:
         rhs = truncate_svd(FactoredVector(np.hstack(y_cols), np.hstack(z_cols)))
-    return StochasticOperator(
-        A.terms, rhs, symmetric=A.symmetric,
-        term_index=A.term_index, bc_values=lift.values_full,
-    )
+    return StochasticOperator(A.terms, rhs, symmetric=A.symmetric, bc_values=lift.values_full)
 
 
 def extract_stochastic_basis(u: FactoredVector) -> np.ndarray:

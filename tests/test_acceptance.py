@@ -327,7 +327,7 @@ def test_criterion_9_eigen_suite():
         kl = build_kl(ExponentialCovariance(0.05, c, UNIT), 1.0, num_modes=M)
         theta, _ = max_theta_and_halfwave(kl)
         ok &= abs(theta - want_theta) / want_theta < 0.02
-        ok &= recommend_coarse_level(kl, 8.0, "diffusion") == TABLE_COARSE_LEVEL[M]
+        ok &= recommend_coarse_level(kl, "diffusion") == TABLE_COARSE_LEVEL[M]
     elapsed = time.time() - t0
     ok &= elapsed < 30.0
     report("criterion 9", ok, f"eigen oracle, theta table, levels; {elapsed:.0f}s")

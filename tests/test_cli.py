@@ -16,7 +16,7 @@ from sglowrank.cli import (
     run_comparison,
     run_experiment,
 )
-from sglowrank.krylov import PipelineSpec
+from sglowrank.krylov import PipelineSpec, build_problem, build_stochastic, run_pgd
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -87,6 +87,8 @@ class TestConfigParsing:
         commands = [line.split() for line in text.splitlines() if line.startswith("sglowrank ")]
         assert sum("--set" in words for words in commands) >= 10
         for words in commands:
+            assert {w for w in words if w.startswith("--")} <= {
+                "--config", "--set", "--out", "--variants"}, words
             config = words[words.index("--config") + 1] if "--config" in words else None
             sets = [words[i + 1] for i, word in enumerate(words) if word == "--set"]
             assert isinstance(load_config(config and str(root / config), sets), PipelineSpec)
@@ -144,12 +146,23 @@ class TestRunExperiment:
         r2.pop("timings")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
-    def test_mean_field_dump(self, tmp_path):
-        cfg = load_config(None, [s.replace(" ", "") for s in FAST])
-        run_experiment(cfg, tmp_path / "out", dump_mean_field=True)
-        rows = list(csv.reader((tmp_path / "out" / "mean_field.csv").open()))
+    def test_run_file_set(self, tmp_path):
+        path = write_cfg(tmp_path, FAST)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "mean_field.csv", "report.json", "residual_history.csv", "summary.csv"]
+        report = json.loads((out / "report.json").read_text())
+        summary = list(csv.DictReader((out / "summary.csv").open()))
+        assert len(summary) == 1
+        assert int(summary[0]["kappa"]) == report["coarse"]["kappa"]
+        assert int(summary[0]["cycles"]) == report["solve"]["cycles"]
+        history = list(csv.reader((out / "residual_history.csv").open()))
+        assert len(history) - 1 == len(report["solve"]["residual_history"])
+        rows = list(csv.reader((out / "mean_field.csv").open()))
         assert rows[0] == ["x", "y", "mean_u"]
-        assert len(rows) - 1 == 17**2
+        # fine level 4: (2^4 + 1)^2 nodes
+        assert len(rows) - 1 == (2**4 + 1) ** 2
 
 
 class TestComparison:
@@ -196,7 +209,7 @@ class TestMainEntry:
             "nu = 0.01", "wind = 1, 0",
         ]
         cases = [FAST + [bad] for bad in diffusion]
-        cases += [FAST_CD + [bad] for bad in ("wind = nan, 1", "nu = inf")]
+        cases += [FAST_CD + [bad] for bad in ("wind = nan, 1", "nu = inf", "wind = 0, 0")]
         for i, lines in enumerate(cases):
             path = write_cfg(tmp_path, lines, name=f"bad{i}.cfg")
             code = main(["run", "--config", str(path), "--out", str(tmp_path / f"out{i}")])
@@ -204,8 +217,9 @@ class TestMainEntry:
             assert "invalid configuration" in capsys.readouterr().err, lines[-1]
             assert not (tmp_path / f"out{i}" / "report.json").exists(), lines[-1]
         path = write_cfg(tmp_path, FAST)
-        # --format belongs to run only, and the seed is set like every other key
-        for argv in (["compare", "--format", "csv"], ["run", "--seed", "3"]):
+        # run writes one fixed file set, and the seed is set like every other key
+        for argv in (["run", "--format", "csv"], ["run", "--dump-mean-field"],
+                     ["compare", "--format", "csv"], ["run", "--seed", "3"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--config", str(path), "--out", str(tmp_path / "flag")])
             assert exc.value.code == 2, argv
@@ -223,14 +237,6 @@ class TestMainEntry:
         assert "invalid configuration" in proc.stderr
         assert not (tmp_path / "out").exists()
 
-    def test_dump_mean_field_flag(self, tmp_path):
-        path = write_cfg(tmp_path, FAST)
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
-                     "--dump-mean-field"])
-        assert code == 0
-        rows = list(csv.reader((tmp_path / "out" / "mean_field.csv").open()))
-        assert len(rows) - 1 == 17**2
-
     def test_nonconvergence_exit_one(self, tmp_path):
         path = write_cfg(tmp_path, FAST + ["eps = 1e-13", "max_cycles = 1", "pgd_max_rank = 2"])
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -240,12 +246,22 @@ class TestMainEntry:
         path = write_cfg(tmp_path, FAST)
         code = main(["coarse-only", "--config", str(path), "--out", str(tmp_path / "c")])
         assert code == 0
-        data = json.loads((tmp_path / "c" / "coarse_report.json").read_text())
+        out = tmp_path / "c"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "coarse_report.json", "coarse_solution.npz", "stochastic_basis.npy"]
+        data = json.loads((out / "coarse_report.json").read_text())
         assert data["coarse"]["converged"] is True
-        from sglowrank.lowrank import load_factored
-
-        basis = load_factored(tmp_path / "c" / "stochastic_basis.bin")
-        Zc = basis.Z
+        # the saved arrays are the coarse solve's own, bit for bit
+        spec = load_config(str(path))
+        kl, stoch = build_stochastic(spec)
+        _, sol = run_pgd(spec, kl, stoch)
+        with np.load(out / "coarse_solution.npz") as saved:
+            assert sorted(saved.files) == ["Y", "Z"]
+            assert np.array_equal(saved["Y"], sol.factors.Y)
+            assert np.array_equal(saved["Z"], sol.factors.Z)
+        Zc = np.load(out / "stochastic_basis.npy")
+        assert np.array_equal(Zc, sol.Zc)
+        assert data["coarse"]["basis_rank"] == Zc.shape[1]
         assert np.abs(Zc.T @ Zc - np.eye(Zc.shape[1])).max() < 1e-12
 
     # (extra config lines, coarse level, kappa, basis rank, exit code of run);
@@ -264,7 +280,8 @@ class TestMainEntry:
         coarse = json.loads((tmp_path / "c" / "coarse_report.json").read_text())
         run = json.loads((tmp_path / "r" / "report.json").read_text())
         assert coarse["coarse"] == run["coarse"]
-        assert coarse["problem"]["coarse_level"] == run["problem"]["coarse_level"] == level
+        assert coarse["problem"].items() <= run["problem"].items()
+        assert coarse["problem"]["coarse_level"] == level
         assert (run["coarse"]["kappa"], run["coarse"]["basis_rank"]) == (kappa, rank)
 
     def test_export_matrices(self, tmp_path):
@@ -273,9 +290,15 @@ class TestMainEntry:
         assert code == 0
         from scipy.io import mmread
 
-        K0 = mmread(tmp_path / "m" / "K0.mtx")
-        assert K0.shape == (15**2, 15**2)
-        assert (tmp_path / "m" / "G1.mtx").exists()
+        # every matrix reads back exactly
+        spec = load_config(str(path))
+        kl, stoch = build_stochastic(spec)
+        _, spatial, _ = build_problem(spec, spec.fine_level, kl, stoch)
+        assert mmread(tmp_path / "m" / "K0.mtx").shape == (15**2, 15**2)
+        matrices = {f"K{l}": K for l, K in enumerate(spatial.K)}
+        matrices.update({f"G{l}": G for l, G in enumerate((stoch.G0,) + stoch.Gl)})
+        for name, matrix in matrices.items():
+            assert abs(mmread(tmp_path / "m" / f"{name}.mtx") - matrix).max() == 0.0, name
         assert (tmp_path / "m" / "f0.txt").exists()
 
     def test_seed_flag_overrides(self, tmp_path):

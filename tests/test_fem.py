@@ -7,7 +7,6 @@ from sglowrank.fem import (
     GridStretch,
     assemble_convection_diffusion,
     assemble_diffusion,
-    export_matrix_market,
     interior_to_full,
     make_grid,
     recommend_coarse_level,
@@ -246,6 +245,9 @@ class TestConvectionDiffusion:
     def test_viscosity_validation(self):
         with pytest.raises(ValueError):
             assemble_convection_diffusion(make_grid(2, BIG), kl_for(domain=BIG, c=8.0, M=1), nu=0.0)
+        with pytest.raises(ValueError, match="wind"):
+            assemble_convection_diffusion(
+                make_grid(2, BIG), kl_for(domain=BIG, c=8.0, M=1), nu=0.1, wind=(0.0, 0.0))
 
 
 class TestCoarseLevel:
@@ -253,7 +255,7 @@ class TestCoarseLevel:
     def test_diffusion_levels(self, M, expected):
         c = {5: 4.0, 7: 3.0, 10: 2.5, 15: 2.0, 20: 1.5}[M]
         kl = kl_for(c=c, M=M)
-        assert recommend_coarse_level(kl, 8.0, "diffusion") == expected
+        assert recommend_coarse_level(kl, "diffusion") == expected
 
     @pytest.mark.parametrize(
         "nu,expected",
@@ -261,21 +263,10 @@ class TestCoarseLevel:
     )
     def test_convection_diffusion_levels(self, nu, expected):
         kl = kl_for(domain=BIG, c=8.0, M=5)
-        got = recommend_coarse_level(kl, 8.0, "convection-diffusion", nu=nu)
+        got = recommend_coarse_level(kl, "convection-diffusion", nu=nu)
         assert got == expected
 
     def test_nu_required(self):
         with pytest.raises(ValueError):
-            recommend_coarse_level(kl_for(M=5), 8.0, "convection-diffusion")
+            recommend_coarse_level(kl_for(M=5), "convection-diffusion")
 
-
-class TestExport:
-    def test_matrix_market_roundtrip(self, tmp_path):
-        grid = make_grid(3, UNIT)
-        spatial = assemble_diffusion(grid, kl_for(M=2))
-        path = tmp_path / "K0.mtx"
-        export_matrix_market(spatial.K[0], path)
-        from scipy.io import mmread
-
-        back = mmread(path)
-        assert np.abs((back - spatial.K[0]).toarray()).max() < 1e-15

@@ -13,10 +13,8 @@ from sglowrank.lowrank import (
     fold,
     inner,
     inners,
-    load_factored,
     norm,
     residual_norm,
-    save_factored,
     scale,
     truncate_projection,
     truncate_svd,
@@ -55,14 +53,6 @@ class TestFactoredVector:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             FactoredVector(np.zeros((3, 2)), np.zeros((4, 3)))
-
-    def test_serialization_roundtrip(self, rng, tmp_path):
-        u = random_factored(rng, 9, 4, 3)
-        path = tmp_path / "u.bin"
-        save_factored(path, u)
-        v = load_factored(path)
-        assert np.array_equal(u.Y, v.Y)
-        assert np.array_equal(u.Z, v.Z)
 
 
 class TestOperatorApplication:
