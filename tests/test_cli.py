@@ -159,7 +159,12 @@ class TestRunExperiment:
         assert int(summary[0]["cycles"]) == report["solve"]["cycles"]
         history = list(csv.reader((out / "residual_history.csv").open()))
         assert len(history) - 1 == len(report["solve"]["residual_history"])
-        rows = list(csv.reader((out / "mean_field.csv").open()))
+
+    def test_mean_field_dump(self, tmp_path):
+        # the mean field is part of the fixed file set, written on every run
+        cfg = load_config(None, [s.replace(" ", "") for s in FAST])
+        run_experiment(cfg, tmp_path / "out")
+        rows = list(csv.reader((tmp_path / "out" / "mean_field.csv").open()))
         assert rows[0] == ["x", "y", "mean_u"]
         # fine level 4: (2^4 + 1)^2 nodes
         assert len(rows) - 1 == (2**4 + 1) ** 2
@@ -218,8 +223,8 @@ class TestMainEntry:
             assert not (tmp_path / f"out{i}" / "report.json").exists(), lines[-1]
         path = write_cfg(tmp_path, FAST)
         # run writes one fixed file set, and the seed is set like every other key
-        for argv in (["run", "--format", "csv"], ["run", "--dump-mean-field"],
-                     ["compare", "--format", "csv"], ["run", "--seed", "3"]):
+        for argv in (["run", "--format", "csv"], ["compare", "--format", "csv"],
+                     ["run", "--seed", "3"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--config", str(path), "--out", str(tmp_path / "flag")])
             assert exc.value.code == 2, argv
@@ -236,6 +241,19 @@ class TestMainEntry:
         assert proc.returncode == 2
         assert "invalid configuration" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_dump_mean_field_flag(self, tmp_path):
+        # the mean field needs no flag: run writes it, and the old flag exits 2
+        path = write_cfg(tmp_path, FAST)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(path), "--out", str(tmp_path / "flag"),
+                  "--dump-mean-field"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "flag").exists()
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 0
+        rows = list(csv.reader((tmp_path / "out" / "mean_field.csv").open()))
+        assert len(rows) - 1 == 17**2
 
     def test_nonconvergence_exit_one(self, tmp_path):
         path = write_cfg(tmp_path, FAST + ["eps = 1e-13", "max_cycles = 1", "pgd_max_rank = 2"])
