@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 XI_BOUND = sqrt(3.0)
+#: largest index set ``build_index_set`` enumerates
+MAX_INDEX_SET_SIZE = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -85,19 +87,20 @@ class StochasticMatrices:
     g0: np.ndarray
 
 
-def build_index_set(num_vars: int, degree: int, max_size: int = 2_000_000) -> MultiIndexSet:
+def build_index_set(num_vars: int, degree: int) -> MultiIndexSet:
     """Enumerate all alpha in N_0^M with |alpha| <= p, graded lexicographic.
 
     Ordering: ascending total degree, then ascending lexicographic within a
-    degree, so the zero index always sits first.
+    degree, so the zero index always sits first.  Sets larger than
+    MAX_INDEX_SET_SIZE are refused.
     """
     if num_vars < 1:
         raise ValueError("num_vars must be >= 1")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     n_xi = comb(num_vars + degree, degree)
-    if n_xi > max_size:
-        raise ValueError(f"index set of size {n_xi} exceeds the limit {max_size}")
+    if n_xi > MAX_INDEX_SET_SIZE:
+        raise ValueError(f"index set of size {n_xi} exceeds the limit {MAX_INDEX_SET_SIZE}")
 
     def compositions(total, parts):
         if parts == 1:
@@ -126,8 +129,8 @@ def recurrence_coefficients(n_max: int) -> np.ndarray:
     return XI_BOUND * np.sqrt(beta)
 
 
-def build_spectral_basis(num_vars: int, degree: int, **kwargs) -> SpectralBasis:
-    index_set = build_index_set(num_vars, degree, **kwargs)
+def build_spectral_basis(num_vars: int, degree: int) -> SpectralBasis:
+    index_set = build_index_set(num_vars, degree)
     return SpectralBasis(index_set, recurrence_coefficients(max(degree, 1)))
 
 

@@ -13,7 +13,9 @@ Subcommands:
   ``coarse_solution.npz`` and the stochastic basis as
   ``stochastic_basis.npy`` (both read with ``numpy.load``).
 * ``export-matrices``: write the assembled spatial and stochastic matrices
-  in Matrix Market format and the load vector as text.
+  in Matrix Market format, the load vector as text and the factored
+  right-hand side of the assembled system, Dirichlet lift included, as
+  ``rhs.npz``.
 
 This module writes every file the package produces; the numerical modules
 do no file I/O.  Configs are flat ``key = value`` text files (``#`` starts
@@ -142,7 +144,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Pipelin
 
 def _echo(spec: PipelineSpec) -> dict:
     """The configuration as reports record it."""
-    return dict(dataclasses.asdict(spec), domain=list(spec.domain), wind=list(spec.wind))
+    return dict(dataclasses.asdict(spec), domain=list(spec.domain))
 
 
 def _mean_field_rows(result) -> list[tuple[float, float, float]]:
@@ -356,10 +358,15 @@ def coarse_only(spec: PipelineSpec, out_dir: Path) -> dict:
 
 
 def export_matrices(spec: PipelineSpec, out_dir: Path) -> None:
-    """Matrix Market dumps of the assembled fine-level problem."""
+    """Matrix Market dumps of the assembled fine-level problem.
+
+    ``rhs.npz`` holds the operator's right-hand side as arrays Y and Z with
+    mat(F) = Y Z^T; for convection-diffusion that is the Dirichlet lift,
+    which ``f0.txt`` (the load, zero there) does not carry.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     kl, stoch = build_stochastic(spec)
-    _, spatial, _ = build_problem(spec, spec.fine_level, kl, stoch)
+    _, spatial, A = build_problem(spec, spec.fine_level, kl, stoch)
     for l, K in enumerate(spatial.K):
         mmwrite(out_dir / f"K{l}.mtx", K)
     if spatial.N is not None:
@@ -370,6 +377,7 @@ def export_matrices(spec: PipelineSpec, out_dir: Path) -> None:
     for l, G in enumerate(stoch.Gl, start=1):
         mmwrite(out_dir / f"G{l}.mtx", G)
     np.savetxt(out_dir / "f0.txt", spatial.f0)
+    np.savez(out_dir / "rhs.npz", Y=A.rhs.Y, Z=A.rhs.Z)
 
 
 if __name__ == "__main__":

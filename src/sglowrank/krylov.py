@@ -35,7 +35,7 @@ The cycle update is u <- T(u + V beta); the outer loop checks the true
 untruncated residual and stops on ||r|| / ||f|| < eps, after a cycle that
 removes less than a fraction STAGNATION_TOL of the residual (the basis
 cannot represent a better iterate), on a vanished truncated residual, or
-after max_cycles; ``SolveReport.status`` says which.  With right
+after MAX_CYCLES; ``SolveReport.status`` says which.  With right
 preconditioning the accumulated iterate lives in the preconditioned
 variable, so M^{-1} is applied once on return.
 
@@ -46,7 +46,7 @@ solver on it to learn the stochastic basis (``run_pgd``, through
 solves the fine problem; coarse and fine levels share the stochastic
 discretization, so the basis transfers without interpolation.
 ``PipelineSpec`` is the one configuration, shared with the command line;
-``solve`` takes the truncation and its four settings as plain arguments.
+``solve`` takes the truncation and its three settings as plain arguments.
 """
 
 from __future__ import annotations
@@ -105,6 +105,11 @@ GRAM_RCOND = 1e-12
 #: runs whose basis cannot represent the solution keep 0.999975-1.0 of it,
 #: converging cycles of the test and benchmark cells at most 0.044.
 STAGNATION_TOL = 1e-2
+#: cycle cap of ``solve``
+MAX_CYCLES = 50
+#: share of the field variance the KL truncation keeps when
+#: ``PipelineSpec.num_modes`` is unset
+CAPTURE = 0.95
 
 
 class MeanPreconditioner:
@@ -112,9 +117,8 @@ class MeanPreconditioner:
 
     M = G_0 (x) K_0 with G_0 = I, checked exactly once here, so that
     M^{-1} = I (x) K_0^{-1} and the mean term of A M^{-1} is the identity.
-    It also keeps the scratch the folded matvec reuses: the spatial stack
-    [Y | K_1 X | ... | K_M X] and the stochastic stack [G_0 Z | ... | G_M Z]
-    of the last frame Z it saw.
+    It also keeps the buffer the folded matvec reuses for the spatial stack
+    [Y | K_1 X | ... | K_M X].
     """
 
     def __init__(self, A: StochasticOperator):
@@ -125,9 +129,7 @@ class MeanPreconditioner:
             raise ValueError("the mean preconditioner needs G_0 = I exactly")
         self.shape = A.shape
         self._mean = A.mean_spatial
-        self._G = [G for G, _ in A.terms]
         self._spatial = np.empty(0)
-        self._frame: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
         self._lu = spla.splu(A.mean_spatial.tocsc(), permc_spec="MMD_AT_PLUS_A")
         self._last: tuple[FactoredVector | None, FactoredVector | None] = (None, None)
 
@@ -136,13 +138,6 @@ class MeanPreconditioner:
         if self._spatial.size < n_x * width:
             self._spatial = np.empty(n_x * width)
         return self._spatial[: n_x * width].reshape(n_x, width)
-
-    def stochastic_stack(self, Z: np.ndarray) -> np.ndarray:
-        cached_Z, stack = self._frame
-        if cached_Z is not Z:
-            stack = np.hstack([G @ Z for G in self._G])
-            self._frame = (Z, stack)
-        return stack
 
     def apply(self, u: FactoredVector) -> FactoredVector:
         """M u, moving an initial guess into the preconditioned variable."""
@@ -165,8 +160,8 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
 
     With X = K_0^{-1} Y, one product of the stacked factors folds all terms,
     [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T: the mean term is Y
-    itself because K_0 K_0^{-1} = I.  Both stacks live in the
-    preconditioner's reused scratch.
+    itself because K_0 K_0^{-1} = I.  The spatial stack lives in the
+    preconditioner's reused buffer.
     """
     n_x, n_xi = A.shape
     if u.shape != (n_x, n_xi):
@@ -179,7 +174,7 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
     S[:, :r] = u.Y
     for l, (_, K) in enumerate(A.terms[1:], start=1):
         S[:, l * r : (l + 1) * r] = K @ X
-    return block(S @ P.stochastic_stack(u.Z).T)
+    return block(S @ np.hstack([G @ u.Z for G, _ in A.terms]).T)
 
 
 @dataclass
@@ -254,23 +249,21 @@ def solve(
     trunc: TruncationOperator,
     eps: float,
     m: int = 8,
-    max_cycles: int = 50,
     u0: FactoredVector | None = None,
 ) -> tuple[FactoredVector, SolveReport]:
     """Run restarted low-rank projection cycles until a stopping test passes.
 
     ``trunc`` compresses every basis vector and iterate, ``eps`` is the
-    relative residual to reach, ``m`` the restart length, ``max_cycles``
-    the cycle cap and ``u0`` an optional initial guess.  Returns the solution in the original variable
-    together with a report.  The residual history holds the true relative
-    residual at the top of each cycle, including the final accepted value.
+    relative residual to reach, ``m`` the restart length and ``u0`` an
+    optional initial guess; at most MAX_CYCLES cycles run.  Returns the
+    solution in the original variable together with a report.  The
+    residual history holds the true relative residual at the top of each
+    cycle, including the final accepted value.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if m < 1:
         raise ValueError("restart length m must be >= 1")
-    if max_cycles < 1:
-        raise ValueError("max_cycles must be >= 1")
     t0 = time.perf_counter()
     P = MeanPreconditioner(A)
     t_setup = time.perf_counter() - t0
@@ -298,7 +291,7 @@ def solve(
     matvecs = 0
     status = "max-cycles"
 
-    for outer in range(max_cycles + 1):
+    for outer in range(MAX_CYCLES + 1):
         r = fold(add(A.rhs, scale(apply_preconditioned(A, P, u_hat), -1.0)))
         rel = norm(r) / fnorm
         if history and rel > history[-1]:
@@ -315,7 +308,7 @@ def solve(
         if len(history) > 1 and rel > (1.0 - STAGNATION_TOL) * history[-2]:
             status = "basis-limited"
             break
-        if outer == max_cycles:
+        if outer == MAX_CYCLES:
             break
 
         v_tilde = trunc.apply(r)
@@ -370,16 +363,12 @@ class PipelineSpec:
     degree: int = 3
     fine_level: int = 6
     eps: float = 1e-5
-    capture: float = 0.95
-    num_modes: int | None = None  # overrides capture when set
+    num_modes: int | None = None  # None means capture CAPTURE of the variance
     coarse_level: int | None = None  # None means choose automatically
     nu: float | None = None
-    wind: tuple[float, float] = (0.0, 1.0)
     m: int = 8
     truncation: str = "multilevel"  # "multilevel" | "svd"
-    max_cycles: int = 50
     pgd_eps: float | None = None  # PGD tolerance; None means eps
-    pgd_max_rank: int = 500
     seed: int = 0
 
     def __post_init__(self):
@@ -395,7 +384,6 @@ class PipelineSpec:
             (self.degree >= 0, f"degree must be >= 0, got {self.degree}"),
             (self.fine_level >= 1, f"fine_level must be >= 1, got {self.fine_level}"),
             (0 < self.eps < 1, f"eps must lie in (0, 1), got {self.eps}"),
-            (0 < self.capture < 1, f"capture must lie in (0, 1), got {self.capture}"),
             (self.num_modes is None or self.num_modes >= 1,
              f"num_modes must be >= 1, got {self.num_modes}"),
             (self.coarse_level is None or self.coarse_level >= 1,
@@ -404,17 +392,11 @@ class PipelineSpec:
              "convection-diffusion needs a positive nu"),
             (self.kind != "diffusion" or self.nu is None,
              f"nu applies to convection-diffusion only, got {self.nu} for diffusion"),
-            (self.kind != "diffusion" or tuple(self.wind) == PipelineSpec.wind,
-             f"wind applies to convection-diffusion only, got {self.wind} for diffusion"),
-            (len(self.wind) == 2, f"wind must have two components, got {self.wind}"),
-            (any(self.wind), f"wind must be nonzero, got {self.wind}"),
             (self.m >= 1, f"m must be >= 1, got {self.m}"),
             (self.truncation in ("multilevel", "svd"),
              f"truncation must be multilevel or svd, got {self.truncation!r}"),
-            (self.max_cycles >= 1, f"max_cycles must be >= 1, got {self.max_cycles}"),
             (self.pgd_eps is None or 0 < self.pgd_eps < 1,
              f"pgd_eps must lie in (0, 1), got {self.pgd_eps}"),
-            (self.pgd_max_rank >= 1, f"pgd_max_rank must be >= 1, got {self.pgd_max_rank}"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
         ]
         errors = [message for ok, message in checks if not ok]
@@ -444,7 +426,7 @@ def build_stochastic(spec: PipelineSpec) -> tuple[KLExpansion, StochasticMatrice
     kl = build_kl(
         ExponentialCovariance(spec.sigma, spec.corr_len, spec.domain),
         spec.mean_a0,
-        capture=None if spec.num_modes is not None else spec.capture,
+        capture=None if spec.num_modes is not None else CAPTURE,
         num_modes=spec.num_modes,
     )
     return kl, build_stochastic_matrices(build_spectral_basis(kl.num_modes, spec.degree))
@@ -464,7 +446,7 @@ def build_problem(
         return grid, spatial, build_operator(spatial, stoch)
     stretch = fem.stretch_for_boundary_layer(level, spec.domain, spec.nu)
     grid = fem.make_grid(level, spec.domain, stretch)
-    spatial, _ = fem.assemble_convection_diffusion(grid, kl, spec.nu, spec.wind)
+    spatial, _ = fem.assemble_convection_diffusion(grid, kl, spec.nu)
     A = handle_nonhomogeneous_bc(build_operator(spatial, stoch), spatial.bc_lift)
     return grid, spatial, A
 
@@ -483,12 +465,7 @@ def run_pgd(
     if level is None:
         level = fem.recommend_coarse_level(kl, problem_kind=spec.kind, nu=spec.nu)
     grid, _, A = build_problem(spec, level, kl, stoch)
-    sol = solve_pgd(
-        A,
-        spec.pgd_eps if spec.pgd_eps is not None else spec.eps,
-        max_rank=spec.pgd_max_rank,
-        seed=spec.seed,
-    )
+    sol = solve_pgd(A, spec.pgd_eps if spec.pgd_eps is not None else spec.eps, seed=spec.seed)
     return grid, sol
 
 
@@ -512,7 +489,7 @@ def pipeline(spec: PipelineSpec) -> PipelineResult:
     times["fine_assembly"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    solution, report = solve(A_fine, trunc, spec.eps, spec.m, spec.max_cycles)
+    solution, report = solve(A_fine, trunc, spec.eps, spec.m)
     times["fine_solve"] = time.perf_counter() - t2
     times.update(report.wall_times)
     report.wall_times = times

@@ -71,6 +71,8 @@ __all__ = [
 SV_DROP_TOL = 1e-14
 #: allowed deviation of a projection basis from column orthonormality
 PROJ_ORTHO_TOL = 1e-10
+#: largest dense block ``FactoredVector.materialize`` forms
+MAX_DENSE_ENTRIES = 50_000_000
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -145,10 +147,10 @@ class FactoredVector:
     def rank_one(cls, y: np.ndarray, z: np.ndarray) -> "FactoredVector":
         return cls(np.asarray(y, float).reshape(-1, 1), np.asarray(z, float).reshape(-1, 1))
 
-    def materialize(self, max_entries: int = 50_000_000) -> np.ndarray:
-        """Dense mat(u); guarded against accidental huge allocations."""
+    def materialize(self) -> np.ndarray:
+        """Dense mat(u); refuses more than MAX_DENSE_ENTRIES entries."""
         n_x, n_xi = self.shape
-        if n_x * n_xi > max_entries:
+        if n_x * n_xi > MAX_DENSE_ENTRIES:
             raise MemoryError(f"refusing to materialize a {n_x} x {n_xi} matrix")
         return self.Y @ self.Z.T
 
@@ -161,7 +163,8 @@ class StochasticOperator:
     block terms[0][1] already contains any convection and stabilization
     terms; term l pairs G_l with K_l for every KL mode l.  ``bc_values``
     carries nodal Dirichlet data of the originating problem for
-    reconstruction; it does not enter the algebra.
+    reconstruction (``pgd.handle_nonhomogeneous_bc`` records it); it does
+    not enter the algebra.
     """
 
     terms: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]
@@ -398,8 +401,8 @@ def build_operator(spatial, stoch) -> StochasticOperator:
     growth at M+1 terms; the operator is symmetric exactly when there is no
     transport term.  Every KL term is kept, also one whose spatial matrix
     vanishes (sigma = 0).  The right-hand side is the rank-one
-    tensor g_0 (x) f_0; Dirichlet lift contributions are added separately by
-    the solver layer.
+    tensor g_0 (x) f_0; Dirichlet lift contributions and the boundary values
+    are added separately (``pgd.handle_nonhomogeneous_bc``).
     """
     mean = spatial.K[0]
     if spatial.N is not None:
@@ -415,5 +418,4 @@ def build_operator(spatial, stoch) -> StochasticOperator:
         rhs = FactoredVector.rank_one(spatial.f0, stoch.g0)
     else:
         rhs = FactoredVector.zero(spatial.f0.shape[0], n_xi)
-    bc_values = spatial.bc_lift.values_full if spatial.bc_lift is not None else None
-    return StochasticOperator(tuple(terms), rhs, symmetric=spatial.N is None, bc_values=bc_values)
+    return StochasticOperator(tuple(terms), rhs, symmetric=spatial.N is None)

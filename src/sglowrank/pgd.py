@@ -74,6 +74,8 @@ MAX_SWEEPS = 10
 MAX_RESTARTS = 3
 #: enrichments between residual checks of ``solve_pgd``
 RESIDUAL_EVERY = 5
+#: rank at which ``solve_pgd`` stops enriching
+MAX_RANK = 500
 #: relative tolerance of the Krylov solve in ``update_stochastic``
 UPDATE_RTOL = 1e-10
 #: singular values of the normalized stochastic factors below this fraction
@@ -348,12 +350,7 @@ def extract_stochastic_basis(u: FactoredVector) -> np.ndarray:
     return U[:, :keep]
 
 
-def solve_pgd(
-    A: StochasticOperator,
-    eps: float,
-    max_rank: int = 500,
-    seed: int = 0,
-) -> PgdSolution:
+def solve_pgd(A: StochasticOperator, eps: float, seed: int = 0) -> PgdSolution:
     """Enrich until the relative residual drops below eps, then update once.
 
     The residual is evaluated in blocks of RESIDUAL_EVERY enrichments (and
@@ -361,11 +358,9 @@ def solve_pgd(
     granularity buys the stochastic basis a safety margin that the
     fine-grid projection solve relies on.  The coupled stochastic update
     runs once after enrichment stops and is kept only when it does not
-    worsen the measured residual.  ``seed`` seeds the random restarts of
-    the enrichment.
+    worsen the measured residual.  Enrichment stops at rank MAX_RANK.
+    ``seed`` seeds the random restarts of the enrichment.
     """
-    if max_rank < 1:
-        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     n_x, n_xi = A.shape
     rng = np.random.default_rng(seed)
     fnorm = norm(A.rhs)
@@ -375,13 +370,13 @@ def solve_pgd(
     workspace = _Workspace(A)
     history = []
     converged = False
-    # every loop exit is a checkpoint (converged, or rank == max_rank), so
+    # every loop exit is a checkpoint (converged, or rank == MAX_RANK), so
     # rel always measures the final enriched factors
-    while workspace.current.rank < max_rank and not converged:
+    while workspace.current.rank < MAX_RANK and not converged:
         workspace.extend(*enrich_rank_one(workspace, rng))
         u = workspace.current
         at_checkpoint = u.rank == 1 or u.rank % RESIDUAL_EVERY == 0
-        if not (at_checkpoint or u.rank == max_rank):
+        if not (at_checkpoint or u.rank == MAX_RANK):
             continue
         rel = residual_norm(A, u) / fnorm
         history.append(rel)

@@ -51,6 +51,8 @@ __all__ = [
 ROOT_RTOL = 1e-13
 #: absolute shrink applied to root brackets to stay clear of tan singularities
 BRACKET_SHRINK = 1e-9
+#: most 1D eigenpairs per axis ``build_kl`` computes
+MAX_1D_MODES = 512
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,6 @@ def build_kl(
     mean_a0: float,
     capture: float | None = None,
     num_modes: int | None = None,
-    max_1d_modes: int = 512,
 ) -> KLExpansion:
     """Build the truncated expansion, selecting M by variance capture.
 
@@ -223,7 +224,7 @@ def build_kl(
     ``capture`` times the total variance per unit sigma^2, which for this
     kernel equals the domain area |D| (the kernel trace).  With
     ``num_modes``, M is pinned explicitly and the attained capture ratio is
-    recorded.
+    recorded.  At most MAX_1D_MODES eigenpairs per axis are computed.
     """
     if (capture is None) == (num_modes is None):
         raise ValueError("specify exactly one of capture or num_modes")
@@ -250,10 +251,9 @@ def build_kl(
             sel = modes[:M]
             ratio = sum(m.lam for m in sel) / total
             return KLExpansion(mean_a0, cov.sigma, cov, tuple(sel), ratio)
-        if n1d >= max_1d_modes:
+        if n1d >= MAX_1D_MODES:
             raise ValueError(
-                f"capture target not reachable with {max_1d_modes} 1D modes per axis; "
-                "request more via max_1d_modes"
+                f"capture target not reachable with {MAX_1D_MODES} 1D modes per axis"
             )
         n1d *= 2
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import legendre_quadrature, quad_moment
+from sglowrank import chaos
 from sglowrank.chaos import (
     XI_BOUND,
     build_index_set,
@@ -28,7 +29,7 @@ class TestIndexSet:
     @given(st.integers(1, 20), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
     def test_cardinality_formula(self, M, p):
-        iset = build_index_set(M, p, max_size=10_000_000)
+        iset = build_index_set(M, p)
         assert iset.size == comb(M + p, p)
         degs = iset.indices.sum(axis=1)
         assert degs.max(initial=0) <= p
@@ -47,9 +48,10 @@ class TestIndexSet:
         for s in range(iset.size):
             assert iset.position(iset.indices[s]) == s
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(chaos, "MAX_INDEX_SET_SIZE", 100)
         with pytest.raises(ValueError, match="limit"):
-            build_index_set(15, 3, max_size=100)
+            build_index_set(15, 3)
 
 
 class TestRecurrence:

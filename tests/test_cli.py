@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,7 +19,8 @@ from sglowrank.cli import (
 )
 from sglowrank.krylov import PipelineSpec, build_problem, build_stochastic, run_pgd
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 FAST = [
     "kind = diffusion",
@@ -46,12 +48,12 @@ def write_cfg(tmp_path, lines, name="exp.cfg"):
 
 class TestConfigParsing:
     def test_file_and_overrides(self, tmp_path):
-        path = write_cfg(tmp_path, FAST + ["# a comment", "", "capture = 0.95"])
+        path = write_cfg(tmp_path, FAST + ["# a comment", "", "num_modes = 4"])
         cfg = load_config(str(path), ["eps=1e-4", "seed=3"])
         assert cfg.kind == "diffusion"
         assert cfg.eps == 1e-4
         assert cfg.seed == 3
-        assert cfg.capture == 0.95
+        assert cfg.num_modes == 4
 
     def test_domain_parsing(self, tmp_path):
         path = write_cfg(tmp_path, FAST + ["domain = -1, 1, -1, 1"])
@@ -78,12 +80,11 @@ class TestConfigParsing:
     def test_documented_configs_parse(self):
         # the shipped config files, and every command in README.md with the
         # config file and --set overrides it names
-        root = SRC.parent
-        configs = sorted((root / "configs").glob("*.cfg"))
+        configs = sorted((ROOT / "configs").glob("*.cfg"))
         assert len(configs) == 2
         for path in configs:
             load_config(str(path))
-        text = (root / "README.md").read_text().replace("\\\n", " ")
+        text = (ROOT / "README.md").read_text().replace("\\\n", " ")
         commands = [line.split() for line in text.splitlines() if line.startswith("sglowrank ")]
         assert sum("--set" in words for words in commands) >= 10
         for words in commands:
@@ -91,7 +92,12 @@ class TestConfigParsing:
                 "--config", "--set", "--out", "--variants"}, words
             config = words[words.index("--config") + 1] if "--config" in words else None
             sets = [words[i + 1] for i, word in enumerate(words) if word == "--set"]
-            assert isinstance(load_config(config and str(root / config), sets), PipelineSpec)
+            assert isinstance(load_config(config and str(ROOT / config), sets), PipelineSpec)
+
+    def test_readme_documents_every_key(self):
+        readme = (ROOT / "README.md").read_text()
+        missing = [f.name for f in dataclasses.fields(PipelineSpec) if f"`{f.name}`" not in readme]
+        assert not missing, missing
 
     def test_cd_requires_nu(self):
         with pytest.raises(ConfigError, match="nu"):
@@ -211,15 +217,20 @@ class TestMainEntry:
             "preconditioner = foo", "max_cycles = 0", "pgd_max_rank = 0", "pgd_update_every = 0",
             "mean_a0 = 0", "seed = -1", "pgd_update_policy = every-k",
             "eps = 2", "pgd_eps = 1", "domain = -inf, inf, -1, 1", "corr_len = inf",
-            "nu = 0.01", "wind = 1, 0",
+            "nu = 0.01", "wind = 1, 0", "capture = 0.9", "max_cycles = 5", "pgd_max_rank = 10",
         ]
         cases = [FAST + [bad] for bad in diffusion]
         cases += [FAST_CD + [bad] for bad in ("wind = nan, 1", "nu = inf", "wind = 0, 0")]
+        # keys of no PipelineSpec field, whatever their value
+        removed = ("wind", "capture", "max_cycles", "pgd_max_rank")
         for i, lines in enumerate(cases):
             path = write_cfg(tmp_path, lines, name=f"bad{i}.cfg")
             code = main(["run", "--config", str(path), "--out", str(tmp_path / f"out{i}")])
             assert code == 2, lines[-1]
-            assert "invalid configuration" in capsys.readouterr().err, lines[-1]
+            err = capsys.readouterr().err
+            assert "invalid configuration" in err, lines[-1]
+            if lines[-1].split("=")[0].strip() in removed:
+                assert "unknown config key" in err, lines[-1]
             assert not (tmp_path / f"out{i}" / "report.json").exists(), lines[-1]
         path = write_cfg(tmp_path, FAST)
         # run writes one fixed file set, and the seed is set like every other key
@@ -256,9 +267,12 @@ class TestMainEntry:
         assert len(rows) - 1 == 17**2
 
     def test_nonconvergence_exit_one(self, tmp_path):
-        path = write_cfg(tmp_path, FAST + ["eps = 1e-13", "max_cycles = 1", "pgd_max_rank = 2"])
+        # a basis learned to pgd_eps = 1e-3 cannot carry the fine solve to eps = 1e-5
+        path = write_cfg(tmp_path, FAST + ["pgd_eps = 1e-3"])
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["solve"]["status"] == "basis-limited"
 
     def test_coarse_only(self, tmp_path):
         path = write_cfg(tmp_path, FAST)
@@ -318,6 +332,23 @@ class TestMainEntry:
         for name, matrix in matrices.items():
             assert abs(mmread(tmp_path / "m" / f"{name}.mtx") - matrix).max() == 0.0, name
         assert (tmp_path / "m" / "f0.txt").exists()
+
+    def test_export_matrices_rhs(self, tmp_path):
+        # the convection-diffusion load is zero: the system's rhs is the
+        # Dirichlet lift, exported factored as mat(F) = Y Z^T
+        config = str(ROOT / "configs" / "convection_diffusion_nu200.cfg")
+        code = main(["export-matrices", "--config", config, "--set", "fine_level=4",
+                     "--out", str(tmp_path / "m")])
+        assert code == 0
+        spec = load_config(config, ["fine_level=4"])
+        kl, stoch = build_stochastic(spec)
+        _, spatial, A = build_problem(spec, spec.fine_level, kl, stoch)
+        assert not np.any(spatial.f0)
+        with np.load(tmp_path / "m" / "rhs.npz") as saved:
+            assert sorted(saved.files) == ["Y", "Z"]
+            F = saved["Y"] @ saved["Z"].T
+        assert np.array_equal(F, A.rhs.Y @ A.rhs.Z.T)
+        assert np.any(F)
 
     def test_seed_flag_overrides(self, tmp_path):
         path = write_cfg(tmp_path, FAST)

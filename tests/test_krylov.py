@@ -186,12 +186,13 @@ class TestFixedFrame:
         hist = res.report.residual_history
         assert hist[-1] > (1.0 - krylov.STAGNATION_TOL) * hist[-2]
 
-    def test_status_of_other_stops(self):
+    def test_status_of_other_stops(self, monkeypatch):
         A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
         _, report = solve(A, no_truncation(A), 1e-6)
         assert report.status == "converged" and report.converged
+        monkeypatch.setattr(krylov, "MAX_CYCLES", 1)
         with pytest.warns(UserWarning, match="max-cycles"):
-            _, report = solve(A, no_truncation(A), 1e-14, m=2, max_cycles=1)
+            _, report = solve(A, no_truncation(A), 1e-14, m=2)
         assert report.status == "max-cycles" and report.cycles == 1
         # a basis orthogonal to the rhs's stochastic factor g_0 = e_1
         # truncates the first residual to exactly zero
@@ -222,18 +223,19 @@ class TestSolve:
         assert np.array_equal(u.Y, u_star.Y)
         assert np.array_equal(u.Z, u_star.Z)
 
-    def test_matches_dense_gmres_without_truncation(self):
+    def test_matches_dense_gmres_without_truncation(self, monkeypatch):
         # one cycle is one restart of dense GMRES on the right-preconditioned
         # operator D M^{-1}, mapped back to the original variable u = M^{-1} x_hat
         A = galerkin_operator(level=2, M=2, p=2, sigma=0.1)
         n_xi = A.shape[1]
         m = min(A.shape)  # basis of that size exhausts the residual space
-        u, report = solve(A, no_truncation(A), 1e-10, m=m, max_cycles=40)
+        u, report = solve(A, no_truncation(A), 1e-10, m=m)
         assert report.converged
         Minv = np.kron(np.eye(n_xi), np.linalg.inv(A.mean_spatial.toarray()))
         ref = Minv @ dense_gmres(dense_operator(A) @ Minv, dense_vec(A.rhs), m)
+        monkeypatch.setattr(krylov, "MAX_CYCLES", 1)
         with pytest.warns(UserWarning):
-            u1, _ = solve(A, no_truncation(A), 1e-30, m=m, max_cycles=1)
+            u1, _ = solve(A, no_truncation(A), 1e-30, m=m)
         assert np.linalg.norm(dense_vec(u1) - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_converges_to_machine_precision_small(self):
@@ -296,24 +298,24 @@ class TestSolve:
         A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
         pgd_sol = solve_pgd(A, 1e-7)
         trunc = TruncationOperator("projection", basis=pgd_sol.Zc)
-        u, report = solve(A, trunc, 1e-7, m=4, max_cycles=10)
+        u, report = solve(A, trunc, 1e-7, m=4)
         hist = np.array(report.residual_history)
         assert np.all(np.diff(hist) <= 0.0)
         # the last entry is the true relative residual of the returned vector
         assert residual_norm(A, u) / norm(A.rhs) == pytest.approx(hist[-1], rel=1e-9)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
         A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
         trunc = TruncationOperator("svd-rank", rank=1)
+        monkeypatch.setattr(krylov, "MAX_CYCLES", 2)
         with pytest.warns(UserWarning, match="stopped"):
-            u, report = solve(A, trunc, 1e-12, m=2, max_cycles=2)
+            u, report = solve(A, trunc, 1e-12, m=2)
         assert not report.converged
         assert len(report.residual_history) == 3
 
     def test_config_validation(self):
         A = galerkin_operator()
-        for bad in (dict(eps=0.0), dict(eps=1.0), dict(eps=2.0), dict(eps=1e-5, m=0),
-                    dict(eps=1e-5, max_cycles=0)):
+        for bad in (dict(eps=0.0), dict(eps=1.0), dict(eps=2.0), dict(eps=1e-5, m=0)):
             with pytest.raises(ValueError):
                 solve(A, no_truncation(A), **bad)
 
@@ -322,7 +324,7 @@ class TestPipeline:
     def test_end_to_end_diffusion(self):
         spec = PipelineSpec(
             kind="diffusion", domain=UNIT, corr_len=4.0, sigma=0.05, mean_a0=1.0,
-            degree=3, fine_level=5, eps=1e-5, capture=0.95, coarse_level=4, m=8,
+            degree=3, fine_level=5, eps=1e-5, coarse_level=4, m=8,
         )
         res = pipeline(spec)
         assert res.kl.num_modes == 5
@@ -335,7 +337,7 @@ class TestPipeline:
     def test_tighter_eps_needs_higher_rank(self):
         base = dict(
             kind="diffusion", domain=UNIT, corr_len=4.0, sigma=0.05, mean_a0=1.0,
-            degree=2, fine_level=4, capture=0.95, coarse_level=3, m=8,
+            degree=2, fine_level=4, coarse_level=3, m=8,
         )
         res5 = pipeline(PipelineSpec(eps=1e-4, **base))
         res6 = pipeline(PipelineSpec(eps=1e-6, **base))
@@ -360,7 +362,7 @@ class TestPipeline:
     def test_svd_truncation_variant(self):
         spec = PipelineSpec(
             kind="diffusion", domain=UNIT, corr_len=4.0, sigma=0.05, mean_a0=1.0,
-            degree=2, fine_level=4, eps=1e-5, capture=0.95, coarse_level=3,
+            degree=2, fine_level=4, eps=1e-5, coarse_level=3,
             truncation="svd",
         )
         res = pipeline(spec)

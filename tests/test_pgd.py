@@ -289,14 +289,13 @@ class TestSolvePgd:
         assert np.array_equal(a.factors.Y, b.factors.Y)
         assert np.array_equal(a.factors.Z, b.factors.Z)
 
-    def test_max_rank_flags_nonconvergence(self):
+    def test_max_rank_flags_nonconvergence(self, monkeypatch):
         A = diffusion_operator(level=3, M=4, p=2, sigma=0.2, c=1.5)
+        monkeypatch.setattr(pgd, "MAX_RANK", 3)
         with pytest.warns(UserWarning, match="PGD stopped"):
-            sol = solve_pgd(A, 1e-12, max_rank=3)
+            sol = solve_pgd(A, 1e-12)
         assert not sol.converged
         assert sol.kappa == 3
-        with pytest.raises(ValueError, match="max_rank"):
-            solve_pgd(A, 1e-12, max_rank=0)
 
     @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion"])
     def test_nonconverging_update_warns_and_is_kept_only_if_no_worse(self, monkeypatch, kind):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import nystrom_eigenpairs, nystrom_eigenvalues
+from sglowrank import randfield
 from sglowrank.randfield import (
     ExponentialCovariance,
     build_kl,
@@ -113,9 +114,10 @@ class TestBuildKl:
         assert kl.num_modes == 15
         assert 0.95 < kl.capture_ratio < 0.97
 
-    def test_capture_unreachable_raises(self):
+    def test_capture_unreachable_raises(self, monkeypatch):
+        monkeypatch.setattr(randfield, "MAX_1D_MODES", 32)
         with pytest.raises(ValueError, match="not reachable"):
-            build_kl(cov(0.001), 1.0, capture=0.999, max_1d_modes=32)
+            build_kl(cov(0.001), 1.0, capture=0.999)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -135,7 +137,7 @@ class TestEvalMode:
                 assert eval_mode(kl, i, center) == pytest.approx(0.0, abs=1e-12)
 
     def test_squared_integral_is_sigma2_lambda(self):
-        kl = build_kl(cov(2.0), 1.0, num_modes=6, max_1d_modes=64)
+        kl = build_kl(cov(2.0), 1.0, num_modes=6)
         s, w = np.polynomial.legendre.leggauss(120)
         x = 0.5 * (s + 1.0)
         wx = 0.5 * w
