@@ -12,7 +12,6 @@ from .chaos import (
 from .fem import (
     Grid,
     GridStretch,
-    PecletData,
     SpatialMatrices,
     assemble_convection_diffusion,
     assemble_diffusion,
@@ -36,7 +35,6 @@ from .lowrank import (
     inner,
     norm,
     residual_norm,
-    truncate_projection,
     truncate_svd,
 )
 from .pgd import PgdSolution, solve_pgd

@@ -51,16 +51,6 @@ class MultiIndexSet:
     def size(self) -> int:
         return self.indices.shape[0]
 
-    def position(self, alpha) -> int:
-        """Ordinal of a multi-index; raises KeyError if not in the set."""
-        key = tuple(int(a) for a in alpha)
-        try:
-            return self._lookup[key]
-        except AttributeError:
-            lookup = {tuple(row): s for s, row in enumerate(self.indices.tolist())}
-            object.__setattr__(self, "_lookup", lookup)
-            return self._lookup[key]
-
 
 @dataclass(frozen=True)
 class SpectralBasis:

@@ -275,7 +275,7 @@ def run_comparison(spec: PipelineSpec, variants, out_dir: Path) -> list[dict]:
                 truncation = "multilevel" if variant == "lrp-multilevel" else "svd"
                 result = pipeline(dataclasses.replace(spec, truncation=truncation))
                 entry.update(
-                    kappa=result.truncation_rank,
+                    kappa=result.pgd.kappa,
                     final_rank=result.report.final_rank,
                     cycles=result.report.cycles,
                     matvecs=result.report.matvecs,

@@ -40,7 +40,6 @@ __all__ = [
     "Grid",
     "GridStretch",
     "SpatialMatrices",
-    "PecletData",
     "BoundaryLift",
     "make_grid",
     "stretch_for_boundary_layer",
@@ -99,25 +98,10 @@ class Grid:
         X, Y = np.meshgrid(self.x_coords, self.y_coords, indexing="xy")
         return np.column_stack([X.ravel(), Y.ravel()])
 
-    def interior_mask(self) -> np.ndarray:
-        nx, ny = self.shape
-        mask = np.zeros((ny, nx), dtype=bool)
-        mask[1:-1, 1:-1] = True
-        return mask.ravel()
-
     def interior_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.interior_mask())
-
-    def boundary_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.interior_mask())
-
-
-@dataclass(frozen=True)
-class PecletData:
-    """Per-element Peclet numbers and streamline-diffusion coefficients."""
-
-    peclet: np.ndarray
-    delta: np.ndarray
+        """Ascending node numbers of the interior nodes."""
+        nx, ny = self.shape
+        return (np.arange(1, ny - 1)[:, None] * nx + np.arange(1, nx - 1)).ravel()
 
 
 @dataclass(frozen=True)
@@ -139,7 +123,6 @@ class SpatialMatrices:
 
     K: tuple[sp.csr_matrix, ...]  # mean stiffness first, then one per KL mode
     f0: np.ndarray
-    grid: Grid
     N: sp.csr_matrix | None = None
     S: sp.csr_matrix | None = None
     bc_lift: BoundaryLift | None = None
@@ -202,33 +185,35 @@ def _gauss_points(t: np.ndarray) -> np.ndarray:
     return t[:-1, None] + 0.5 * h[:, None] * (1.0 + np.array([-_GP, _GP]))
 
 
-def _matrices_1d(t: np.ndarray, coef=1.0) -> tuple[sp.csr_matrix, ...]:
-    """1D Q1 stiffness, mass and convection matrices on all nodes t.
+def _assemble_1d(Ke: np.ndarray) -> sp.csr_matrix:
+    """The 1D matrix on n_e + 1 nodes with element matrices Ke, shape (n_e, 2, 2)."""
+    first = np.arange(len(Ke))[:, None, None]
+    rows = np.broadcast_to(first + np.arange(2)[:, None], Ke.shape).ravel()
+    cols = np.broadcast_to(first + np.arange(2)[None, :], Ke.shape).ravel()
+    return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(len(Ke) + 1,) * 2).tocsr()
 
-    ``coef`` weights the integrand at the Gauss points; it broadcasts to
-    shape (n_e, 2).  A = int c psi_a' psi_b', M = int c psi_a psi_b and
-    C = int c psi_a psi_b' (derivative on the trial index).
-    """
-    h = np.diff(t)
-    coef = np.broadcast_to(coef, (len(h), 2))
-    stiff = np.einsum("eg,a,b->eab", coef, _DPSI, _DPSI) * (2.0 / h)[:, None, None]
-    mass = np.einsum("eg,ag,bg->eab", coef, _PSI, _PSI) * (0.5 * h)[:, None, None]
-    conv = np.einsum("eg,ag,b->eab", coef, _PSI, _DPSI)
-    first = np.arange(len(h))[:, None, None]
-    rows = np.broadcast_to(first + np.arange(2)[:, None], stiff.shape).ravel()
-    cols = np.broadcast_to(first + np.arange(2)[None, :], stiff.shape).ravel()
-    n = len(t)
-    return tuple(
-        sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        for Ke in (stiff, mass, conv)
-    )
+
+def _stiffness_1d(t: np.ndarray, coef=1.0) -> sp.csr_matrix:
+    """A = int c psi_a' psi_b' on the nodes t, ``coef`` = c at the Gauss points."""
+    h, c = np.diff(t), np.broadcast_to(coef, (len(t) - 1, 2))
+    return _assemble_1d(np.einsum("eg,a,b->eab", c, _DPSI, _DPSI) * (2.0 / h)[:, None, None])
+
+
+def _mass_1d(t: np.ndarray, coef=1.0) -> sp.csr_matrix:
+    """M = int c psi_a psi_b on the nodes t, ``coef`` = c at the Gauss points."""
+    h, c = np.diff(t), np.broadcast_to(coef, (len(t) - 1, 2))
+    return _assemble_1d(np.einsum("eg,ag,bg->eab", c, _PSI, _PSI) * (0.5 * h)[:, None, None])
+
+
+def _convection_1d(t: np.ndarray) -> sp.csr_matrix:
+    """C = int psi_a psi_b' on the nodes t (derivative on the trial index)."""
+    return _assemble_1d(np.einsum("eg,ag,b->eab", np.ones((len(t) - 1, 2)), _PSI, _DPSI))
 
 
 def _stiffness(grid: Grid, cx, cy=1.0) -> list[tuple]:
     """Kronecker pairs (y factor, x factor) of int cx(x) cy(y) grad phi_a . grad phi_b."""
-    Ax, Mx, _ = _matrices_1d(grid.x_coords, cx)
-    Ay, My, _ = _matrices_1d(grid.y_coords, cy)
-    return [(Ay, Mx), (My, Ax)]
+    x, y = grid.x_coords, grid.y_coords
+    return [(_stiffness_1d(y, cy), _mass_1d(x, cx)), (_mass_1d(y, cy), _stiffness_1d(x, cx))]
 
 
 def _interior(pairs: list[tuple]) -> sp.csr_matrix:
@@ -282,10 +267,9 @@ def assemble_diffusion(grid: Grid, kl: KLExpansion) -> SpatialMatrices:
     K = [_interior(_stiffness(grid, kl.mean_a0))]
     K.extend(_interior(_stiffness(grid, fx, fy)) for fx, fy in factors)
     # the load int phi_a is the row sum of the unit-weight mass matrix
-    _, Mx, _ = _matrices_1d(grid.x_coords)
-    _, My, _ = _matrices_1d(grid.y_coords)
+    Mx, My = _mass_1d(grid.x_coords), _mass_1d(grid.y_coords)
     f0 = np.kron(My.sum(axis=1).A1[1:-1], Mx.sum(axis=1).A1[1:-1])
-    return SpatialMatrices(tuple(K), f0, grid)
+    return SpatialMatrices(tuple(K), f0)
 
 
 def _dirichlet_values_cd(grid: Grid) -> np.ndarray:
@@ -303,9 +287,7 @@ def _dirichlet_values_cd(grid: Grid) -> np.ndarray:
     return g
 
 
-def assemble_convection_diffusion(
-    grid: Grid, kl: KLExpansion, nu: float
-) -> tuple[SpatialMatrices, PecletData]:
+def assemble_convection_diffusion(grid: Grid, kl: KLExpansion, nu: float) -> SpatialMatrices:
     """Spatial matrices nu*K_l, N, S and boundary lift for the wind benchmark.
 
     The wind is (0, 1), so the element length in the wind direction is the
@@ -318,33 +300,27 @@ def assemble_convection_diffusion(
         raise ValueError("viscosity must be positive")
     factors = _mode_factors(grid, kl)
     _coercivity_check(kl, factors)
-    x, y = grid.x_coords, grid.y_coords
-    n_ex = len(x) - 1
-
+    y = grid.y_coords
     h_k = np.diff(y)
     peclet = h_k / (2.0 * nu)
     delta = np.where(peclet > 1.0, h_k / 2.0 * (1.0 - 1.0 / peclet), 0.0)
 
-    _, Mx, _ = _matrices_1d(x)
-    _, _, Cy = _matrices_1d(y)
-    Ad, _, _ = _matrices_1d(y, delta[:, None])
-    N = [(Cy, Mx)]
-    S = [(Ad, Mx)]
+    Mx = _mass_1d(grid.x_coords)
+    N = [(_convection_1d(y), Mx)]
+    S = [(_stiffness_1d(y, delta[:, None]), Mx)]
     K0 = _stiffness(grid, nu * kl.mean_a0)
     Kl = [_stiffness(grid, nu * fx, fy) for fx, fy in factors]
 
     g = _dirichlet_values_cd(grid)
     coupling = [_coupling(K0 + N + S, g)]
     coupling.extend(_coupling(pairs, g) for pairs in Kl)
-    spatial = SpatialMatrices(
+    return SpatialMatrices(
         tuple(_interior(pairs) for pairs in [K0] + Kl),
         np.zeros(grid.n_interior),
-        grid,
         N=_interior(N),
         S=_interior(S),
         bc_lift=BoundaryLift(g.ravel(), tuple(coupling)),
     )
-    return spatial, PecletData(np.repeat(peclet, n_ex), np.repeat(delta, n_ex))
 
 
 def recommend_coarse_level(

@@ -418,7 +418,6 @@ class PipelineResult:
     fine_grid: fem.Grid
     coarse_grid: fem.Grid
     fine_operator: StochasticOperator
-    truncation_rank: int
 
 
 def build_stochastic(spec: PipelineSpec) -> tuple[KLExpansion, StochasticMatrices]:
@@ -446,7 +445,7 @@ def build_problem(
         return grid, spatial, build_operator(spatial, stoch)
     stretch = fem.stretch_for_boundary_layer(level, spec.domain, spec.nu)
     grid = fem.make_grid(level, spec.domain, stretch)
-    spatial, _ = fem.assemble_convection_diffusion(grid, kl, spec.nu)
+    spatial = fem.assemble_convection_diffusion(grid, kl, spec.nu)
     A = handle_nonhomogeneous_bc(build_operator(spatial, stoch), spatial.bc_lift)
     return grid, spatial, A
 
@@ -478,11 +477,10 @@ def pipeline(spec: PipelineSpec) -> PipelineResult:
     coarse_grid, pgd_sol = run_pgd(spec, kl, stoch)
     times["coarse"] = time.perf_counter() - t0
 
-    kappa = pgd_sol.Zc.shape[1]
     if spec.truncation == "multilevel":
         trunc = TruncationOperator("projection", basis=pgd_sol.Zc)
     else:
-        trunc = TruncationOperator("svd-rank", rank=kappa)
+        trunc = TruncationOperator("svd-rank", rank=pgd_sol.Zc.shape[1])
 
     t1 = time.perf_counter()
     fine_grid, _, A_fine = build_problem(spec, spec.fine_level, kl, stoch)
@@ -503,5 +501,4 @@ def pipeline(spec: PipelineSpec) -> PipelineResult:
         fine_grid,
         coarse_grid,
         A_fine,
-        kappa,
     )

@@ -58,11 +58,9 @@ __all__ = [
     "inners",
     "norm",
     "truncate_svd",
-    "truncate_projection",
     "fold",
     "block",
     "coordinates",
-    "residual",
     "residual_norm",
     "build_operator",
 ]
@@ -71,8 +69,6 @@ __all__ = [
 SV_DROP_TOL = 1e-14
 #: allowed deviation of a projection basis from column orthonormality
 PROJ_ORTHO_TOL = 1e-10
-#: largest dense block ``FactoredVector.materialize`` forms
-MAX_DENSE_ENTRIES = 50_000_000
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -146,13 +142,6 @@ class FactoredVector:
     @classmethod
     def rank_one(cls, y: np.ndarray, z: np.ndarray) -> "FactoredVector":
         return cls(np.asarray(y, float).reshape(-1, 1), np.asarray(z, float).reshape(-1, 1))
-
-    def materialize(self) -> np.ndarray:
-        """Dense mat(u); refuses more than MAX_DENSE_ENTRIES entries."""
-        n_x, n_xi = self.shape
-        if n_x * n_xi > MAX_DENSE_ENTRIES:
-            raise MemoryError(f"refusing to materialize a {n_x} x {n_xi} matrix")
-        return self.Y @ self.Z.T
 
 
 @dataclass(frozen=True)
@@ -337,28 +326,16 @@ def truncate_svd(u: FactoredVector, rank: int | None = None) -> FactoredVector:
     return FactoredVector._adopt(Y, Z, orthonormal=True)
 
 
-def truncate_projection(u: FactoredVector, basis: np.ndarray) -> FactoredVector:
-    """Orthogonal projection of the stochastic index onto span(basis).
-
-    ``basis`` must have orthonormal columns; the result is (Y (Z^T B), B),
-    of rank exactly the basis size, and the map is idempotent.
-    """
-    B = _frozen_array(basis)
-    _check_orthonormal(B)
-    return _project(u, B)
-
-
-def _project(u: FactoredVector, B: np.ndarray) -> FactoredVector:
-    """Projection onto a frozen orthonormal basis B, which the result shares as Z."""
-    return FactoredVector._adopt(coordinates(u, B), B, orthonormal=True)
-
-
 @dataclass(frozen=True)
 class TruncationOperator:
     """Rank reduction strategy: fixed-rank SVD or projection onto a basis.
 
-    Projection outputs share the operator's basis as Z, so projecting one
-    of them, or a ``combine`` of them, again returns its Y unchanged.
+    The projection is the orthogonal projection of the stochastic index
+    onto span(basis): ``basis`` must have orthonormal columns, the result
+    is (Y (Z^T B), B), of rank exactly the basis size, and the map is
+    idempotent.  Projection outputs share the operator's basis as Z, so
+    projecting one of them, or a ``combine`` of them, again returns its Y
+    unchanged.
     """
 
     kind: str  # "svd-rank" | "projection"
@@ -381,16 +358,12 @@ class TruncationOperator:
     def apply(self, u: FactoredVector) -> FactoredVector:
         if self.kind == "svd-rank":
             return truncate_svd(u, rank=self.rank)
-        return _project(u, self.basis)
-
-
-def residual(A: StochasticOperator, u: FactoredVector) -> FactoredVector:
-    return add(A.rhs, scale(apply_operator(A, u), -1.0))
+        return FactoredVector._adopt(coordinates(u, self.basis), self.basis, orthonormal=True)
 
 
 def residual_norm(A: StochasticOperator, u: FactoredVector) -> float:
     """||f - A u||_2, the norm of the residual's n_x x n_xi block."""
-    return norm(residual(A, u))
+    return norm(add(A.rhs, scale(apply_operator(A, u), -1.0)))
 
 
 def build_operator(spatial, stoch) -> StochasticOperator:

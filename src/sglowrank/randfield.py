@@ -128,7 +128,6 @@ class KLExpansion:
     """Truncated KL expansion, modes sorted by decreasing eigenvalue."""
 
     mean_a0: float
-    sigma: float
     cov: ExponentialCovariance
     modes: tuple[KLMode, ...]
     capture_ratio: float
@@ -250,7 +249,7 @@ def build_kl(
         if M <= n1d:
             sel = modes[:M]
             ratio = sum(m.lam for m in sel) / total
-            return KLExpansion(mean_a0, cov.sigma, cov, tuple(sel), ratio)
+            return KLExpansion(mean_a0, cov, tuple(sel), ratio)
         if n1d >= MAX_1D_MODES:
             raise ValueError(
                 f"capture target not reachable with {MAX_1D_MODES} 1D modes per axis"
@@ -267,7 +266,7 @@ def mode_factors(kl: KLExpansion, index: int, x, y) -> tuple[np.ndarray, np.ndar
     """
     mx, my = kl.cov.midpoints
     mode = kl.modes[index]
-    fx = kl.sigma * math.sqrt(mode.lam) * mode.pair_x.evaluate(np.asarray(x, dtype=float) - mx)
+    fx = kl.cov.sigma * math.sqrt(mode.lam) * mode.pair_x.evaluate(np.asarray(x, dtype=float) - mx)
     return fx, mode.pair_y.evaluate(np.asarray(y, dtype=float) - my)
 
 

@@ -43,11 +43,6 @@ class TestIndexSet:
         iset = build_index_set(4, 3)
         assert tuple(iset.indices[0]) == (0, 0, 0, 0)
 
-    def test_position_map_roundtrip(self):
-        iset = build_index_set(3, 3)
-        for s in range(iset.size):
-            assert iset.position(iset.indices[s]) == s
-
     def test_size_limit(self, monkeypatch):
         monkeypatch.setattr(chaos, "MAX_INDEX_SET_SIZE", 100)
         with pytest.raises(ValueError, match="limit"):
@@ -119,13 +114,14 @@ class TestStochasticMatrices:
     def test_action_on_first_basis_vector(self):
         basis = build_spectral_basis(3, 2)
         mats = build_stochastic_matrices(basis)
+        position = {tuple(row): s for s, row in enumerate(basis.index_set.indices.tolist())}
         for l, G in enumerate(mats.Gl):
             v = G @ mats.g0
             nonzero = np.flatnonzero(v)
             assert len(nonzero) == 1
-            alpha = np.zeros(3, dtype=int)
+            alpha = [0, 0, 0]
             alpha[l] = 1
-            assert nonzero[0] == basis.index_set.position(alpha)
+            assert nonzero[0] == position[tuple(alpha)]
             assert v[nonzero[0]] == pytest.approx(basis.recurrence[0], abs=1e-15)
 
 

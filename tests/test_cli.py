@@ -183,6 +183,8 @@ class TestComparison:
         rows = run_comparison(cfg, ["lrp-multilevel"], tmp_path / "cmp")
         assert len(rows) == 1
         assert rows[0]["cycles"] == report["solve"]["cycles"]
+        # every variant's kappa is the PGD rank, as in report.json
+        assert rows[0]["kappa"] == report["coarse"]["kappa"]
         assert rows[0]["rel_residual"] == pytest.approx(
             report["solve"]["residual_history"][-1], rel=1e-12
         )

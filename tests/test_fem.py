@@ -162,7 +162,7 @@ class TestAgainstElementLoop:
         stretch = stretch_for_boundary_layer(4, BIG, nu) if stretched else None
         grid = make_grid(4, BIG, stretch)
         kl = kl_for(domain=BIG, c=2.0, sigma=0.3, M=3)
-        spatial, pec = assemble_convection_diffusion(grid, kl, nu)
+        spatial = assemble_convection_diffusion(grid, kl, nu)
         # the reference takes any wind; its default is the benchmark's (0, 1)
         ref = q1_element_loop(grid.x_coords, grid.y_coords, mode_functions(kl, nu), nu)
         idx = grid.interior_indices()
@@ -171,8 +171,6 @@ class TestAgainstElementLoop:
             assert_close(K, want[inner])
         assert_close(spatial.N, ref["N"][inner])
         assert_close(spatial.S, ref["S"][inner])
-        assert_close(pec.peclet, ref["peclet"])
-        assert_close(pec.delta, ref["delta"])
         # the lift couplings are -(A_l g)[interior] with the mean term A_0 = nu K_0 + N + S
         g = spatial.bc_lift.values_full
         mats = [ref["K"][0] + ref["N"] + ref["S"]] + ref["K"][1:]
@@ -183,27 +181,30 @@ class TestAgainstElementLoop:
 class TestConvectionDiffusion:
     def test_streamline_zero_when_diffusion_dominates(self):
         grid = make_grid(4, BIG)
-        spatial, pec = assemble_convection_diffusion(grid, kl_for(domain=BIG, c=8.0, M=2), nu=10.0)
-        assert np.all(pec.peclet <= 1.0)
-        assert np.all(pec.delta == 0.0)
+        spatial = assemble_convection_diffusion(grid, kl_for(domain=BIG, c=8.0, M=2), nu=10.0)
         assert spatial.S.nnz == 0 or abs(spatial.S).max() == 0.0
 
     def test_peclet_and_delta_uniform_grid(self):
-        # nu = 1/200, level 5 on [-1,1]^2: h = 1/16, P = 6.25, delta = 0.02625
+        # nu = 1/200, level 5 on [-1,1]^2: h = 1/16, P = 6.25, delta = 0.02625;
+        # the streamline matrix is the element loop's with that delta
+        nu = 1 / 200
         grid = make_grid(5, BIG)
-        spatial, pec = assemble_convection_diffusion(grid, kl_for(domain=BIG, c=8.0, M=2), nu=1 / 200)
-        assert np.all(pec.peclet == pytest.approx(6.25, rel=1e-12))
-        assert np.all(pec.delta == pytest.approx(0.02625, rel=1e-12))
+        spatial = assemble_convection_diffusion(grid, kl_for(domain=BIG, c=8.0, M=2), nu=nu)
+        ref = q1_element_loop(grid.x_coords, grid.y_coords, [], nu)
+        assert np.all(np.array(ref["peclet"]) == pytest.approx(6.25, rel=1e-12))
+        assert np.all(np.array(ref["delta"]) == pytest.approx(0.02625, rel=1e-12))
+        idx = grid.interior_indices()
+        assert_close(spatial.S, ref["S"][np.ix_(idx, idx)])
 
     def test_convection_skew_symmetric_on_interior(self):
         grid = make_grid(4, BIG)
-        spatial, _ = assemble_convection_diffusion(grid, kl_for(domain=BIG, c=8.0, M=2), nu=0.1)
+        spatial = assemble_convection_diffusion(grid, kl_for(domain=BIG, c=8.0, M=2), nu=0.1)
         N = spatial.N
         assert np.abs((N + N.T).toarray()).max() <= 1e-14 * np.abs(N).max()
 
     def test_streamline_matrix_psd(self):
         grid = make_grid(4, BIG)
-        spatial, _ = assemble_convection_diffusion(grid, kl_for(domain=BIG, c=8.0, M=2), nu=1 / 400)
+        spatial = assemble_convection_diffusion(grid, kl_for(domain=BIG, c=8.0, M=2), nu=1 / 400)
         S = spatial.S.toarray()
         assert np.abs(S - S.T).max() <= 1e-14
         eigs = np.linalg.eigvalsh(S)
@@ -215,8 +216,8 @@ class TestConvectionDiffusion:
         nu = 1 / 20
         grid = make_grid(6, BIG)
         kl = kl_for(domain=BIG, c=8.0, sigma=0.0, M=1)
-        spatial, pec = assemble_convection_diffusion(grid, kl, nu=nu)
-        assert np.all(pec.peclet <= 1.0)  # resolved: pure Galerkin
+        spatial = assemble_convection_diffusion(grid, kl, nu=nu)
+        assert spatial.S.nnz == 0  # resolved: pure Galerkin, no streamline term
         A = spatial.K[0] + spatial.N + spatial.S
         rhs = spatial.f0 + spatial.bc_lift.coupling[0]
         u = spla.spsolve(A.tocsc(), rhs)
@@ -233,7 +234,7 @@ class TestConvectionDiffusion:
 
     def test_boundary_values_follow_problem_data(self):
         grid = make_grid(3, BIG)
-        spatial, _ = assemble_convection_diffusion(grid, kl_for(domain=BIG, c=8.0, M=2), nu=0.1)
+        spatial = assemble_convection_diffusion(grid, kl_for(domain=BIG, c=8.0, M=2), nu=0.1)
         g = spatial.bc_lift.values_full
         pts = grid.node_coords()
         assert g[grid.interior_indices()] == pytest.approx(0.0, abs=0)

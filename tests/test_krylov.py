@@ -341,7 +341,7 @@ class TestPipeline:
         )
         res5 = pipeline(PipelineSpec(eps=1e-4, **base))
         res6 = pipeline(PipelineSpec(eps=1e-6, **base))
-        assert res6.truncation_rank > res5.truncation_rank
+        assert res6.pgd.Zc.shape[1] > res5.pgd.Zc.shape[1]
 
     def test_degenerate_sigma_zero(self):
         spec = PipelineSpec(
@@ -367,7 +367,7 @@ class TestPipeline:
         )
         res = pipeline(spec)
         assert res.report.converged
-        assert res.report.final_rank <= res.truncation_rank
+        assert res.report.final_rank <= res.pgd.Zc.shape[1]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

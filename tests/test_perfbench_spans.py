@@ -35,7 +35,7 @@ def test_instrument_enters_traces_and_restores():
     tracer = spans.Tracer()
     with spans.instrument(tracer):
         assert krylov.solve is not originals["krylov.solve"]
-        for workload in ("diffusion-l6", "diffusion-l6-svd"):
+        for workload in ("diffusion-l6", "diffusion-l6-svd", "convection-l6"):
             krylov.pipeline(PipelineSpec(**cells.warmup_kwargs(workload)))
     assert krylov.solve is originals["krylov.solve"]
     assert krylov.inner is originals["krylov.inner"]
@@ -48,9 +48,13 @@ def test_instrument_enters_traces_and_restores():
                  "krylov.solve", "krylov.matvec", "krylov.precond", "lowrank.inner",
                  "lowrank.norm", "lowrank.truncate", "pgd.enrich"):
         assert calls[name] > 0, name
-    # per pipeline, make_grid and assemble_diffusion on the coarse and the fine
-    # level: an assembler no longer called through ``fem`` drops out of fem.assemble_s
-    assert calls["fem.assemble"] == 2 * 2 * 2
+    # on the coarse and the fine level, make_grid and assemble_diffusion per
+    # diffusion pipeline, and stretch_for_boundary_layer, make_grid and
+    # assemble_convection_diffusion for convection-diffusion: an assembler no
+    # longer called through ``fem`` drops out of fem.assemble_s
+    assert calls["fem.assemble"] == 2 * 2 * 2 + 3 * 2
+    # the Dirichlet lift of the convection-diffusion cell, once per level
+    assert calls["pgd.bc_lift"] == 2
     metrics = spans.layer_metrics(tracer)
     assert metrics["lowrank.truncate_rank_in_max"] > 0
     assert metrics["krylov.basis_bytes"] > 0

@@ -147,7 +147,7 @@ class TestEvalMode:
         for i, mode in enumerate(kl.modes):
             vals = eval_mode(kl, i, pts)
             integral = float(np.sum(W * vals**2))
-            assert integral == pytest.approx(kl.sigma**2 * mode.lam, rel=1e-8)
+            assert integral == pytest.approx(kl.cov.sigma**2 * mode.lam, rel=1e-8)
 
     def test_pointwise_against_nystrom_interpolant(self, rng):
         c = 1.5
