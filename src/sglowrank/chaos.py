@@ -63,10 +63,6 @@ class SpectralBasis:
     def size(self) -> int:
         return self.index_set.size
 
-    @property
-    def num_vars(self) -> int:
-        return self.index_set.num_vars
-
 
 @dataclass(frozen=True)
 class StochasticMatrices:

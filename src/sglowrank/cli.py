@@ -40,7 +40,7 @@ import numpy as np
 from scipy.io import mmwrite
 
 from . import fem
-from .krylov import PipelineSpec, build_problem, build_stochastic, pipeline, run_pgd
+from .krylov import ConfigError, PipelineSpec, build_problem, build_stochastic, pipeline, run_pgd
 
 SCHEMA_VERSION = 1
 VARIANTS = ("lrp-multilevel", "lrp-svd", "pgd-direct")
@@ -84,10 +84,6 @@ def validate_report(report: dict) -> None:
             node = node[part]
         if not isinstance(node, kind):
             raise ValueError(f"report field {path!r} should be {kind.__name__}")
-
-
-class ConfigError(Exception):
-    pass
 
 
 class NonConvergence(Exception):
@@ -136,10 +132,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Pipelin
             raise ConfigError(f"{where}: expected key = value, got {item!r}")
         key, raw = item.split("=", 1)
         values[key.strip()] = _parse_value(key.strip(), raw)
-    try:
-        return PipelineSpec(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return PipelineSpec(**values)
 
 
 def _echo(spec: PipelineSpec) -> dict:
@@ -152,8 +145,8 @@ def _mean_field_rows(result) -> list[tuple[float, float, float]]:
     grid = result.fine_grid
     u = result.solution
     mean_int = u.Y @ u.Z[0] if u.rank else np.zeros(grid.n_interior)
-    bc = result.fine_operator.bc_values
-    full = fem.interior_to_full(grid, mean_int, bc)
+    lift = result.bc_lift
+    full = fem.interior_to_full(grid, mean_int, None if lift is None else lift.values_full)
     pts = grid.node_coords()
     return [(float(x), float(y), float(v)) for (x, y), v in zip(pts, full)]
 
@@ -204,12 +197,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_history_csv(path: Path, history) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["cycle", "rel_residual"])
-        for k, r in enumerate(history):
-            writer.writerow([k, f"{r:.16e}"])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def run_experiment(spec: PipelineSpec, out_dir: Path) -> dict:
@@ -219,7 +211,9 @@ def run_experiment(spec: PipelineSpec, out_dir: Path) -> dict:
     report = _report_dict(spec, result)
     validate_report(report)
     _write_json(out_dir / "report.json", report)
-    _write_history_csv(out_dir / "residual_history.csv", report["solve"]["residual_history"])
+    history = report["solve"]["residual_history"]
+    _write_csv(out_dir / "residual_history.csv", ["cycle", "rel_residual"],
+               ([k, f"{r:.16e}"] for k, r in enumerate(history)))
     row = {
         "problem": spec.kind,
         "corr_len": spec.corr_len,
@@ -229,20 +223,13 @@ def run_experiment(spec: PipelineSpec, out_dir: Path) -> dict:
         "kappa": report["coarse"]["kappa"],
         "cycles": report["solve"]["cycles"],
         "matvecs": report["solve"]["matvecs"],
-        "rel_residual": report["solve"]["residual_history"][-1],
+        "rel_residual": history[-1],
     }
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
-    with open(out_dir / "mean_field.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "mean_u"])
-        writer.writerows(_mean_field_rows(result))
+    _write_csv(out_dir / "summary.csv", list(row), [list(row.values())])
+    _write_csv(out_dir / "mean_field.csv", ["x", "y", "mean_u"], _mean_field_rows(result))
     if not result.report.converged:
         raise NonConvergence(
-            f"solver stopped ({report['solve']['status']}) at relative residual "
-            f"{report['solve']['residual_history'][-1]:.3e}"
+            f"solver stopped ({report['solve']['status']}) at relative residual {history[-1]:.3e}"
         )
     return report
 
@@ -284,6 +271,8 @@ def run_comparison(spec: PipelineSpec, variants, out_dir: Path) -> list[dict]:
                     coarse_time=result.report.wall_times.get("coarse", 0.0),
                     solve_time=result.report.wall_times.get("fine_solve", 0.0),
                 )
+        except ConfigError:
+            raise  # out of range for every variant
         except Exception as exc:  # per-variant failures must not abort the rest
             entry.update(error=str(exc), converged=False)
         entry["total_time"] = time.perf_counter() - t0
@@ -292,11 +281,8 @@ def run_comparison(spec: PipelineSpec, variants, out_dir: Path) -> list[dict]:
     fields = ["variant", "kappa", "final_rank", "cycles", "matvecs",
               "rel_residual", "converged", "coarse_time", "solve_time",
               "total_time", "error"]
-    with open(out_dir / "comparison.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fields})
+    _write_csv(out_dir / "comparison.csv", fields,
+               ([row.get(k, "") for k in fields] for row in rows))
     _write_json(out_dir / "comparison.json", {"schema_version": SCHEMA_VERSION,
                                               "config": _echo(spec), "variants": rows})
     return rows

@@ -241,8 +241,6 @@ def _mode_factors(grid: Grid, kl: KLExpansion) -> list[tuple[np.ndarray, np.ndar
 
 def _coercivity_check(kl: KLExpansion, factors: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Warn when the field can lose positivity at a hypercube corner."""
-    if not factors:
-        return
     # worst case over xi in [-sqrt3, sqrt3]^M is a0 - sqrt3 * sum |modes|,
     # the sum taken at every Gauss point (x_i, y_j) as an outer product
     fx = np.abs([f.ravel() for f, _ in factors])

@@ -83,6 +83,7 @@ from .pgd import PgdSolution, handle_nonhomogeneous_bc, solve_pgd
 from .randfield import ExponentialCovariance, KLExpansion, build_kl
 
 __all__ = [
+    "ConfigError",
     "MeanPreconditioner",
     "SolveReport",
     "apply_preconditioned",
@@ -190,9 +191,12 @@ class SolveReport:
     matvecs: int
     residual_history: list[float]
     final_rank: int
-    converged: bool
     status: str
     wall_times: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def _gram_solve(Gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -271,8 +275,7 @@ def solve(
     n_x, n_xi = A.shape
     fnorm = norm(A.rhs)
     if fnorm == 0.0:
-        report = SolveReport(0, 0, [0.0], 0, True, "converged",
-                             {"setup": t_setup, "solve": 0.0})
+        report = SolveReport(0, 0, [0.0], 0, "converged", {"setup": t_setup, "solve": 0.0})
         return FactoredVector.zero(n_x, n_xi), report
 
     # iterate in the preconditioned variable u_hat = M u
@@ -322,8 +325,7 @@ def solve(
         cycles += 1
 
     t_solve = time.perf_counter() - t1
-    converged = status == "converged"
-    if not converged:
+    if status != "converged":
         warnings.warn(
             f"projection solver stopped after {cycles} cycles at relative "
             f"residual {history[-1]:.3e} ({status})",
@@ -334,15 +336,18 @@ def solve(
     else:
         solution = P.solve(u_hat)
     report = SolveReport(
-        cycles,
-        matvecs,
-        history,
-        solution.rank,
-        converged,
-        status,
-        {"setup": t_setup, "solve": t_solve},
+        cycles, matvecs, history, solution.rank, status, {"setup": t_setup, "solve": t_solve}
     )
     return solution, report
+
+
+class ConfigError(ValueError):
+    """A configuration value out of range, named in the message.
+
+    ``PipelineSpec`` raises it for values it checks alone, ``build_stochastic``
+    for values whose KL expansion or chaos basis exceeds a size limit
+    (``randfield.MAX_1D_MODES``, ``chaos.MAX_INDEX_SET_SIZE``).
+    """
 
 
 @dataclass(frozen=True)
@@ -351,7 +356,7 @@ class PipelineSpec:
 
     The single configuration of the package: the command line reads its
     config files into this class, with the field names as keys.
-    Construction checks every field and raises one ValueError that names
+    Construction checks every field and raises one ConfigError that names
     all problems found.
     """
 
@@ -405,7 +410,7 @@ class PipelineSpec:
             if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
                 errors.append(f"{f.name} must be finite, got {value}")
         if errors:
-            raise ValueError("; ".join(errors))
+            raise ConfigError("; ".join(errors))
 
 
 @dataclass
@@ -414,21 +419,29 @@ class PipelineResult:
     report: SolveReport
     pgd: PgdSolution
     kl: KLExpansion
-    n_xi: int
     fine_grid: fem.Grid
     coarse_grid: fem.Grid
     fine_operator: StochasticOperator
+    bc_lift: fem.BoundaryLift | None  # Dirichlet data of the fine problem
+
+    @property
+    def n_xi(self) -> int:
+        return self.fine_operator.shape[1]
 
 
 def build_stochastic(spec: PipelineSpec) -> tuple[KLExpansion, StochasticMatrices]:
     """The KL expansion of the field and the chaos coupling matrices."""
-    kl = build_kl(
-        ExponentialCovariance(spec.sigma, spec.corr_len, spec.domain),
-        spec.mean_a0,
-        capture=None if spec.num_modes is not None else CAPTURE,
-        num_modes=spec.num_modes,
-    )
-    return kl, build_stochastic_matrices(build_spectral_basis(kl.num_modes, spec.degree))
+    cov = ExponentialCovariance(spec.sigma, spec.corr_len, spec.domain)
+    capture = None if spec.num_modes is not None else CAPTURE
+    try:
+        kl = build_kl(cov, spec.mean_a0, capture=capture, num_modes=spec.num_modes)
+        basis = build_spectral_basis(kl.num_modes, spec.degree)
+    except ValueError as exc:  # a size limit; the spec has checked every other input
+        modes = "auto" if spec.num_modes is None else spec.num_modes
+        raise ConfigError(
+            f"corr_len = {spec.corr_len}, num_modes = {modes}, degree = {spec.degree}: {exc}"
+        ) from None
+    return kl, build_stochastic_matrices(basis)
 
 
 def build_problem(
@@ -483,7 +496,7 @@ def pipeline(spec: PipelineSpec) -> PipelineResult:
         trunc = TruncationOperator("svd-rank", rank=pgd_sol.Zc.shape[1])
 
     t1 = time.perf_counter()
-    fine_grid, _, A_fine = build_problem(spec, spec.fine_level, kl, stoch)
+    fine_grid, spatial, A_fine = build_problem(spec, spec.fine_level, kl, stoch)
     times["fine_assembly"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -493,12 +506,5 @@ def pipeline(spec: PipelineSpec) -> PipelineResult:
     report.wall_times = times
 
     return PipelineResult(
-        solution,
-        report,
-        pgd_sol,
-        kl,
-        stoch.G0.shape[0],
-        fine_grid,
-        coarse_grid,
-        A_fine,
+        solution, report, pgd_sol, kl, fine_grid, coarse_grid, A_fine, spatial.bc_lift
     )

@@ -99,7 +99,7 @@ class FactoredVector:
     The constructor copies and freezes the arrays it is given.
     ``orthonormal`` records that Z has orthonormal columns by construction;
     only the package's own constructors (the truncations and ``fold``) set
-    it, and ``norm`` and ``inner`` then skip the factor QRs and Gram
+    it, and ``norm`` and ``coordinates`` then skip the factor QRs and Gram
     products.
     """
 
@@ -148,18 +148,21 @@ class FactoredVector:
 class StochasticOperator:
     """Kronecker-sum operator sum_l G_l (x) K_l with a factored right-hand side.
 
-    ``symmetric`` marks every K_l symmetric (diffusion); the mean spatial
-    block terms[0][1] already contains any convection and stabilization
-    terms; term l pairs G_l with K_l for every KL mode l.  ``bc_values``
-    carries nodal Dirichlet data of the originating problem for
-    reconstruction (``pgd.handle_nonhomogeneous_bc`` records it); it does
-    not enter the algebra.
+    The mean spatial block terms[0][1] already contains any convection and
+    stabilization terms; term l pairs G_l with K_l for every KL mode l.
+    ``symmetric`` states that every K_l is symmetric in exact arithmetic
+    (diffusion, no transport term); every constructor must say so, because
+    the flag cannot be read off the matrices.  ``fem._mass_1d`` multiplies
+    c psi_a psi_b in index order, so on level 6 the assembled K_l for l >= 1
+    differ from their transposes in 18-28% of their entries, by at most
+    5.6e-17 relative; only K_0 is exactly symmetric.  PGD's banded Cholesky
+    reads the lower triangle by design, and a transport operator flagged
+    symmetric fails there.
     """
 
     terms: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]
     rhs: FactoredVector
-    symmetric: bool = True
-    bc_values: np.ndarray | None = None
+    symmetric: bool
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -253,8 +256,6 @@ def coordinates(u: FactoredVector, Z: np.ndarray) -> np.ndarray:
     """
     if u.Z is Z and u.orthonormal:
         return u.Y
-    if u.rank == 0:
-        return np.zeros((u.shape[0], Z.shape[1]))
     return u.Y @ (u.Z.T @ Z)
 
 
@@ -266,8 +267,6 @@ def inners(vectors, w: FactoredVector) -> np.ndarray:
     for i, v in enumerate(vectors):
         if v.shape != w.shape:
             raise ValueError(f"shape mismatch {v.shape} vs {w.shape}")
-        if v.rank == 0 or w.rank == 0:
-            continue
         P = frames.get(id(v.Z))
         if P is None:
             P = frames[id(v.Z)] = coordinates(w, v.Z)
@@ -276,17 +275,12 @@ def inners(vectors, w: FactoredVector) -> np.ndarray:
 
 
 def inner(u: FactoredVector, v: FactoredVector) -> float:
-    """<u, v> = trace((Y_u^T Y_v)(Z_v^T Z_u)) via rank x rank Gram matrices.
+    """<u, v> = <Y_u, coordinates(v, Z_u)>_F, the one-vector case of ``inners``.
 
-    Vectors sharing one orthonormal Z give the Frobenius dot of Y_u and Y_v.
+    For a flagged v whose Z is Z_u that is the Frobenius dot of Y_u and Y_v,
+    the shortcut in ``coordinates``.
     """
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    if u.rank == 0 or v.rank == 0:
-        return 0.0
-    if u.orthonormal and u.Z is v.Z:
-        return float(np.vdot(u.Y, v.Y))
-    return float(np.sum((u.Y.T @ v.Y) * (u.Z.T @ v.Z)))
+    return float(inners([u], v)[0])
 
 
 def norm(u: FactoredVector) -> float:

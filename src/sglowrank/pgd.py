@@ -88,7 +88,6 @@ class PgdSolution:
     """Separated coarse solution with its orthonormal stochastic basis."""
 
     factors: FactoredVector
-    rel_residual: float
     Zc: np.ndarray
     converged: bool
     residual_history: tuple[float, ...]
@@ -97,6 +96,11 @@ class PgdSolution:
     def kappa(self) -> int:
         """Rank of the separated solution."""
         return self.factors.rank
+
+    @property
+    def rel_residual(self) -> float:
+        """Relative residual of ``factors``, the last checkpoint."""
+        return self.residual_history[-1]
 
 
 class _Condensation:
@@ -304,8 +308,7 @@ def handle_nonhomogeneous_bc(A: StochasticOperator, lift) -> StochasticOperator:
 
     ``lift`` is a fem.BoundaryLift.  Term l of the operator contributes the
     rank-one piece (G_l e_1) (x) (-A_l[int, bnd] g_D); columns are appended
-    to the stored rhs and the nodal boundary values are recorded for
-    reconstruction.
+    to the stored rhs.
     """
     if lift is None:
         return A
@@ -328,7 +331,7 @@ def handle_nonhomogeneous_bc(A: StochasticOperator, lift) -> StochasticOperator:
         rhs = FactoredVector.zero(n_x, n_xi)
     else:
         rhs = truncate_svd(FactoredVector(np.hstack(y_cols), np.hstack(z_cols)))
-    return StochasticOperator(A.terms, rhs, symmetric=A.symmetric, bc_values=lift.values_full)
+    return StochasticOperator(A.terms, rhs, symmetric=A.symmetric)
 
 
 def extract_stochastic_basis(u: FactoredVector) -> np.ndarray:
@@ -365,7 +368,7 @@ def solve_pgd(A: StochasticOperator, eps: float, seed: int = 0) -> PgdSolution:
     rng = np.random.default_rng(seed)
     fnorm = norm(A.rhs)
     if fnorm == 0.0:
-        return PgdSolution(FactoredVector.zero(n_x, n_xi), 0.0, np.zeros((n_xi, 0)), True, (0.0,))
+        return PgdSolution(FactoredVector.zero(n_x, n_xi), np.zeros((n_xi, 0)), True, (0.0,))
 
     workspace = _Workspace(A)
     history = []
@@ -396,4 +399,4 @@ def solve_pgd(A: StochasticOperator, eps: float, seed: int = 0) -> PgdSolution:
             f"PGD stopped at rank {u.rank} with relative residual {rel:.3e} > {eps:.1e}",
             stacklevel=2,
         )
-    return PgdSolution(u, rel, extract_stochastic_basis(u), converged, tuple(history))
+    return PgdSolution(u, extract_stochastic_basis(u), converged, tuple(history))

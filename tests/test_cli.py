@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sglowrank import randfield
 from sglowrank.cli import (
     ConfigError,
     _echo,
@@ -242,6 +243,29 @@ class TestMainEntry:
                 main(argv + ["--config", str(path), "--out", str(tmp_path / "flag")])
             assert exc.value.code == 2, argv
             assert not (tmp_path / "flag").exists(), argv
+
+    def test_size_limits_exit_two(self, tmp_path, capsys, monkeypatch):
+        # values in range alone whose chaos basis or KL expansion exceeds a
+        # size limit, which only the run finds
+        config = str(ROOT / "configs" / "diffusion_c4.cfg")
+        cases = [
+            (["num_modes=40", "degree=6"], None,
+             "num_modes = 40, degree = 6: index set of size 9366819 exceeds the limit"),
+            # a smaller 1D mode limit fails after two KL builds, not seven
+            (["num_modes=auto", "corr_len=0.0005"], 32,
+             "corr_len = 0.0005, num_modes = auto, degree = 3: capture target not reachable"),
+        ]
+        for sets, max_1d_modes, named in cases:
+            if max_1d_modes is not None:
+                monkeypatch.setattr(randfield, "MAX_1D_MODES", max_1d_modes)
+            for command in ("run", "compare"):
+                out = tmp_path / command
+                argv = [command, "--config", config, "--out", str(out)]
+                code = main(argv + [arg for s in sets for arg in ("--set", s)])
+                assert code == 2, (command, sets)
+                err = capsys.readouterr().err
+                assert "invalid configuration" in err and named in err, err
+                assert not (out / "report.json").exists() and not (out / "comparison.csv").exists()
 
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

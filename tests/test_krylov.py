@@ -1,9 +1,13 @@
+import ast
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from oracles import dense_gmres, dense_operator, dense_vec, random_factored
-from sglowrank import krylov, lowrank
+from sglowrank import krylov, lowrank, pgd
 from sglowrank.chaos import build_spectral_basis, build_stochastic_matrices
 from sglowrank.fem import assemble_diffusion, make_grid
 from sglowrank.krylov import (
@@ -14,6 +18,7 @@ from sglowrank.krylov import (
     solve,
 )
 from sglowrank.lowrank import (
+    FactoredVector,
     StochasticOperator,
     TruncationOperator,
     add,
@@ -90,10 +95,10 @@ class TestPreconditioner:
         G0[1, 1] = np.nextafter(1.0, 2.0)
         terms = ((G0.tocsr(), A.terms[0][1]),) + A.terms[1:]
         with pytest.raises(ValueError, match="G_0 = I"):
-            MeanPreconditioner(StochasticOperator(terms, A.rhs))
+            MeanPreconditioner(StochasticOperator(terms, A.rhs, A.symmetric))
         scaled = ((2.0 * sp.identity(A.shape[1], format="csr"), A.terms[0][1]),) + A.terms[1:]
         with pytest.raises(ValueError, match="G_0 = I"):
-            MeanPreconditioner(StochasticOperator(scaled, A.rhs))
+            MeanPreconditioner(StochasticOperator(scaled, A.rhs, A.symmetric))
 
 
 class TestFold:
@@ -201,6 +206,56 @@ class TestFixedFrame:
         with pytest.warns(UserWarning, match="vanished"):
             _, report = solve(A, trunc, 1e-6)
         assert report.status == "basis-vanished" and report.cycles == 0
+
+    def test_zero_rhs_is_solved_by_the_zero_vector(self):
+        A = galerkin_operator()
+        zero = StochasticOperator(A.terms, FactoredVector.zero(*A.shape), A.symmetric)
+        u, report = solve(zero, no_truncation(A), 1e-6)
+        assert u.shape == A.shape and u.rank == 0
+        assert (report.cycles, report.matvecs, report.status) == (0, 0, "converged")
+        assert report.converged and report.residual_history == [0.0]
+
+
+def perfbench_warning_kinds() -> dict:
+    """``WARNING_KINDS`` of perfbench/run.py, read without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WARNING_KINDS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path} assigns no WARNING_KINDS")
+
+
+def test_perfbench_warning_fragments_match_the_warnings(monkeypatch):
+    # perfbench counts warnings by text fragment (krylov.gram_rank_deficient,
+    # krylov.residual_increases, pgd.nonconverged, ...); a reworded warning
+    # would count zero there without failing anything else
+    caught = {}
+
+    def record(kinds, call):
+        with warnings.catch_warnings(record=True) as found:
+            warnings.simplefilter("always")
+            out = call()
+        for kind in kinds:
+            caught[kind] = [str(w.message) for w in found]
+        return out
+
+    singular = np.ones((2, 2))
+    record(["gram_rank_deficient"], lambda: krylov._gram_solve(singular, np.ones(2), "projection"))
+    A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
+    _, report = record(["residual_increases", "solver_stopped"],
+                       lambda: solve(A, TruncationOperator("svd-rank", rank=2), 1e-6, m=4))
+    assert report.status == "basis-limited"
+    assert any(text.startswith("cycle 2 increased") for text in caught["residual_increases"])
+    orthogonal = TruncationOperator("projection", basis=np.eye(A.shape[1])[:, 1:4])
+    record(["basis_vanished"], lambda: solve(A, orthogonal, 1e-6))
+    monkeypatch.setattr(pgd, "MAX_RANK", 3)
+    record(["pgd_nonconverged"],
+           lambda: solve_pgd(galerkin_operator(level=3, M=4, p=2, sigma=0.2, c=1.5), 1e-12))
+
+    kinds = perfbench_warning_kinds()
+    assert set(kinds) == set(caught)
+    for kind, fragment in kinds.items():
+        assert any(fragment in text for text in caught[kind]), (kind, fragment, caught[kind])
 
 
 class TestSolve:

@@ -120,7 +120,7 @@ class TestWorkspace:
             return sp.csr_matrix(M.toarray() * keep)
 
         terms = tuple((masked(G) if l else G, masked(K)) for l, (G, K) in enumerate(base.terms))
-        A = StochasticOperator(terms, base.rhs)
+        A = StochasticOperator(terms, base.rhs, base.symmetric)
         ws = _Workspace(A)
         for cond, mats in ((ws.spatial, [K for _, K in terms]), (ws.stochastic, [G for G, _ in terms])):
             # every term misses entries of the union pattern
@@ -139,11 +139,19 @@ class TestWorkspace:
         G, K = A.terms[1]
         G = G.tolil()
         G[0, 1] += 1.0
-        bad = StochasticOperator((A.terms[0], (G.tocsr(), K), A.terms[2]), A.rhs)
+        bad = StochasticOperator((A.terms[0], (G.tocsr(), K), A.terms[2]), A.rhs, A.symmetric)
         with pytest.raises(ValueError, match="symmetric"):
             _Workspace(bad)
         with pytest.raises(ValueError, match="symmetric"):
             solve_pgd(bad, 1e-6)
+
+    def test_symmetry_flag_has_no_default(self):
+        # flagged symmetric, this transport operator fails in the banded Cholesky
+        A, _ = cd_operator()
+        with pytest.raises(TypeError, match="symmetric"):
+            StochasticOperator(A.terms, A.rhs)
+        assert not A.symmetric
+        assert solve_pgd(A, 1e-6).kappa == 10
 
     @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion"])
     def test_cached_blocks_give_dense_right_hand_sides(self, rng, kind):
@@ -266,12 +274,7 @@ class TestSolvePgd:
 
     def test_scale_invariance(self):
         A = diffusion_operator(level=3, M=3, p=2, sigma=0.1)
-        scaled = type(A)(
-            A.terms,
-            scale(A.rhs, 10.0),
-            symmetric=A.symmetric,
-            bc_values=A.bc_values,
-        )
+        scaled = StochasticOperator(A.terms, scale(A.rhs, 10.0), A.symmetric)
         sol = solve_pgd(A, 1e-6)
         sol10 = solve_pgd(scaled, 1e-6)
         assert sol10.kappa == sol.kappa
@@ -287,6 +290,47 @@ class TestSolvePgd:
         assert a.kappa == b.kappa
         assert np.array_equal(a.factors.Y, b.factors.Y)
         assert np.array_equal(a.factors.Z, b.factors.Z)
+
+    def test_zero_rhs_gives_rank_zero(self):
+        A = diffusion_operator()
+        zero = StochasticOperator(A.terms, FactoredVector.zero(*A.shape), A.symmetric)
+        sol = solve_pgd(zero, 1e-6)
+        assert sol.kappa == 0 and sol.converged and sol.rel_residual == 0.0
+        assert sol.Zc.shape == (A.shape[1], 0)
+
+    def test_failed_start_restarts_from_seeded_random_z(self, monkeypatch):
+        A = diffusion_operator(level=3, M=3, p=2, sigma=0.1)
+        solve_spatial = _Workspace.solve_spatial
+
+        def solve_failing_first(seed):
+            starts = []
+
+            def failing_first(ws, z):
+                starts.append(z.copy())
+                if len(starts) == 1:
+                    raise np.linalg.LinAlgError("singular condensed matrix")
+                return solve_spatial(ws, z)
+
+            monkeypatch.setattr(_Workspace, "solve_spatial", failing_first)
+            return solve_pgd(A, 1e-6, seed=seed), starts
+
+        a, starts = solve_failing_first(7)
+        b, _ = solve_failing_first(7)
+        assert np.array_equal(starts[0], np.eye(A.shape[1])[0])
+        z = np.random.default_rng(7).standard_normal(A.shape[1])
+        assert np.array_equal(starts[1], z / np.linalg.norm(z))
+        assert a.converged
+        assert np.array_equal(a.factors.Y, b.factors.Y)
+        assert np.array_equal(a.factors.Z, b.factors.Z)
+        other, _ = solve_failing_first(8)
+        assert not np.array_equal(other.factors.Y[:, 0], a.factors.Y[:, 0])
+
+        def singular(ws, z):
+            raise np.linalg.LinAlgError("singular condensed matrix")
+
+        monkeypatch.setattr(_Workspace, "solve_spatial", singular)
+        with pytest.raises(RuntimeError, match="enrichment failed after 3 random restarts"):
+            solve_pgd(A, 1e-6)
 
     def test_max_rank_flags_nonconvergence(self, monkeypatch):
         A = diffusion_operator(level=3, M=4, p=2, sigma=0.2, c=1.5)
@@ -340,16 +384,15 @@ class TestBoundaryLift:
         assert out is A
 
     def test_reconstruction_satisfies_boundary_values(self):
-        A, _ = cd_operator(level=3)
+        A, spatial = cd_operator(level=3)
         grid = make_grid(3, BIG)
         sol = solve_pgd(A, 1e-8)
         from sglowrank.fem import interior_to_full
 
-        mean_field = interior_to_full(
-            grid, sol.factors.Y @ sol.factors.Z[0], A.bc_values
-        )
+        g = spatial.bc_lift.values_full
+        mean_field = interior_to_full(grid, sol.factors.Y @ sol.factors.Z[0], g)
         bnd = np.setdiff1d(np.arange(grid.n_nodes), grid.interior_indices())
-        assert mean_field[bnd] == pytest.approx(A.bc_values[bnd], abs=0)
+        assert mean_field[bnd] == pytest.approx(g[bnd], abs=0)
 
     def test_lift_alignment_with_dropped_terms(self, rng):
         # a vanishing middle KL matrix must not shift later lift couplings
