@@ -206,10 +206,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def run_experiment(spec: PipelineSpec, out_dir: Path) -> dict:
     """Full pipeline run; writes the four result files and returns the report dict."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = pipeline(spec)
     report = _report_dict(spec, result)
     validate_report(report)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", report)
     history = report["solve"]["residual_history"]
     _write_csv(out_dir / "residual_history.csv", ["cycle", "rel_residual"],
@@ -239,7 +239,6 @@ def run_comparison(spec: PipelineSpec, variants, out_dir: Path) -> list[dict]:
     unknown = set(variants) - set(VARIANTS)
     if unknown:
         raise ConfigError(f"unknown variants: {sorted(unknown)}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for variant in variants:
         entry = {"variant": variant}
@@ -281,6 +280,7 @@ def run_comparison(spec: PipelineSpec, variants, out_dir: Path) -> list[dict]:
     fields = ["variant", "kappa", "final_rank", "cycles", "matvecs",
               "rel_residual", "converged", "coarse_time", "solve_time",
               "total_time", "error"]
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "comparison.csv", fields,
                ([row.get(k, "") for k in fields] for row in rows))
     _write_json(out_dir / "comparison.json", {"schema_version": SCHEMA_VERSION,
@@ -331,12 +331,12 @@ def main(argv=None) -> int:
 
 def coarse_only(spec: PipelineSpec, out_dir: Path) -> dict:
     """Coarse assembly and PGD only; saves the coarse solution and the stochastic basis."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     kl, stoch = build_stochastic(spec)
     grid, sol = run_pgd(spec, kl, stoch)
+    out_dir.mkdir(parents=True, exist_ok=True)
     np.savez(out_dir / "coarse_solution.npz", Y=sol.factors.Y, Z=sol.factors.Z)
     np.save(out_dir / "stochastic_basis.npy", sol.Zc)
-    payload = _coarse_report(spec, kl, stoch.G0.shape[0], grid, sol)
+    payload = _coarse_report(spec, kl, sol.Zc.shape[0], grid, sol)
     _write_json(out_dir / "coarse_report.json", payload)
     if not sol.converged:
         raise NonConvergence(f"coarse PGD stopped at {sol.rel_residual:.3e}")
@@ -350,17 +350,17 @@ def export_matrices(spec: PipelineSpec, out_dir: Path) -> None:
     mat(F) = Y Z^T; for convection-diffusion that is the Dirichlet lift,
     which ``f0.txt`` (the load, zero there) does not carry.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     kl, stoch = build_stochastic(spec)
     _, spatial, A = build_problem(spec, spec.fine_level, kl, stoch)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for l, K in enumerate(spatial.K):
         mmwrite(out_dir / f"K{l}.mtx", K)
     if spatial.N is not None:
         mmwrite(out_dir / "N.mtx", spatial.N)
     if spatial.S is not None:
         mmwrite(out_dir / "S.mtx", spatial.S)
-    mmwrite(out_dir / "G0.mtx", stoch.G0)
-    for l, G in enumerate(stoch.Gl, start=1):
+    mmwrite(out_dir / "G0.mtx", A.terms[0][0])  # the identity the operator pairs with K_0
+    for l, G in enumerate(stoch, start=1):
         mmwrite(out_dir / f"G{l}.mtx", G)
     np.savetxt(out_dir / "f0.txt", spatial.f0)
     np.savez(out_dir / "rhs.npz", Y=A.rhs.Y, Z=A.rhs.Z)

@@ -38,7 +38,6 @@ from .randfield import KLExpansion, max_theta_and_halfwave, mode_factors
 
 __all__ = [
     "Grid",
-    "GridStretch",
     "SpatialMatrices",
     "BoundaryLift",
     "make_grid",
@@ -62,17 +61,6 @@ POINTS_PER_HALFWAVE = 8.0
 MAX_COARSE_LEVEL = 12
 #: largest element height ratio of a boundary-layer grading
 MAX_STRETCH_RATIO = 1.5
-
-
-@dataclass(frozen=True)
-class GridStretch:
-    """Geometric grading of element heights toward the top wall y = y_hi."""
-
-    ratio: float
-
-    def __post_init__(self):
-        if self.ratio <= 1.0:
-            raise ValueError(f"stretch ratio must exceed 1, got {self.ratio}")
 
 
 @dataclass(frozen=True)
@@ -128,24 +116,25 @@ class SpatialMatrices:
     bc_lift: BoundaryLift | None = None
 
 
-def make_grid(level: int, domain: tuple[float, float, float, float], stretch: GridStretch | None = None) -> Grid:
+def make_grid(level: int, domain: tuple[float, float, float, float], ratio: float | None = None) -> Grid:
     """Structured grid with 2^level elements per side.
 
-    With ``stretch``, element heights form a geometric progression that
-    decreases toward y = y_hi by the given ratio; widths stay uniform.
+    With ``ratio``, element heights form a geometric progression that
+    decreases toward y = y_hi by that ratio; widths stay uniform.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
+    if ratio is not None and ratio <= 1.0:
+        raise ValueError(f"stretch ratio must exceed 1, got {ratio}")
     x_lo, x_hi, y_lo, y_hi = domain
     n = 2**level
     x = np.linspace(x_lo, x_hi, n + 1)
-    if stretch is None:
+    if ratio is None:
         y = np.linspace(y_lo, y_hi, n + 1)
     else:
-        r = stretch.ratio
         # wall-adjacent element has the smallest height h_min; heights grow
-        # by r moving away from y_hi
-        heights = r ** np.arange(n - 1, -1, -1)
+        # by the ratio moving away from y_hi
+        heights = ratio ** np.arange(n - 1, -1, -1)
         heights *= (y_hi - y_lo) / heights.sum()
         y = np.concatenate([[y_lo], y_lo + np.cumsum(heights)])
         y[-1] = y_hi
@@ -154,8 +143,8 @@ def make_grid(level: int, domain: tuple[float, float, float, float], stretch: Gr
 
 def stretch_for_boundary_layer(
     level: int, domain: tuple[float, float, float, float], nu: float
-) -> GridStretch | None:
-    """Grading whose wall element height is about nu, ratio at most MAX_STRETCH_RATIO.
+) -> float | None:
+    """Grading ratio whose wall element height is about nu, at most MAX_STRETCH_RATIO.
 
     Returns None when the uniform grid already resolves the layer.
     """
@@ -168,7 +157,7 @@ def stretch_for_boundary_layer(
         return height * (r - 1.0) / (r**n - 1.0)
 
     if wall_height(MAX_STRETCH_RATIO) >= nu:
-        return GridStretch(MAX_STRETCH_RATIO)
+        return MAX_STRETCH_RATIO
     lo, hi = 1.0 + 1e-12, MAX_STRETCH_RATIO
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -176,7 +165,7 @@ def stretch_for_boundary_layer(
             lo = mid
         else:
             hi = mid
-    return GridStretch(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 def _gauss_points(t: np.ndarray) -> np.ndarray:
@@ -321,18 +310,16 @@ def assemble_convection_diffusion(grid: Grid, kl: KLExpansion, nu: float) -> Spa
     )
 
 
-def recommend_coarse_level(
-    kl: KLExpansion, problem_kind: str = "diffusion", nu: float | None = None
-) -> int:
+def recommend_coarse_level(kl: KLExpansion, nu: float | None = None) -> int:
     """Coarsest dyadic level resolving the retained KL modes.
 
     The target spacing is half_wavelength / POINTS_PER_HALFWAVE; since dyadic
     spacings cannot match it exactly, the coarsest level within a factor two
-    of the target is chosen.  For convection-diffusion the level must also
-    resolve the outflow layer of width O(nu): the spacing must not exceed the
-    geometric mean of the wall-normal extent and nu, which is what a graded
-    mesh with wall element about nu supports.  No level exceeds
-    MAX_COARSE_LEVEL.
+    of the target is chosen.  A convection-diffusion problem passes its
+    viscosity ``nu``; the level must then also resolve the outflow layer of
+    width O(nu): the spacing must not exceed the geometric mean of the
+    wall-normal extent and nu, which is what a graded mesh with wall element
+    about nu supports.  No level exceeds MAX_COARSE_LEVEL.
     """
     _, halfwave = max_theta_and_halfwave(kl)
     Lx, Ly = kl.cov.lengths
@@ -342,16 +329,12 @@ def recommend_coarse_level(
     while side / 2**level > target and level < MAX_COARSE_LEVEL:
         level += 1
 
-    if problem_kind == "convection-diffusion":
-        if nu is None:
-            raise ValueError("nu is required for convection-diffusion")
+    if nu is not None:
         layer_target = np.sqrt(Ly * nu)
         layer_level = 1
         while Ly / 2**layer_level > layer_target and layer_level < MAX_COARSE_LEVEL:
             layer_level += 1
         level = max(level, layer_level)
-    elif problem_kind != "diffusion":
-        raise ValueError(f"unknown problem kind {problem_kind!r}")
     return level
 
 

@@ -60,7 +60,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .chaos import StochasticMatrices, build_spectral_basis, build_stochastic_matrices
+from .chaos import build_spectral_basis, build_stochastic_matrices
 # apply_operator is not called here; it stays a module attribute because
 # perfbench/spans.py traces krylov.apply_operator
 from .lowrank import (  # noqa: F401
@@ -108,9 +108,6 @@ GRAM_RCOND = 1e-12
 STAGNATION_TOL = 1e-2
 #: cycle cap of ``solve``
 MAX_CYCLES = 50
-#: share of the field variance the KL truncation keeps when
-#: ``PipelineSpec.num_modes`` is unset
-CAPTURE = 0.95
 
 
 class MeanPreconditioner:
@@ -368,7 +365,7 @@ class PipelineSpec:
     degree: int = 3
     fine_level: int = 6
     eps: float = 1e-5
-    num_modes: int | None = None  # None means capture CAPTURE of the variance
+    num_modes: int | None = None  # None means capture randfield.CAPTURE of the variance
     coarse_level: int | None = None  # None means choose automatically
     nu: float | None = None
     m: int = 8
@@ -429,23 +426,22 @@ class PipelineResult:
         return self.fine_operator.shape[1]
 
 
-def build_stochastic(spec: PipelineSpec) -> tuple[KLExpansion, StochasticMatrices]:
-    """The KL expansion of the field and the chaos coupling matrices."""
+def build_stochastic(spec: PipelineSpec) -> tuple[KLExpansion, tuple[sp.csr_matrix, ...]]:
+    """The KL expansion of the field and the chaos coupling matrices G_1..G_M."""
     cov = ExponentialCovariance(spec.sigma, spec.corr_len, spec.domain)
-    capture = None if spec.num_modes is not None else CAPTURE
     try:
-        kl = build_kl(cov, spec.mean_a0, capture=capture, num_modes=spec.num_modes)
-        basis = build_spectral_basis(kl.num_modes, spec.degree)
+        kl = build_kl(cov, spec.mean_a0, spec.num_modes)
+        indices = build_spectral_basis(kl.num_modes, spec.degree)
     except ValueError as exc:  # a size limit; the spec has checked every other input
         modes = "auto" if spec.num_modes is None else spec.num_modes
         raise ConfigError(
             f"corr_len = {spec.corr_len}, num_modes = {modes}, degree = {spec.degree}: {exc}"
         ) from None
-    return kl, build_stochastic_matrices(basis)
+    return kl, build_stochastic_matrices(indices)
 
 
 def build_problem(
-    spec: PipelineSpec, level: int, kl: KLExpansion, stoch: StochasticMatrices
+    spec: PipelineSpec, level: int, kl: KLExpansion, stoch: tuple[sp.csr_matrix, ...]
 ) -> tuple[fem.Grid, fem.SpatialMatrices, StochasticOperator]:
     """Grid, spatial matrices and Galerkin operator of ``spec`` on ``level``.
 
@@ -464,7 +460,7 @@ def build_problem(
 
 
 def run_pgd(
-    spec: PipelineSpec, kl: KLExpansion, stoch: StochasticMatrices, level: int | None = None
+    spec: PipelineSpec, kl: KLExpansion, stoch: tuple[sp.csr_matrix, ...], level: int | None = None
 ) -> tuple[fem.Grid, PgdSolution]:
     """The grid of ``level`` and the PGD solution of ``spec`` on it.
 
@@ -475,7 +471,7 @@ def run_pgd(
     if level is None:
         level = spec.coarse_level
     if level is None:
-        level = fem.recommend_coarse_level(kl, problem_kind=spec.kind, nu=spec.nu)
+        level = fem.recommend_coarse_level(kl, spec.nu)
     grid, _, A = build_problem(spec, level, kl, stoch)
     sol = solve_pgd(A, spec.pgd_eps if spec.pgd_eps is not None else spec.eps, seed=spec.seed)
     return grid, sol

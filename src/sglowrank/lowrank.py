@@ -360,16 +360,17 @@ def residual_norm(A: StochasticOperator, u: FactoredVector) -> float:
     return norm(add(A.rhs, scale(apply_operator(A, u), -1.0)))
 
 
-def build_operator(spatial, stoch) -> StochasticOperator:
-    """Assemble the Kronecker-sum operator from spatial and stochastic parts.
+def build_operator(spatial, Gl) -> StochasticOperator:
+    """Assemble the Kronecker-sum operator from spatial matrices and G_1..G_M.
 
     Convection and stabilization matrices are folded into the mean spatial
-    block (they pair with the same G_0), which keeps the per-matvec rank
+    block (they pair with the same G_0 = I), which keeps the per-matvec rank
     growth at M+1 terms; the operator is symmetric exactly when there is no
     transport term.  Every KL term is kept, also one whose spatial matrix
     vanishes (sigma = 0).  The right-hand side is the rank-one
-    tensor g_0 (x) f_0; Dirichlet lift contributions and the boundary values
-    are added separately (``pgd.handle_nonhomogeneous_bc``).
+    tensor g_0 (x) f_0 with g_0 = e_1, the constant chaos polynomial;
+    Dirichlet lift contributions and the boundary values are added
+    separately (``pgd.handle_nonhomogeneous_bc``).
     """
     mean = spatial.K[0]
     if spatial.N is not None:
@@ -377,12 +378,12 @@ def build_operator(spatial, stoch) -> StochasticOperator:
     if spatial.S is not None:
         mean = mean + spatial.S
 
-    terms = [(stoch.G0, mean.tocsr())]
-    terms.extend(zip(stoch.Gl, spatial.K[1:], strict=True))
+    n_xi = Gl[0].shape[0]
+    terms = [(sp.identity(n_xi, format="csr"), mean.tocsr())]
+    terms.extend(zip(Gl, spatial.K[1:], strict=True))
 
-    n_xi = stoch.g0.shape[0]
     if np.any(spatial.f0):
-        rhs = FactoredVector.rank_one(spatial.f0, stoch.g0)
+        rhs = FactoredVector.rank_one(spatial.f0, np.eye(n_xi, 1))
     else:
         rhs = FactoredVector.zero(spatial.f0.shape[0], n_xi)
     return StochasticOperator(tuple(terms), rhs, symmetric=spatial.N is None)

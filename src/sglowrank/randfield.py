@@ -25,7 +25,10 @@ and both families share the eigenvalue formula
     lambda = 2 c / (1 + c^2 theta^2).
 
 All construction here is exact up to root-finding tolerance; no spatial grid
-is involved.
+is involved.  M is pinned or is the smallest count that captures CAPTURE of
+the variance.  The package reads a mode only through its per-axis factors
+(``mode_factors``, which ``fem`` evaluates at Gauss points); the pointwise
+evaluators the test suite checks against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "KLExpansion",
     "solve_1d_eigenproblem",
     "build_kl",
-    "eval_mode",
     "mode_factors",
     "max_theta_and_halfwave",
 ]
@@ -53,6 +55,8 @@ ROOT_RTOL = 1e-13
 BRACKET_SHRINK = 1e-9
 #: most 1D eigenpairs per axis ``build_kl`` computes
 MAX_1D_MODES = 512
+#: share of the field variance ``build_kl`` keeps when no mode count is pinned
+CAPTURE = 0.95
 
 
 @dataclass(frozen=True)
@@ -104,14 +108,6 @@ class Eigenpair1D:
         if self.parity == "even":
             return self.norm_const * np.cos(self.theta * s)
         return self.norm_const * np.sin(self.theta * s)
-
-    def equation_residual(self, corr_len: float) -> float:
-        """Residual of the defining transcendental equation at this root."""
-        half = 0.5 * self.length
-        t = math.tan(self.theta * half)
-        if self.parity == "even":
-            return 1.0 / corr_len - self.theta * t
-        return self.theta + (1.0 / corr_len) * t
 
 
 @dataclass(frozen=True)
@@ -210,25 +206,15 @@ def _sorted_product_modes(cov: ExponentialCovariance, n1d: int) -> list[KLMode]:
     return modes
 
 
-def build_kl(
-    cov: ExponentialCovariance,
-    mean_a0: float,
-    capture: float | None = None,
-    num_modes: int | None = None,
-) -> KLExpansion:
-    """Build the truncated expansion, selecting M by variance capture.
+def build_kl(cov: ExponentialCovariance, mean_a0: float, num_modes: int | None = None) -> KLExpansion:
+    """Build the truncated expansion with ``num_modes`` modes or by variance capture.
 
-    Exactly one of ``capture`` and ``num_modes`` must be given.  With
-    ``capture``, M is the smallest count whose eigenvalue sum reaches
-    ``capture`` times the total variance per unit sigma^2, which for this
-    kernel equals the domain area |D| (the kernel trace).  With
-    ``num_modes``, M is pinned explicitly and the attained capture ratio is
-    recorded.  At most MAX_1D_MODES eigenpairs per axis are computed.
+    Without ``num_modes``, M is the smallest count whose eigenvalue sum
+    reaches CAPTURE times the total variance per unit sigma^2, which for
+    this kernel equals the domain area |D| (the kernel trace).  With
+    ``num_modes``, M is pinned and the attained capture ratio is recorded.
+    At most MAX_1D_MODES eigenpairs per axis are computed.
     """
-    if (capture is None) == (num_modes is None):
-        raise ValueError("specify exactly one of capture or num_modes")
-    if capture is not None and not (0.0 < capture < 1.0):
-        raise ValueError(f"capture must lie in (0, 1), got {capture}")
     if num_modes is not None and num_modes < 1:
         raise ValueError(f"num_modes must be >= 1, got {num_modes}")
 
@@ -245,15 +231,14 @@ def build_kl(
             M = num_modes
         else:
             cum = np.cumsum([m.lam for m in modes]) / total
-            M = int(np.searchsorted(cum, capture)) + 1
+            M = int(np.searchsorted(cum, CAPTURE)) + 1
         if M <= n1d:
             sel = modes[:M]
             ratio = sum(m.lam for m in sel) / total
             return KLExpansion(mean_a0, cov, tuple(sel), ratio)
         if n1d >= MAX_1D_MODES:
-            raise ValueError(
-                f"capture target not reachable with {MAX_1D_MODES} 1D modes per axis"
-            )
+            target = f"{num_modes} modes" if num_modes is not None else f"{CAPTURE:.0%} capture"
+            raise ValueError(f"{target} not reachable with {MAX_1D_MODES} 1D modes per axis")
         n1d *= 2
 
 
@@ -268,29 +253,6 @@ def mode_factors(kl: KLExpansion, index: int, x, y) -> tuple[np.ndarray, np.ndar
     mode = kl.modes[index]
     fx = kl.cov.sigma * math.sqrt(mode.lam) * mode.pair_x.evaluate(np.asarray(x, dtype=float) - mx)
     return fx, mode.pair_y.evaluate(np.asarray(y, dtype=float) - my)
-
-
-def eval_mode(kl: KLExpansion, index: int, points) -> np.ndarray:
-    """Coefficient function of xi_index: sigma*sqrt(lambda)*a_index(x).
-
-    ``points`` has shape (..., 2) in original (not recentred) coordinates.
-    """
-    if not 0 <= index < kl.num_modes:
-        raise IndexError(f"mode index {index} out of range [0, {kl.num_modes})")
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != 2:
-        raise ValueError("points must have shape (..., 2)")
-    x_lo, x_hi, y_lo, y_hi = kl.cov.domain
-    eps_x = 1e-12 * (x_hi - x_lo)
-    eps_y = 1e-12 * (y_hi - y_lo)
-    px = pts[..., 0]
-    py = pts[..., 1]
-    if np.any(px < x_lo - eps_x) or np.any(px > x_hi + eps_x):
-        raise ValueError("point outside domain in x")
-    if np.any(py < y_lo - eps_y) or np.any(py > y_hi + eps_y):
-        raise ValueError("point outside domain in y")
-    fx, fy = mode_factors(kl, index, px, py)
-    return fx * fy
 
 
 def max_theta_and_halfwave(kl: KLExpansion) -> tuple[float, float]:

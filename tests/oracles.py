@@ -3,13 +3,22 @@
 Everything here deliberately avoids the library's own code paths: dense
 Kronecker algebra, a collocation eigensolver for the covariance kernel, a
 plain dense GMRES, quadrature evaluation of polynomial moments, a Q1
-element loop on the 2D grid, and series solutions of the deterministic
-limit problems.
+element loop on the 2D grid, series solutions of the deterministic limit
+problems, and sampled deterministic solves of the parametric problem.  The
+pointwise evaluators of the chaos polynomials and the KL modes read only the
+package's recurrence coefficients and 1D mode factors, which the quadrature
+and Nystrom checks verify on their own.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from sglowrank.chaos import XI_BOUND, recurrence_coefficients
+from sglowrank.randfield import mode_factors
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +70,31 @@ def nystrom_eigenpairs(corr_len, length, n_points=2048, n_modes=10):
         return (Ks * w[None, :]) @ phi[:, mode] / vals[mode]
 
     return vals, interpolant
+
+
+def equation_residual(pair, corr_len):
+    """Residual of the transcendental equation that defines a 1D eigenpair's root."""
+    t = math.tan(pair.theta * 0.5 * pair.length)
+    if pair.parity == "even":
+        return 1.0 / corr_len - pair.theta * t
+    return pair.theta + (1.0 / corr_len) * t
+
+
+def eval_mode(kl, index, points):
+    """Coefficient function of xi_index, sigma*sqrt(lambda)*a_index(x), at
+    ``points`` of shape (..., 2) in original (not recentred) coordinates."""
+    if not 0 <= index < kl.num_modes:
+        raise IndexError(f"mode index {index} out of range [0, {kl.num_modes})")
+    pts = np.asarray(points, dtype=float)
+    x_lo, x_hi, y_lo, y_hi = kl.cov.domain
+    px, py = pts[..., 0], pts[..., 1]
+    tol_x, tol_y = 1e-12 * (x_hi - x_lo), 1e-12 * (y_hi - y_lo)
+    if np.any(px < x_lo - tol_x) or np.any(px > x_hi + tol_x):
+        raise ValueError("point outside domain in x")
+    if np.any(py < y_lo - tol_y) or np.any(py > y_hi + tol_y):
+        raise ValueError("point outside domain in y")
+    fx, fy = mode_factors(kl, index, px, py)
+    return fx * fy
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +161,63 @@ def quad_moment(f, n_points=64):
     """Integral of f against the uniform density on [-sqrt3, sqrt3]."""
     x, w = legendre_quadrature(n_points)
     return float(np.dot(w, f(x)))
+
+
+def univariate_values(b, degree_max, xi):
+    """pi_0..pi_degree_max at points xi from the recurrence coefficients b,
+    shape (degree_max+1,) + xi.shape."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.empty((degree_max + 1,) + xi.shape)
+    out[0] = 1.0
+    if degree_max >= 1:
+        out[1] = xi / b[0]
+    for n in range(1, degree_max):
+        out[n + 1] = (xi * out[n] - b[n - 1] * out[n - 1]) / b[n]
+    return out
+
+
+def eval_basis(indices, s, xi):
+    """psi_s at xi in [-sqrt3, sqrt3]^M for the multi-index array ``indices``;
+    xi has shape (..., M)."""
+    n_xi, num_vars = indices.shape
+    if not 0 <= s < n_xi:
+        raise IndexError(f"basis ordinal {s} out of range [0, {n_xi})")
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1] != num_vars:
+        raise ValueError(f"xi must have {num_vars} components")
+    if np.any(np.abs(xi) > XI_BOUND * (1 + 1e-12)):
+        raise ValueError("xi outside the support [-sqrt(3), sqrt(3)]^M")
+    b = recurrence_coefficients(max(indices.max(initial=0), 1))
+    alpha = indices[s]
+    table = univariate_values(b, int(alpha.max(initial=0)), np.moveaxis(xi, -1, 0))
+    val = np.ones(xi.shape[:-1])
+    for i, a in enumerate(alpha):
+        val = val * table[a, i]
+    return val if val.shape else float(val)
+
+
+# ---------------------------------------------------------------------------
+# sampled deterministic solves
+
+
+def sampled_errors(K, loads, u, indices, xi):
+    """Relative distance between the chaos surrogate and sampled solves.
+
+    For every row of xi (shape (n, M)) one sparse solve gives the reference
+    (K_0 + sum_l xi_l K_l) v = loads[0] + sum_l xi_l loads[l], with the
+    spatial matrices K = [K_0, ..., K_M] and one or M+1 load vectors; the
+    surrogate is Y Z^T psi(xi) of the factored solution u.  No coupling
+    matrix G_l enters the reference.
+    """
+    psi = np.column_stack([eval_basis(indices, s, xi) for s in range(indices.shape[0])])
+    surrogate = u.Y @ (u.Z.T @ psi.T)
+    errors = []
+    for k, sample in enumerate(xi):
+        matrix = K[0] + sum(x * Kl for x, Kl in zip(sample, K[1:]))
+        load = loads[0] + sum(x * f for x, f in zip(sample, loads[1:]))
+        v = spla.spsolve(sp.csc_matrix(matrix), load)
+        errors.append(np.linalg.norm(surrogate[:, k] - v) / np.linalg.norm(v))
+    return np.array(errors)
 
 
 # ---------------------------------------------------------------------------

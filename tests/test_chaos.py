@@ -2,20 +2,20 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import legendre_quadrature, quad_moment
+from oracles import eval_basis, legendre_quadrature, quad_moment, univariate_values
 from sglowrank import chaos
 from sglowrank.chaos import (
     XI_BOUND,
-    build_index_set,
     build_spectral_basis,
     build_stochastic_matrices,
-    eval_basis,
     recurrence_coefficients,
-    univariate_values,
 )
+from sglowrank.fem import SpatialMatrices
+from sglowrank.lowrank import build_operator
 
 
 class TestIndexSet:
@@ -24,29 +24,27 @@ class TestIndexSet:
         [(5, 3, 56), (7, 3, 120), (10, 3, 286), (15, 3, 816), (7, 4, 330), (7, 5, 792), (3, 0, 1)],
     )
     def test_cardinality(self, M, p, expected):
-        assert build_index_set(M, p).size == expected
+        assert build_spectral_basis(M, p).shape == (expected, M)
 
     @given(st.integers(1, 20), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
     def test_cardinality_formula(self, M, p):
-        iset = build_index_set(M, p)
-        assert iset.size == comb(M + p, p)
-        degs = iset.indices.sum(axis=1)
+        indices = build_spectral_basis(M, p)
+        assert indices.shape == (comb(M + p, p), M)
+        degs = indices.sum(axis=1)
         assert degs.max(initial=0) <= p
 
     def test_graded_lexicographic_order(self):
-        iset = build_index_set(2, 2)
-        rows = [tuple(r) for r in iset.indices.tolist()]
+        rows = [tuple(r) for r in build_spectral_basis(2, 2).tolist()]
         assert rows == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
     def test_first_index_is_zero(self):
-        iset = build_index_set(4, 3)
-        assert tuple(iset.indices[0]) == (0, 0, 0, 0)
+        assert tuple(build_spectral_basis(4, 3)[0]) == (0, 0, 0, 0)
 
     def test_size_limit(self, monkeypatch):
         monkeypatch.setattr(chaos, "MAX_INDEX_SET_SIZE", 100)
         with pytest.raises(ValueError, match="limit"):
-            build_index_set(15, 3)
+            build_spectral_basis(15, 3)
 
 
 class TestRecurrence:
@@ -60,39 +58,39 @@ class TestRecurrence:
         assert var == pytest.approx(1.0, abs=1e-14)
 
     def test_orthonormality_by_quadrature(self):
-        basis = build_spectral_basis(1, 5)
         x, w = legendre_quadrature(64)
-        table = univariate_values(basis, 5, x)
+        table = univariate_values(recurrence_coefficients(5), 5, x)
         gram = table @ (w[:, None] * table.T)
         assert np.abs(gram - np.eye(6)).max() < 1e-12
 
 
 class TestStochasticMatrices:
     def test_single_variable_degree_one(self):
-        basis = build_spectral_basis(1, 1)
-        mats = build_stochastic_matrices(basis)
-        G1 = mats.Gl[0].toarray()
-        b = quad_moment(lambda x: x * 1.0 * (x / basis.recurrence[0]), 64)
+        G1 = build_stochastic_matrices(build_spectral_basis(1, 1))[0].toarray()
+        b = quad_moment(lambda x: x * 1.0 * (x / recurrence_coefficients(1)[0]), 64)
         assert G1 == pytest.approx(np.array([[0.0, b], [b, 0.0]]), abs=1e-13)
 
     def test_identity_and_first_basis_vector(self):
-        mats = build_stochastic_matrices(build_spectral_basis(3, 2))
-        n = mats.G0.shape[0]
-        assert np.array_equal(mats.G0.toarray(), np.eye(n))
+        # the operator pairs K_0 with G_0 = I and the load with e_1
+        Gl = build_stochastic_matrices(build_spectral_basis(3, 2))
+        n = Gl[0].shape[0]
+        spatial = SpatialMatrices(tuple(sp.identity(4, format="csr") for _ in range(4)), np.ones(4))
+        A = build_operator(spatial, Gl)
+        assert np.array_equal(A.terms[0][0].toarray(), np.eye(n))
+        assert [G for G, _ in A.terms[1:]] == list(Gl)
         expected = np.zeros(n)
         expected[0] = 1.0
-        assert np.array_equal(mats.g0, expected)
+        assert np.array_equal(A.rhs.Z[:, 0], expected)
 
     def test_entries_match_quadrature_oracle(self):
-        basis = build_spectral_basis(2, 2)
-        mats = build_stochastic_matrices(basis)
+        idx = build_spectral_basis(2, 2)
+        Gl = build_stochastic_matrices(idx)
         x, w = legendre_quadrature(16)
-        table = univariate_values(basis, 2, x)
-        idx = basis.index_set.indices
+        table = univariate_values(recurrence_coefficients(2), 2, x)
         for l in range(2):
-            G = mats.Gl[l].toarray()
-            for i in range(basis.size):
-                for j in range(basis.size):
+            G = Gl[l].toarray()
+            for i in range(len(idx)):
+                for j in range(len(idx)):
                     # tensorized quadrature of xi_l psi_i psi_j
                     fac = 1.0
                     for d in range(2):
@@ -103,55 +101,53 @@ class TestStochasticMatrices:
                     assert G[i, j] == pytest.approx(fac, abs=1e-12)
 
     def test_symmetry_and_sparsity(self):
-        basis = build_spectral_basis(4, 3)
-        mats = build_stochastic_matrices(basis)
-        for G in mats.Gl:
+        idx = build_spectral_basis(4, 3)
+        for G in build_stochastic_matrices(idx):
             assert (G != G.T).nnz == 0
-            assert G.nnz <= 2 * basis.size
+            assert G.nnz <= 2 * len(idx)
             row_counts = np.diff(G.tocsr().indptr)
             assert row_counts.max(initial=0) <= 2
 
     def test_action_on_first_basis_vector(self):
-        basis = build_spectral_basis(3, 2)
-        mats = build_stochastic_matrices(basis)
-        position = {tuple(row): s for s, row in enumerate(basis.index_set.indices.tolist())}
-        for l, G in enumerate(mats.Gl):
-            v = G @ mats.g0
+        idx = build_spectral_basis(3, 2)
+        position = {tuple(row): s for s, row in enumerate(idx.tolist())}
+        for l, G in enumerate(build_stochastic_matrices(idx)):
+            v = G[:, 0].toarray().ravel()
             nonzero = np.flatnonzero(v)
             assert len(nonzero) == 1
             alpha = [0, 0, 0]
             alpha[l] = 1
             assert nonzero[0] == position[tuple(alpha)]
-            assert v[nonzero[0]] == pytest.approx(basis.recurrence[0], abs=1e-15)
+            assert v[nonzero[0]] == pytest.approx(recurrence_coefficients(1)[0], abs=1e-15)
 
 
 class TestEvalBasis:
     def test_constant_mode(self, rng):
-        basis = build_spectral_basis(3, 2)
+        idx = build_spectral_basis(3, 2)
         for _ in range(5):
             xi = rng.uniform(-XI_BOUND, XI_BOUND, size=3)
-            assert eval_basis(basis, 0, xi) == pytest.approx(1.0, abs=1e-15)
+            assert eval_basis(idx, 0, xi) == pytest.approx(1.0, abs=1e-15)
 
     def test_normalization_by_quadrature(self):
-        basis = build_spectral_basis(2, 3)
+        idx = build_spectral_basis(2, 3)
         x, w = legendre_quadrature(32)
         X1, X2 = np.meshgrid(x, x, indexing="ij")
         W = np.outer(w, w)
         pts = np.stack([X1, X2], axis=-1)
-        for s in range(basis.size):
-            vals = eval_basis(basis, s, pts)
+        for s in range(len(idx)):
+            vals = eval_basis(idx, s, pts)
             assert float(np.sum(W * vals**2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_monte_carlo_orthonormality(self, rng):
-        basis = build_spectral_basis(2, 2)
+        idx = build_spectral_basis(2, 2)
         xi = rng.uniform(-XI_BOUND, XI_BOUND, size=(1_000_000, 2))
-        vals = np.column_stack([eval_basis(basis, s, xi) for s in range(basis.size)])
+        vals = np.column_stack([eval_basis(idx, s, xi) for s in range(len(idx))])
         gram = vals.T @ vals / len(xi)
-        assert np.abs(gram - np.eye(basis.size)).max() < 5e-3
+        assert np.abs(gram - np.eye(len(idx))).max() < 5e-3
 
     def test_input_validation(self):
-        basis = build_spectral_basis(2, 1)
+        idx = build_spectral_basis(2, 1)
         with pytest.raises(IndexError):
-            eval_basis(basis, 99, np.zeros(2))
+            eval_basis(idx, 99, np.zeros(2))
         with pytest.raises(ValueError):
-            eval_basis(basis, 0, np.array([5.0, 0.0]))
+            eval_basis(idx, 0, np.array([5.0, 0.0]))

@@ -253,19 +253,23 @@ class TestMainEntry:
              "num_modes = 40, degree = 6: index set of size 9366819 exceeds the limit"),
             # a smaller 1D mode limit fails after two KL builds, not seven
             (["num_modes=auto", "corr_len=0.0005"], 32,
-             "corr_len = 0.0005, num_modes = auto, degree = 3: capture target not reachable"),
+             "corr_len = 0.0005, num_modes = auto, degree = 3: 95% capture not reachable"),
+            # a pinned count is named as such, not as a capture target
+            (["num_modes=40"], 32,
+             "corr_len = 4.0, num_modes = 40, degree = 3: 40 modes not reachable"),
         ]
         for sets, max_1d_modes, named in cases:
             if max_1d_modes is not None:
                 monkeypatch.setattr(randfield, "MAX_1D_MODES", max_1d_modes)
-            for command in ("run", "compare"):
+            for command in ("run", "compare", "coarse-only", "export-matrices"):
                 out = tmp_path / command
                 argv = [command, "--config", config, "--out", str(out)]
                 code = main(argv + [arg for s in sets for arg in ("--set", s)])
                 assert code == 2, (command, sets)
                 err = capsys.readouterr().err
                 assert "invalid configuration" in err and named in err, err
-                assert not (out / "report.json").exists() and not (out / "comparison.csv").exists()
+                # the run failed before its first write: no --out directory
+                assert not out.exists(), (command, sets)
 
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -297,6 +301,9 @@ class TestMainEntry:
         path = write_cfg(tmp_path, FAST + ["pgd_eps = 1e-3"])
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
+        # a run that fails to converge still writes all four files
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "mean_field.csv", "report.json", "residual_history.csv", "summary.csv"]
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["solve"]["status"] == "basis-limited"
 
@@ -354,7 +361,7 @@ class TestMainEntry:
         _, spatial, _ = build_problem(spec, spec.fine_level, kl, stoch)
         assert mmread(tmp_path / "m" / "K0.mtx").shape == (15**2, 15**2)
         matrices = {f"K{l}": K for l, K in enumerate(spatial.K)}
-        matrices.update({f"G{l}": G for l, G in enumerate((stoch.G0,) + stoch.Gl)})
+        matrices.update({f"G{l}": G for l, G in enumerate(stoch, start=1)}, G0=np.eye(stoch[0].shape[0]))
         for name, matrix in matrices.items():
             assert abs(mmread(tmp_path / "m" / f"{name}.mtx") - matrix).max() == 0.0, name
         assert (tmp_path / "m" / "f0.txt").exists()

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from oracles import poisson_square_series, q1_element_loop, vertical_wind_profile
+from oracles import eval_mode, poisson_square_series, q1_element_loop, vertical_wind_profile
 from sglowrank.fem import (
-    GridStretch,
     assemble_convection_diffusion,
     assemble_diffusion,
     interior_to_full,
@@ -12,17 +11,14 @@ from sglowrank.fem import (
     recommend_coarse_level,
     stretch_for_boundary_layer,
 )
-from sglowrank.randfield import ExponentialCovariance, build_kl, eval_mode
+from sglowrank.randfield import ExponentialCovariance, build_kl
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 BIG = (-1.0, 1.0, -1.0, 1.0)
 
 
-def kl_for(c=4.0, sigma=0.05, domain=UNIT, M=None, capture=0.95):
-    cov = ExponentialCovariance(sigma, c, domain)
-    if M is None:
-        return build_kl(cov, 1.0, capture=capture)
-    return build_kl(cov, 1.0, num_modes=M)
+def kl_for(c=4.0, sigma=0.05, domain=UNIT, M=None):
+    return build_kl(ExponentialCovariance(sigma, c, domain), 1.0, M)
 
 
 class TestGrid:
@@ -33,28 +29,28 @@ class TestGrid:
         assert grid.n_nodes == (2**level + 1) ** 2
 
     def test_geometric_stretch_heights(self):
-        grid = make_grid(2, BIG, GridStretch(ratio=2.0))
+        grid = make_grid(2, BIG, 2.0)
         heights = np.diff(grid.y_coords)
         assert heights.sum() == pytest.approx(2.0, abs=1e-14)
         assert heights / heights[-1] == pytest.approx([8.0, 4.0, 2.0, 1.0], rel=1e-12)
 
     def test_stretch_validation(self):
         with pytest.raises(ValueError):
-            make_grid(2, BIG, GridStretch(ratio=0.9))
+            make_grid(2, BIG, 0.9)
 
     def test_auto_stretch_targets_wall_height(self):
         st = stretch_for_boundary_layer(5, BIG, nu=1 / 200)
         grid = make_grid(5, BIG, st)
         wall = grid.y_coords[-1] - grid.y_coords[-2]
         assert wall == pytest.approx(1 / 200, rel=1e-6)
-        assert st.ratio <= 1.5
+        assert st <= 1.5
 
     def test_auto_stretch_none_when_resolved(self):
         assert stretch_for_boundary_layer(4, BIG, nu=0.5) is None
 
     def test_auto_stretch_cap(self):
         st = stretch_for_boundary_layer(2, BIG, nu=1e-6)
-        assert st.ratio == pytest.approx(1.5)
+        assert st == pytest.approx(1.5)
 
 
 class TestDiffusionAssembly:
@@ -145,7 +141,7 @@ def assert_close(got, want, rtol=1e-13):
 class TestAgainstElementLoop:
     """Both assemblers entry for entry against a plain 2D element loop."""
 
-    @pytest.mark.parametrize("stretch", [None, GridStretch(1.3)], ids=["uniform", "stretched"])
+    @pytest.mark.parametrize("stretch", [None, 1.3], ids=["uniform", "stretched"])
     def test_diffusion(self, stretch):
         grid = make_grid(3, UNIT, stretch)
         kl = kl_for(c=2.0, sigma=0.3, M=4)
@@ -253,7 +249,7 @@ class TestCoarseLevel:
     def test_diffusion_levels(self, M, expected):
         c = {5: 4.0, 7: 3.0, 10: 2.5, 15: 2.0, 20: 1.5}[M]
         kl = kl_for(c=c, M=M)
-        assert recommend_coarse_level(kl, "diffusion") == expected
+        assert recommend_coarse_level(kl) == expected
 
     @pytest.mark.parametrize(
         "nu,expected",
@@ -261,10 +257,6 @@ class TestCoarseLevel:
     )
     def test_convection_diffusion_levels(self, nu, expected):
         kl = kl_for(domain=BIG, c=8.0, M=5)
-        got = recommend_coarse_level(kl, "convection-diffusion", nu=nu)
+        got = recommend_coarse_level(kl, nu)
         assert got == expected
-
-    def test_nu_required(self):
-        with pytest.raises(ValueError):
-            recommend_coarse_level(kl_for(M=5), "convection-diffusion")
 

@@ -424,8 +424,8 @@ class TestBoundaryLift:
         want_vec = np.zeros(n_x * n_xi)
         want_vec[:n_x] = lift.coupling[0]
         # G_2 e1 hits the ordinal of the degree-1 index in coordinate 2
-        pos = stoch.Gl[1][:, 0].nonzero()[0][0]
-        coeff = stoch.Gl[1][pos, 0]
+        pos = stoch[1][:, 0].nonzero()[0][0]
+        coeff = stoch[1][pos, 0]
         want_vec[pos * n_x : (pos + 1) * n_x] = coeff * lift.coupling[2]
         assert np.abs(got - want_vec).max() <= 1e-12 * np.abs(want_vec).max()
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import nystrom_eigenpairs, nystrom_eigenvalues
+from oracles import equation_residual, eval_mode, nystrom_eigenpairs, nystrom_eigenvalues
 from sglowrank import randfield
 from sglowrank.randfield import (
     ExponentialCovariance,
     build_kl,
-    eval_mode,
     max_theta_and_halfwave,
     solve_1d_eigenproblem,
 )
@@ -38,7 +37,7 @@ class TestEigenproblem1D:
 
     def test_defining_equation_residuals(self):
         for pair in solve_1d_eigenproblem(cov(4.0), 0, 2):
-            assert abs(pair.equation_residual(4.0)) <= 1e-10
+            assert abs(equation_residual(pair, 4.0)) <= 1e-10
 
     @pytest.mark.parametrize("c,L", [(1.0, 1.0), (4.0, 1.0), (0.5, 2.0), (8.0, 2.0)])
     def test_ordering_and_positivity(self, c, L):
@@ -85,21 +84,22 @@ class TestEigenproblem1D:
 
 class TestBuildKl:
     def test_capture_c4_gives_five_modes(self):
-        kl = build_kl(cov(4.0), 1.0, capture=0.95)
+        kl = build_kl(cov(4.0), 1.0)
         assert kl.num_modes == 5
         assert kl.capture_ratio == pytest.approx(0.9572, abs=2e-4)
 
     def test_capture_c3_gives_seven_modes(self):
-        assert build_kl(cov(3.0), 1.0, capture=0.95).num_modes == 7
+        assert build_kl(cov(3.0), 1.0).num_modes == 7
 
     def test_capture_small_c(self):
         # minimal-count capture at 0.95; see the acceptance suite for how
         # these counts relate to the benchmark's published mode counts
-        assert build_kl(cov(2.5), 1.0, capture=0.95).num_modes == 8
-        assert build_kl(cov(2.0), 1.0, capture=0.95).num_modes == 11
+        assert build_kl(cov(2.5), 1.0).num_modes == 8
+        assert build_kl(cov(2.0), 1.0).num_modes == 11
 
-    def test_tiny_capture_single_mode(self):
-        kl = build_kl(cov(3.0), 1.0, capture=1e-6)
+    def test_tiny_capture_single_mode(self, monkeypatch):
+        monkeypatch.setattr(randfield, "CAPTURE", 1e-6)
+        kl = build_kl(cov(3.0), 1.0)
         assert kl.num_modes == 1
 
     def test_modes_sorted_and_products(self):
@@ -116,16 +116,15 @@ class TestBuildKl:
 
     def test_capture_unreachable_raises(self, monkeypatch):
         monkeypatch.setattr(randfield, "MAX_1D_MODES", 32)
-        with pytest.raises(ValueError, match="not reachable"):
-            build_kl(cov(0.001), 1.0, capture=0.999)
+        with pytest.raises(ValueError, match="95% capture not reachable with 32 1D modes"):
+            build_kl(cov(0.001), 1.0)
+        # a pinned count is named as such, not as a capture target
+        with pytest.raises(ValueError, match="40 modes not reachable with 32 1D modes"):
+            build_kl(cov(4.0), 1.0, num_modes=40)
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            build_kl(cov(1.0), 1.0)
-        with pytest.raises(ValueError):
-            build_kl(cov(1.0), 1.0, capture=0.5, num_modes=3)
-        with pytest.raises(ValueError):
-            build_kl(cov(1.0), 1.0, capture=1.5)
+        with pytest.raises(ValueError, match="num_modes must be >= 1"):
+            build_kl(cov(1.0), 1.0, num_modes=0)
 
 
 class TestEvalMode:
