@@ -16,9 +16,16 @@ n_x x n_xi block, paired with the identity frame (``lowrank.block`` /
 ``lowrank.fold``).  A matvec of (Y, Z) solves X = K_0^{-1} Y once and folds
 all M+1 terms with one product [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T
 in a reused buffer; the mean term is Y itself because K_0 K_0^{-1} = I and
-G_0 = I, which the preconditioner checks once.  The m output blocks of a
-cycle sit in one array allocated before the first cycle, so W^T W and
-W^T r are one BLAS product each.
+G_0 = I, which the preconditioner checks once.  The output blocks of a
+cycle sit in one array of m rows allocated before the first cycle, so
+W^T W and W^T r are one BLAS product each.
+
+A cycle ends at the first matvec j whose least-squares residual
+||r - sum_{i<=j} beta_i W_i|| is below eps ||f|| (the GMRES residual
+estimate of Saad & Schultz, SISSC 1986), formed explicitly from the
+stored rows; m only caps its length.  The estimate is taken before
+truncation, so the true residual at the top of the next cycle still
+decides convergence, and stagnation is a test between cycles only.
 
 With projection truncation onto a basis B every basis vector and the
 iterate are n_x x kappa blocks Y paired with B itself.  The generic rules
@@ -208,24 +215,38 @@ def _gram_solve(Gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return sol
 
 
-def _cycle(A, P, trunc: TruncationOperator, m: int, r, v0, u_hat, W: np.ndarray):
+def _cycle(A, P, trunc: TruncationOperator, m: int, r, v0, u_hat, W: np.ndarray, target: float):
     """One restart cycle from the unit basis vector v0 and the residual r.
 
-    Up to m matvecs are stored as rows of W; returns the updated iterate
-    T(u_hat + V beta) and the number of matvecs.  Every vector of the
-    cycle is released on return, before the next residual is formed.
+    Matvecs are stored as rows of W.  The cycle ends at the first matvec j
+    whose least-squares residual ||r - sum_{i<=j} beta_i W_i|| is below
+    ``target``, formed explicitly (||r||^2 - (W r)^T beta cancels at these
+    residuals), or after m matvecs; m only caps the cycle.  Returns the
+    updated iterate T(u_hat + V beta) and the number of matvecs.  Every
+    vector of the cycle is released on return, before the next residual is
+    formed.
     """
     n_x, n_xi = A.shape
     V = [v0]
     VtV = np.zeros((m, m))
     VtV[0, 0] = inner(v0, v0)
+    WtW = np.zeros((m, m))
+    Wr = np.zeros(m)
     for j in range(m):
         w = apply_preconditioned(A, P, V[j])
         # keep the block once: w becomes a view of its stored row, which is
         # rewritten only by a later cycle
         W[j] = w.Y.ravel()
         w = block(W[j].reshape(n_x, n_xi))
+        if j == 0:
+            r_flat = coordinates(r, w.Z).ravel()  # r in the identity frame of the blocks
         if j + 1 == m:
+            break
+        Wr[j] = W[j] @ r_flat
+        WtW[j, : j + 1] = WtW[: j + 1, j] = W[: j + 1] @ W[j]
+        # a silent solve: only the orthogonalization and projection solves warn
+        beta = np.linalg.lstsq(WtW[: j + 1, : j + 1], Wr[: j + 1], rcond=GRAM_RCOND)[0]
+        if np.linalg.norm(r_flat - beta @ W[: j + 1]) < target:
             break
         alpha = _gram_solve(VtV[: j + 1, : j + 1], inners(V, w), "orthogonalization")
         v_next = trunc.apply(combine([w] + V, np.concatenate([[1.0], -alpha])))
@@ -239,8 +260,7 @@ def _cycle(A, P, trunc: TruncationOperator, m: int, r, v0, u_hat, W: np.ndarray)
 
     m_eff = j + 1
     Wm = W[:m_eff]
-    # r in the identity frame of the stored blocks
-    beta = _gram_solve(Wm @ Wm.T, Wm @ coordinates(r, w.Z).ravel(), "projection")
+    beta = _gram_solve(Wm @ Wm.T, Wm @ r_flat, "projection")
     u_hat = trunc.apply(combine([u_hat] + V[:m_eff], np.concatenate([[1.0], beta])))
     return u_hat, m_eff
 
@@ -255,7 +275,8 @@ def solve(
     """Run restarted low-rank projection cycles until a stopping test passes.
 
     ``trunc`` compresses every basis vector and iterate, ``eps`` is the
-    relative residual to reach, ``m`` the restart length and ``u0`` an
+    relative residual to reach, ``m`` the longest restart (a cycle ends at
+    the first matvec whose least-squares residual passes eps) and ``u0`` an
     optional initial guess; at most MAX_CYCLES cycles run.  Returns the
     solution in the original variable together with a report.  The
     residual history holds the true relative residual at the top of each
@@ -317,7 +338,9 @@ def solve(
             warnings.warn("truncated residual vanished; cannot build a basis", stacklevel=2)
             status = "basis-vanished"
             break
-        u_hat, cycle_matvecs = _cycle(A, P, trunc, m, r, scale(v_tilde, 1.0 / v_norm), u_hat, W)
+        u_hat, cycle_matvecs = _cycle(
+            A, P, trunc, m, r, scale(v_tilde, 1.0 / v_norm), u_hat, W, eps * fnorm
+        )
         matvecs += cycle_matvecs
         cycles += 1
 

@@ -100,7 +100,6 @@ class Eigenpair1D:
     lam: float
     parity: str  # "even" (cosine) or "odd" (sine)
     norm_const: float
-    length: float
 
     def evaluate(self, s):
         """Eigenfunction value at recentred coordinate(s) s in [-L/2, L/2]."""
@@ -131,10 +130,6 @@ class KLExpansion:
     @property
     def num_modes(self) -> int:
         return len(self.modes)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([m.lam for m in self.modes])
 
 
 def _bisect(f, lo, hi, index, family):
@@ -183,7 +178,7 @@ def solve_1d_eigenproblem(cov: ExponentialCovariance, axis: int, count: int) -> 
         lam = 2.0 * c / (1.0 + (c * theta) ** 2)
         # ||cos(theta s)||^2 = L/2 + sin(theta L)/(2 theta)
         h = 1.0 / math.sqrt(half + math.sin(2.0 * theta * half) / (2.0 * theta))
-        pairs.append(Eigenpair1D(theta, lam, "even", h, L))
+        pairs.append(Eigenpair1D(theta, lam, "even", h))
 
         # sine (odd-parity) root in ((2k-1)pi/L, 2k pi/L)
         lo = (2.0 * k - 1.0) * math.pi / L + BRACKET_SHRINK
@@ -191,7 +186,7 @@ def solve_1d_eigenproblem(cov: ExponentialCovariance, axis: int, count: int) -> 
         theta = _bisect(lambda t: t + (1.0 / c) * math.tan(t * half), lo, hi, k, "odd")
         lam = 2.0 * c / (1.0 + (c * theta) ** 2)
         h = 1.0 / math.sqrt(half - math.sin(2.0 * theta * half) / (2.0 * theta))
-        pairs.append(Eigenpair1D(theta, lam, "odd", h, L))
+        pairs.append(Eigenpair1D(theta, lam, "odd", h))
 
     pairs.sort(key=lambda p: -p.lam)
     return pairs[:count]

@@ -72,9 +72,10 @@ def nystrom_eigenpairs(corr_len, length, n_points=2048, n_modes=10):
     return vals, interpolant
 
 
-def equation_residual(pair, corr_len):
-    """Residual of the transcendental equation that defines a 1D eigenpair's root."""
-    t = math.tan(pair.theta * 0.5 * pair.length)
+def equation_residual(pair, corr_len, length):
+    """Residual of the transcendental equation that defines the root of a 1D
+    eigenpair on an interval of ``length``."""
+    t = math.tan(pair.theta * 0.5 * length)
     if pair.parity == "even":
         return 1.0 / corr_len - pair.theta * t
     return pair.theta + (1.0 / corr_len) * t
@@ -124,26 +125,31 @@ def vec_to_mat(v, n_x, n_xi):
 
 
 def dense_gmres(A, b, m, x0=None, tol=0.0):
-    """Plain dense GMRES with explicit Gram solves, for cross-validation."""
+    """Plain dense GMRES with explicit Gram solves, for cross-validation.
+
+    Stops after the first step whose least-squares residual ||r0 - W beta||
+    is <= tol, else after m steps or when the basis cannot grow.  Returns
+    the iterate and the number of steps (matvecs) taken.
+    """
     n = b.shape[0]
     x0 = np.zeros(n) if x0 is None else x0
     r0 = b - A @ x0
     V = [r0 / np.linalg.norm(r0)]
     W = []
     for j in range(m):
-        w = A @ V[j]
-        W.append(w)
+        W.append(A @ V[j])
+        Wj = np.column_stack(W)
+        beta = np.linalg.lstsq(Wj.T @ Wj, Wj.T @ r0, rcond=None)[0]
+        if j + 1 == m or np.linalg.norm(r0 - Wj @ beta) <= tol:
+            break
         Vj = np.column_stack(V)
-        alpha = np.linalg.lstsq(Vj.T @ Vj, Vj.T @ w, rcond=None)[0]
-        v = w - Vj @ alpha
+        alpha = np.linalg.lstsq(Vj.T @ Vj, Vj.T @ W[j], rcond=None)[0]
+        v = W[j] - Vj @ alpha
         nv = np.linalg.norm(v)
-        if nv <= 1e-14 * np.linalg.norm(w):
+        if nv <= 1e-14 * np.linalg.norm(W[j]):
             break
         V.append(v / nv)
-    Vm = np.column_stack(V[: len(W)])
-    Wm = np.column_stack(W)
-    beta = np.linalg.lstsq(Wm.T @ Wm, Wm.T @ r0, rcond=None)[0]
-    return x0 + Vm @ beta
+    return x0 + np.column_stack(V[: len(W)]) @ beta, len(W)
 
 
 # ---------------------------------------------------------------------------

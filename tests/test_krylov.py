@@ -258,6 +258,30 @@ def test_perfbench_warning_fragments_match_the_warnings(monkeypatch):
         assert any(fragment in text for text in caught[kind]), (kind, fragment, caught[kind])
 
 
+def test_per_matvec_residual_solves_add_no_warning():
+    # L = (I - e_n e_n^T) (x) I is singular: the second matvec output of a
+    # cycle is parallel to the first, so the W Gram of every later step is
+    # rank deficient.  Only the end-of-cycle projection solve of each of the
+    # two cycles warns, as it did before the cycle could end early;
+    # perfbench counts these warnings as krylov.gram_rank_deficient.
+    A = galerkin_operator()
+    n_xi = A.shape[1]
+    K0 = A.terms[0][1]
+    last = sp.csr_matrix(([-1.0], ([n_xi - 1], [n_xi - 1])), shape=(n_xi, n_xi))
+    z = np.zeros(n_xi)
+    z[0] = z[-1] = np.sqrt(0.5)
+    singular = StochasticOperator(
+        ((A.terms[0][0], K0), (last, K0)), FactoredVector.rank_one(A.rhs.Y[:, 0], z), True
+    )
+    with warnings.catch_warnings(record=True) as found:
+        warnings.simplefilter("always")
+        _, report = solve(singular, no_truncation(A), 1e-6, m=4)
+    assert (report.status, report.cycles, report.matvecs) == ("basis-limited", 2, 5)
+    deficient = [str(w.message) for w in found if "rank deficient" in str(w.message)]
+    assert len(deficient) == 2
+    assert all(text.startswith("projection Gram") for text in deficient)
+
+
 class TestSolve:
     def test_identity_case_one_inner_iteration(self):
         # sigma = 0 with the exact mean preconditioner: L = I, so the first
@@ -280,17 +304,29 @@ class TestSolve:
 
     def test_matches_dense_gmres_without_truncation(self, monkeypatch):
         # one cycle is one restart of dense GMRES on the right-preconditioned
-        # operator D M^{-1}, mapped back to the original variable u = M^{-1} x_hat
+        # operator D M^{-1}, mapped back to the original variable u = M^{-1} x_hat;
+        # both stop at the first step whose least-squares residual passes eps ||b||
         A = galerkin_operator(level=2, M=2, p=2, sigma=0.1)
         n_xi = A.shape[1]
         m = min(A.shape)  # basis of that size exhausts the residual space
         u, report = solve(A, no_truncation(A), 1e-10, m=m)
         assert report.converged
         Minv = np.kron(np.eye(n_xi), np.linalg.inv(A.mean_spatial.toarray()))
-        ref = Minv @ dense_gmres(dense_operator(A) @ Minv, dense_vec(A.rhs), m)
+        D = dense_operator(A) @ Minv
+        b = dense_vec(A.rhs)
         monkeypatch.setattr(krylov, "MAX_CYCLES", 1)
+        x_hat, steps = dense_gmres(D, b, m)
         with pytest.warns(UserWarning):
-            u1, _ = solve(A, no_truncation(A), 1e-30, m=m)
+            u1, report = solve(A, no_truncation(A), 1e-30, m=m)
+        assert report.matvecs == steps == m
+        ref = Minv @ x_hat
+        assert np.linalg.norm(dense_vec(u1) - ref) <= 1e-9 * np.linalg.norm(ref)
+        # at eps = 1e-4 both end after 4 of the m = 6 matvecs
+        x_hat, steps = dense_gmres(D, b, m, tol=1e-4 * np.linalg.norm(b))
+        u1, report = solve(A, no_truncation(A), 1e-4, m=m)
+        assert report.converged and report.cycles == 1
+        assert report.matvecs == steps < m
+        ref = Minv @ x_hat
         assert np.linalg.norm(dense_vec(u1) - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_converges_to_machine_precision_small(self):
@@ -302,7 +338,7 @@ class TestSolve:
         want = np.linalg.solve(D, dense_vec(A.rhs))
         assert np.linalg.norm(dense_vec(u) - want) <= 1e-9 * np.linalg.norm(want)
 
-    def test_truncated_run_converges_with_pgd_basis(self):
+    def test_truncated_run_converges_with_pgd_basis(self, monkeypatch):
         A = galerkin_operator(level=4, M=3, p=2, sigma=0.1, c=2.0)
         pgd_sol = solve_pgd(A, 1e-6)
         trunc = TruncationOperator("projection", basis=pgd_sol.Zc)
@@ -310,6 +346,16 @@ class TestSolve:
         assert report.converged
         assert report.residual_history[-1] < 1e-6
         assert u.rank <= pgd_sol.Zc.shape[1]
+        # the early end only shortens the cycle: m cut to the matvecs taken
+        # gives the same run, and one matvec fewer does not reach eps
+        assert report.cycles == 1 and report.matvecs < 8
+        cut, cut_report = solve(A, trunc, 1e-6, m=report.matvecs)
+        assert np.array_equal(cut_report.residual_history, report.residual_history)
+        assert np.array_equal(cut.Y, u.Y) and np.array_equal(cut.Z, u.Z)
+        monkeypatch.setattr(krylov, "MAX_CYCLES", 1)
+        with pytest.warns(UserWarning, match="max-cycles"):
+            _, short = solve(A, trunc, 1e-6, m=report.matvecs - 1)
+        assert short.residual_history[-1] >= 1e-6
 
     def test_basis_vector_ranks_bounded(self):
         A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)

@@ -36,8 +36,9 @@ class TestEigenproblem1D:
         assert pair.lam == pytest.approx(1.0, rel=1e-4)
 
     def test_defining_equation_residuals(self):
-        for pair in solve_1d_eigenproblem(cov(4.0), 0, 2):
-            assert abs(equation_residual(pair, 4.0)) <= 1e-10
+        covariance = cov(4.0)
+        for pair in solve_1d_eigenproblem(covariance, 0, 2):
+            assert abs(equation_residual(pair, 4.0, covariance.lengths[0])) <= 1e-10
 
     @pytest.mark.parametrize("c,L", [(1.0, 1.0), (4.0, 1.0), (0.5, 2.0), (8.0, 2.0)])
     def test_ordering_and_positivity(self, c, L):
@@ -104,7 +105,7 @@ class TestBuildKl:
 
     def test_modes_sorted_and_products(self):
         kl = build_kl(cov(2.0), 1.0, num_modes=15)
-        lams = kl.eigenvalues
+        lams = [m.lam for m in kl.modes]
         assert np.all(np.diff(lams) <= 1e-15)
         for mode in kl.modes:
             assert mode.lam == pytest.approx(mode.pair_x.lam * mode.pair_y.lam, rel=1e-14)
