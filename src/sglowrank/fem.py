@@ -20,8 +20,11 @@ stiffness, mass and convection matrices (weighted at the Gauss points),
     N = kron(C_y, M_x),
     S = kron(A_y^d, M_x),
 
-with A_y^d the delta-weighted y stiffness.  Homogeneous Dirichlet
-conditions are imposed by restricting every 1D factor to the interior
+with A_y^d the delta-weighted y stiffness.  The mean block of either
+problem (K_0, plus N and S with the wind) is kron(P_y, M_x) + kron(Q_y, A_x)
+with unit-weight x factors, which ``SpatialMatrices.mean_factors`` hands on
+so that the block can be inverted by fast diagonalization in x.
+Homogeneous Dirichlet conditions are imposed by restricting every 1D factor to the interior
 nodes; non-homogeneous data is folded into per-term right-hand-side
 contributions -(A_l g_D)[interior].
 """
@@ -111,6 +114,9 @@ class SpatialMatrices:
 
     K: tuple[sp.csr_matrix, ...]  # mean stiffness first, then one per KL mode
     f0: np.ndarray
+    # interior 1D factors (P_y, Q_y, A_x, M_x) of the mean block:
+    # K[0] + N + S = kron(P_y, M_x) + kron(Q_y, A_x); None when not built by fem
+    mean_factors: tuple[sp.csr_matrix, ...] | None = None
     N: sp.csr_matrix | None = None
     S: sp.csr_matrix | None = None
     bc_lift: BoundaryLift | None = None
@@ -216,6 +222,17 @@ def _interior(pairs: list[tuple]) -> sp.csr_matrix:
     return total
 
 
+def _mean_factors(grid: Grid, coef: float, transport=0.0) -> tuple[sp.csr_matrix, ...]:
+    """Interior 1D factors (P_y, Q_y, A_x, M_x) of a mean block.
+
+    The block is the stiffness with constant coefficient ``coef`` plus
+    kron(``transport``, M_x), so P_y = coef A_y + transport, Q_y = coef M_y.
+    """
+    x, y = grid.x_coords, grid.y_coords
+    P_y, Q_y = coef * _stiffness_1d(y) + transport, coef * _mass_1d(y)
+    return tuple(B[1:-1, 1:-1].tocsr() for B in (P_y, Q_y, _stiffness_1d(x), _mass_1d(x)))
+
+
 def _coupling(pairs: list[tuple], g: np.ndarray) -> np.ndarray:
     """-(sum kron(B_y, B_x)) g at the interior nodes, g given as an (n_y, n_x) array."""
     Ag = sum(By @ (Bx @ g.T).T for By, Bx in pairs)
@@ -256,7 +273,7 @@ def assemble_diffusion(grid: Grid, kl: KLExpansion) -> SpatialMatrices:
     # the load int phi_a is the row sum of the unit-weight mass matrix
     Mx, My = _mass_1d(grid.x_coords), _mass_1d(grid.y_coords)
     f0 = np.kron(My.sum(axis=1).A1[1:-1], Mx.sum(axis=1).A1[1:-1])
-    return SpatialMatrices(tuple(K), f0)
+    return SpatialMatrices(tuple(K), f0, _mean_factors(grid, kl.mean_a0))
 
 
 def _dirichlet_values_cd(grid: Grid) -> np.ndarray:
@@ -293,8 +310,8 @@ def assemble_convection_diffusion(grid: Grid, kl: KLExpansion, nu: float) -> Spa
     delta = np.where(peclet > 1.0, h_k / 2.0 * (1.0 - 1.0 / peclet), 0.0)
 
     Mx = _mass_1d(grid.x_coords)
-    N = [(_convection_1d(y), Mx)]
-    S = [(_stiffness_1d(y, delta[:, None]), Mx)]
+    Cy, Ay_delta = _convection_1d(y), _stiffness_1d(y, delta[:, None])
+    N, S = [(Cy, Mx)], [(Ay_delta, Mx)]
     K0 = _stiffness(grid, nu * kl.mean_a0)
     Kl = [_stiffness(grid, nu * fx, fy) for fx, fy in factors]
 
@@ -304,6 +321,7 @@ def assemble_convection_diffusion(grid: Grid, kl: KLExpansion, nu: float) -> Spa
     return SpatialMatrices(
         tuple(_interior(pairs) for pairs in [K0] + Kl),
         np.zeros(grid.n_interior),
+        _mean_factors(grid, nu * kl.mean_a0, Cy + Ay_delta),
         N=_interior(N),
         S=_interior(S),
         bc_lift=BoundaryLift(g.ravel(), tuple(coupling)),

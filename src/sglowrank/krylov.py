@@ -2,11 +2,15 @@
 
 The solver runs GMRES-style cycles on the right-preconditioned operator
 L = A M^{-1}.  M is always the mean-based block preconditioner
-G_0 (x) K_0 = I (x) K_0 (Powell & Elman, IMA J. Numer. Anal. 2009); the
-mean spatial block is factorized exactly once and reused.  Every
-basis vector produced inside a cycle is compressed by a truncation
-operator, so the basis is not orthogonal and both projections are
-computed through explicit Gram systems:
+G_0 (x) K_0 = I (x) K_0 (Powell & Elman, IMA J. Numer. Anal. 2009).  On
+the tensor grids of ``fem``, K_0 = kron(P_y, M_x) + kron(Q_y, A_x), so
+K_0^{-1} is set up once as one eigenbasis of (A_x, M_x) and one banded LU of
+the tridiagonal systems P_y + lambda_j Q_y (fast diagonalization); a block
+solve is then two batched GEMMs and one banded solve.  Operators without
+these factors fall back to SuperLU.  Every basis vector produced inside a
+cycle is compressed by a truncation operator, so the basis is not
+orthogonal and both projections are computed through explicit Gram
+systems:
 
     (V_j^T V_j) alpha = V_j^T w_j        (orthogonalization step)
     (W_m^T W_m) beta  = W_m^T r_k        (residual projection; W = L V)
@@ -18,7 +22,7 @@ all M+1 terms with one product [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T
 in a reused buffer; the mean term is Y itself because K_0 K_0^{-1} = I and
 G_0 = I, which the preconditioner checks once.  The output blocks of a
 cycle sit in one array of m rows allocated before the first cycle, so
-W^T W and W^T r are one BLAS product each.
+each matvec adds its row of W^T W and W^T r with one BLAS product each.
 
 A cycle ends at the first matvec j whose least-squares residual
 ||r - sum_{i<=j} beta_i W_i|| is below eps ||f|| (the GMRES residual
@@ -63,6 +67,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -117,13 +122,56 @@ STAGNATION_TOL = 1e-2
 MAX_CYCLES = 50
 
 
+class _FastDiagonalization:
+    """K^{-1} for K = kron(P_y, M_x) + kron(Q_y, A_x), P_y and Q_y tridiagonal.
+
+    With A_x V = M_x V diag(lambda) and V^T M_x V = I (Lynch, Rice & Thomas,
+    Numer. Math. 1964), K u = f on the (y, x) grid becomes one tridiagonal
+    system (P_y + lambda_j Q_y) t_j = (F V)_j per x-mode j.  All n_x of
+    them are stacked block-diagonally in one band matrix (kl = ku = 1, the
+    couplings between blocks zero) and factorized once by LAPACK gbtrf with
+    partial pivoting, so a nonsymmetric P_y is handled too.
+    """
+
+    def __init__(self, P_y, Q_y, A_x, M_x):
+        lam, V = scipy.linalg.eigh(A_x.toarray(), M_x.toarray())
+        self._Vt = np.ascontiguousarray(V.T)
+        self._n = n_y, n_x = P_y.shape[0], len(lam)
+        # LAPACK band storage of block j: superdiagonal in row 1 (shifted one
+        # column right), diagonal in row 2, subdiagonal in row 3; row 0 is fill
+        ab = np.zeros((4, n_x, n_y))
+        ab[1, :, 1:] = P_y.diagonal(1) + lam[:, None] * Q_y.diagonal(1)
+        ab[2] = P_y.diagonal() + lam[:, None] * Q_y.diagonal()
+        ab[3, :, :-1] = P_y.diagonal(-1) + lam[:, None] * Q_y.diagonal(-1)
+        self._lu, self._piv, info = scipy.linalg.lapack.dgbtrf(ab.reshape(4, n_x * n_y), 1, 1)
+        if info > 0:
+            raise ValueError("the mean spatial block is singular")
+
+    def solve(self, Y: np.ndarray) -> np.ndarray:
+        """K^{-1} Y for the r columns of Y, returned Fortran-ordered.
+
+        Two n_y n_x x r arrays are live: a copy of the columns of Y as
+        (y, x) grids, which the back transform overwrites with the result,
+        and their modal (j, y) grids, which gbtrs solves in place.
+        """
+        (n_y, n_x), r = self._n, Y.shape[1]
+        grids = np.array(Y.T, order="C").reshape(r, n_y, n_x)
+        modal = np.matmul(self._Vt, grids.transpose(0, 2, 1))
+        scipy.linalg.lapack.dgbtrs(self._lu, 1, 1, modal.reshape(r, -1).T, self._piv, overwrite_b=1)
+        np.matmul(modal.transpose(0, 2, 1), self._Vt, out=grids)
+        return grids.reshape(r, -1).T
+
+
 class MeanPreconditioner:
-    """Exact factorization of the mean spatial block, applied columnwise.
+    """Exact inverse of the mean spatial block, applied columnwise.
 
     M = G_0 (x) K_0 with G_0 = I, checked exactly once here, so that
     M^{-1} = I (x) K_0^{-1} and the mean term of A M^{-1} is the identity.
-    It also keeps the buffer the folded matvec reuses for the spatial stack
-    [Y | K_1 X | ... | K_M X].
+    An operator built by ``fem`` carries the 1D factors of K_0, which is then
+    inverted by fast diagonalization (``_FastDiagonalization``); any other
+    operator falls back to a SuperLU factorization of K_0.  Either is set up
+    exactly once.  It also keeps the buffer the folded matvec reuses for the
+    spatial stack [Y | K_1 X | ... | K_M X].
     """
 
     def __init__(self, A: StochasticOperator):
@@ -135,7 +183,10 @@ class MeanPreconditioner:
         self.shape = A.shape
         self._mean = A.mean_spatial
         self._spatial = np.empty(0)
-        self._lu = spla.splu(A.mean_spatial.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        if A.mean_factors is None:
+            self._inverse = spla.splu(A.mean_spatial.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        else:
+            self._inverse = _FastDiagonalization(*A.mean_factors)
         self._last: tuple[FactoredVector | None, FactoredVector | None] = (None, None)
 
     def spatial_stack(self, width: int) -> np.ndarray:
@@ -155,7 +206,7 @@ class MeanPreconditioner:
         solve of its last residual check.
         """
         if self._last[0] is not u:
-            X = self._lu.solve(np.asarray(u.Y)) if u.rank else np.array(u.Y)
+            X = self._inverse.solve(np.asarray(u.Y)) if u.rank else np.array(u.Y)
             self._last = (u, FactoredVector._adopt(X, u.Z, u.orthonormal))
         return self._last[1]
 
@@ -218,13 +269,14 @@ def _gram_solve(Gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 def _cycle(A, P, trunc: TruncationOperator, m: int, r, v0, u_hat, W: np.ndarray, target: float):
     """One restart cycle from the unit basis vector v0 and the residual r.
 
-    Matvecs are stored as rows of W.  The cycle ends at the first matvec j
-    whose least-squares residual ||r - sum_{i<=j} beta_i W_i|| is below
-    ``target``, formed explicitly (||r||^2 - (W r)^T beta cancels at these
-    residuals), or after m matvecs; m only caps the cycle.  Returns the
-    updated iterate T(u_hat + V beta) and the number of matvecs.  Every
-    vector of the cycle is released on return, before the next residual is
-    formed.
+    Matvecs are stored as rows of W, and W W^T and W r grow by one row per
+    matvec; the end-of-cycle projection solves with the rows formed.  The
+    cycle ends at the first matvec j whose least-squares residual
+    ||r - sum_{i<=j} beta_i W_i|| is below ``target``, formed explicitly
+    (||r||^2 - (W r)^T beta cancels at these residuals), or after m
+    matvecs; m only caps the cycle.  Returns the updated iterate
+    T(u_hat + V beta) and the number of matvecs.  Every vector of the cycle
+    is released on return, before the next residual is formed.
     """
     n_x, n_xi = A.shape
     V = [v0]
@@ -240,10 +292,10 @@ def _cycle(A, P, trunc: TruncationOperator, m: int, r, v0, u_hat, W: np.ndarray,
         w = block(W[j].reshape(n_x, n_xi))
         if j == 0:
             r_flat = coordinates(r, w.Z).ravel()  # r in the identity frame of the blocks
-        if j + 1 == m:
-            break
         Wr[j] = W[j] @ r_flat
         WtW[j, : j + 1] = WtW[: j + 1, j] = W[: j + 1] @ W[j]
+        if j + 1 == m:
+            break
         # a silent solve: only the orthogonalization and projection solves warn
         beta = np.linalg.lstsq(WtW[: j + 1, : j + 1], Wr[: j + 1], rcond=GRAM_RCOND)[0]
         if np.linalg.norm(r_flat - beta @ W[: j + 1]) < target:
@@ -259,8 +311,7 @@ def _cycle(A, P, trunc: TruncationOperator, m: int, r, v0, u_hat, W: np.ndarray,
             VtV[i, j + 1] = VtV[j + 1, i] = inner(v, v_next)
 
     m_eff = j + 1
-    Wm = W[:m_eff]
-    beta = _gram_solve(Wm @ Wm.T, Wm @ r_flat, "projection")
+    beta = _gram_solve(WtW[:m_eff, :m_eff], Wr[:m_eff], "projection")
     u_hat = trunc.apply(combine([u_hat] + V[:m_eff], np.concatenate([[1.0], beta])))
     return u_hat, m_eff
 

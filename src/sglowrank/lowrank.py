@@ -157,12 +157,16 @@ class StochasticOperator:
     differ from their transposes in 18-28% of their entries, by at most
     5.6e-17 relative; only K_0 is exactly symmetric.  PGD's banded Cholesky
     reads the lower triangle by design, and a transport operator flagged
-    symmetric fails there.
+    symmetric fails there.  ``mean_factors`` are the 1D factors
+    (P_y, Q_y, A_x, M_x) with mean block kron(P_y, M_x) + kron(Q_y, A_x)
+    (``fem.SpatialMatrices.mean_factors``), or None for an operator not
+    built from them.
     """
 
     terms: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]
     rhs: FactoredVector
     symmetric: bool
+    mean_factors: tuple[sp.csr_matrix, ...] | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -386,4 +390,6 @@ def build_operator(spatial, Gl) -> StochasticOperator:
         rhs = FactoredVector.rank_one(spatial.f0, np.eye(n_xi, 1))
     else:
         rhs = FactoredVector.zero(spatial.f0.shape[0], n_xi)
-    return StochasticOperator(tuple(terms), rhs, symmetric=spatial.N is None)
+    return StochasticOperator(
+        tuple(terms), rhs, symmetric=spatial.N is None, mean_factors=spatial.mean_factors
+    )

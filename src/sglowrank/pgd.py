@@ -45,7 +45,7 @@ fine-grid solver.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -308,7 +308,7 @@ def handle_nonhomogeneous_bc(A: StochasticOperator, lift) -> StochasticOperator:
 
     ``lift`` is a fem.BoundaryLift.  Term l of the operator contributes the
     rank-one piece (G_l e_1) (x) (-A_l[int, bnd] g_D); columns are appended
-    to the stored rhs.
+    to the stored rhs.  Terms and mean factors are kept.
     """
     if lift is None:
         return A
@@ -331,7 +331,7 @@ def handle_nonhomogeneous_bc(A: StochasticOperator, lift) -> StochasticOperator:
         rhs = FactoredVector.zero(n_x, n_xi)
     else:
         rhs = truncate_svd(FactoredVector(np.hstack(y_cols), np.hstack(z_cols)))
-    return StochasticOperator(A.terms, rhs, symmetric=A.symmetric)
+    return replace(A, rhs=rhs)
 
 
 def extract_stochastic_basis(u: FactoredVector) -> np.ndarray:

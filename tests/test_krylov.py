@@ -1,5 +1,6 @@
 import ast
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from sglowrank.pgd import solve_pgd
 from sglowrank.randfield import ExponentialCovariance, build_kl
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
+BIG = (-1.0, 1.0, -1.0, 1.0)
 
 
 def galerkin_operator(level=3, M=3, p=2, sigma=0.1, c=2.0):
@@ -41,6 +43,14 @@ def galerkin_operator(level=3, M=3, p=2, sigma=0.1, c=2.0):
     stoch = build_stochastic_matrices(build_spectral_basis(M, p))
     spatial = assemble_diffusion(make_grid(level, UNIT), kl)
     return build_operator(spatial, stoch)
+
+
+def problem_operator(kind, level, M=2, p=1):
+    """The operator ``build_problem`` returns, with the benchmark's nu = 1/200."""
+    nu = 1 / 200 if kind == "convection-diffusion" else None
+    spec = PipelineSpec(kind=kind, domain=BIG, nu=nu, num_modes=M, degree=p)
+    kl, stoch = krylov.build_stochastic(spec)
+    return krylov.build_problem(spec, level, kl, stoch)
 
 
 def no_truncation(A):
@@ -55,15 +65,39 @@ class TestPreconditioner:
         assert P.solve(u).rank == 4
 
     def test_matches_dense_application(self, rng):
-        A = galerkin_operator(level=2, M=2, p=1)
-        P = MeanPreconditioner(A)
-        u = random_factored(rng, *A.shape, 3)
-        got = dense_vec(apply_preconditioned(A, P, u))
-        D = dense_operator(A)
-        n_x, n_xi = A.shape
-        Minv = np.kron(np.eye(n_xi), np.linalg.inv(A.mean_spatial.toarray()))
-        want = D @ Minv @ dense_vec(u)
-        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+        # diffusion, and convection-diffusion on a stretched level-3 grid
+        cd = problem_operator("convection-diffusion", 3)[2]
+        for A in (galerkin_operator(level=2, M=2, p=1), cd):
+            P = MeanPreconditioner(A)
+            u = random_factored(rng, *A.shape, 3)
+            got = dense_vec(apply_preconditioned(A, P, u))
+            D = dense_operator(A)
+            n_x, n_xi = A.shape
+            Minv = np.kron(np.eye(n_xi), np.linalg.inv(A.mean_spatial.toarray()))
+            want = D @ Minv @ dense_vec(u)
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+            # fast diagonalization of the factored mean block against SuperLU
+            assert A.mean_factors is not None
+            superlu = MeanPreconditioner(replace(A, mean_factors=None)).solve(u).Y
+            assert np.linalg.norm(P.solve(u).Y - superlu) <= 1e-12 * np.linalg.norm(superlu)
+
+    @pytest.mark.parametrize(
+        "kind,level",
+        [("diffusion", 3), ("diffusion", 6), ("convection-diffusion", 4),
+         ("convection-diffusion", 6)],
+    )
+    def test_mean_factors_reproduce_the_mean_block(self, kind, level):
+        # the operator the pipeline solves, after any Dirichlet lift is folded
+        # in, must carry the factors, or its mean block falls back to SuperLU
+        grid, _, A = problem_operator(kind, level)
+        P_y, Q_y, A_x, M_x = A.mean_factors
+        diff = sp.kron(P_y, M_x) + sp.kron(Q_y, A_x) - A.mean_spatial
+        rel = abs(diff).max() / abs(A.mean_spatial).max()
+        if kind == "diffusion":
+            assert rel == 0.0
+        else:
+            assert np.ptp(np.diff(grid.y_coords)) > 0  # a stretched grid
+            assert rel <= 1e-15
 
     def test_exact_mean_problem_is_identity(self, rng):
         A = galerkin_operator(sigma=0.0, M=2)
