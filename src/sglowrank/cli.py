@@ -236,6 +236,8 @@ def run_experiment(spec: PipelineSpec, out_dir: Path) -> dict:
 
 def run_comparison(spec: PipelineSpec, variants, out_dir: Path) -> list[dict]:
     """Identical problem and seed across solver variants; side-by-side CSV."""
+    if not variants:
+        raise ConfigError(f"no variants given; choose from {','.join(VARIANTS)}")
     unknown = set(variants) - set(VARIANTS)
     if unknown:
         raise ConfigError(f"unknown variants: {sorted(unknown)}")

@@ -18,16 +18,18 @@ systems:
 Every matvec output and every residual is stored as its dense
 n_x x n_xi block, paired with the identity frame (``lowrank.block`` /
 ``lowrank.fold``).  A matvec of (Y, Z) solves X = K_0^{-1} Y once and folds
-all M+1 terms with one product [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T
-in a reused buffer; the mean term is Y itself because K_0 K_0^{-1} = I and
-G_0 = I, which the preconditioner checks once.  The output blocks of a
-cycle sit in one array of m rows allocated before the first cycle, so
-each matvec adds its row of W^T W and W^T r with one BLAS product each.
+all M+1 terms with one product [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T;
+the mean term is Y itself because K_0 K_0^{-1} = I and G_0 = I, which the
+preconditioner checks once.  That spatial stack lives only inside the
+matvec.  The output blocks of a cycle sit in one array of m rows
+allocated before the first cycle, so each matvec adds its row of W^T W
+and W^T r with one BLAS product each.
 
-A cycle ends at the first matvec j whose least-squares residual
-||r - sum_{i<=j} beta_i W_i|| is below eps ||f|| (the GMRES residual
-estimate of Saad & Schultz, SISSC 1986), formed explicitly from the
-stored rows; m only caps its length.  The estimate is taken before
+After each matvec j the cycle solves its W Gram system once for beta
+(Saad & Schultz, SISSC 1986), and that solve serves the early end, the
+cap m and the update: a cycle ends at the first j whose least-squares
+residual ||r - sum_{i<=j} beta_i W_i||, formed explicitly from the stored
+rows, is below eps ||f||, or at j = m - 1.  The residual is taken before
 truncation, so the true residual at the top of the next cycle still
 decides convergence, and stagnation is a test between cycles only.
 
@@ -170,8 +172,8 @@ class MeanPreconditioner:
     An operator built by ``fem`` carries the 1D factors of K_0, which is then
     inverted by fast diagonalization (``_FastDiagonalization``); any other
     operator falls back to a SuperLU factorization of K_0.  Either is set up
-    exactly once.  It also keeps the buffer the folded matvec reuses for the
-    spatial stack [Y | K_1 X | ... | K_M X].
+    exactly once.  Besides K_0 and its inverse it keeps only its last solve;
+    the matvec allocates its own workspace.
     """
 
     def __init__(self, A: StochasticOperator):
@@ -180,20 +182,12 @@ class MeanPreconditioner:
         identity = sp.identity(n_xi, format="csr")
         if G0.shape != (n_xi, n_xi) or (sp.csr_matrix(G0) != identity).nnz:
             raise ValueError("the mean preconditioner needs G_0 = I exactly")
-        self.shape = A.shape
         self._mean = A.mean_spatial
-        self._spatial = np.empty(0)
         if A.mean_factors is None:
             self._inverse = spla.splu(A.mean_spatial.tocsc(), permc_spec="MMD_AT_PLUS_A")
         else:
             self._inverse = _FastDiagonalization(*A.mean_factors)
         self._last: tuple[FactoredVector | None, FactoredVector | None] = (None, None)
-
-    def spatial_stack(self, width: int) -> np.ndarray:
-        n_x = self.shape[0]
-        if self._spatial.size < n_x * width:
-            self._spatial = np.empty(n_x * width)
-        return self._spatial[: n_x * width].reshape(n_x, width)
 
     def apply(self, u: FactoredVector) -> FactoredVector:
         """M u, moving an initial guess into the preconditioned variable."""
@@ -216,8 +210,8 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
 
     With X = K_0^{-1} Y, one product of the stacked factors folds all terms,
     [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T: the mean term is Y
-    itself because K_0 K_0^{-1} = I.  The spatial stack lives in the
-    preconditioner's reused buffer.
+    itself because K_0 K_0^{-1} = I.  The n_x x (M+1) rank(u) spatial stack
+    is allocated here and released on return.
     """
     n_x, n_xi = A.shape
     if u.shape != (n_x, n_xi):
@@ -226,7 +220,7 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
         return FactoredVector.zero(n_x, n_xi)
     r = u.rank
     X = np.ascontiguousarray(P.solve(u).Y)
-    S = P.spatial_stack(r * A.num_terms)
+    S = np.empty((n_x, r * A.num_terms))
     S[:, :r] = u.Y
     for l, (_, K) in enumerate(A.terms[1:], start=1):
         S[:, l * r : (l + 1) * r] = K @ X
@@ -270,13 +264,13 @@ def _cycle(A, P, trunc: TruncationOperator, m: int, r, v0, u_hat, W: np.ndarray,
     """One restart cycle from the unit basis vector v0 and the residual r.
 
     Matvecs are stored as rows of W, and W W^T and W r grow by one row per
-    matvec; the end-of-cycle projection solves with the rows formed.  The
+    matvec, and each matvec solves the Gram system once for beta.  The
     cycle ends at the first matvec j whose least-squares residual
     ||r - sum_{i<=j} beta_i W_i|| is below ``target``, formed explicitly
     (||r||^2 - (W r)^T beta cancels at these residuals), or after m
-    matvecs; m only caps the cycle.  Returns the updated iterate
-    T(u_hat + V beta) and the number of matvecs.  Every vector of the cycle
-    is released on return, before the next residual is formed.
+    matvecs.  The last beta and its rank give the update T(u_hat + V beta)
+    and the cycle's one projection warning.  Returns the update and the
+    number of matvecs.  Every vector of the cycle is released on return.
     """
     n_x, n_xi = A.shape
     V = [v0]
@@ -294,26 +288,27 @@ def _cycle(A, P, trunc: TruncationOperator, m: int, r, v0, u_hat, W: np.ndarray,
             r_flat = coordinates(r, w.Z).ravel()  # r in the identity frame of the blocks
         Wr[j] = W[j] @ r_flat
         WtW[j, : j + 1] = WtW[: j + 1, j] = W[: j + 1] @ W[j]
-        if j + 1 == m:
-            break
-        # a silent solve: only the orthogonalization and projection solves warn
-        beta = np.linalg.lstsq(WtW[: j + 1, : j + 1], Wr[: j + 1], rcond=GRAM_RCOND)[0]
-        if np.linalg.norm(r_flat - beta @ W[: j + 1]) < target:
+        beta, _, rank, _ = np.linalg.lstsq(WtW[: j + 1, : j + 1], Wr[: j + 1], rcond=GRAM_RCOND)
+        if j + 1 == m or np.linalg.norm(r_flat - beta @ W[: j + 1]) < target:
             break
         alpha = _gram_solve(VtV[: j + 1, : j + 1], inners(V, w), "orthogonalization")
         v_next = trunc.apply(combine([w] + V, np.concatenate([[1.0], -alpha])))
         v_next_norm = norm(v_next)
-        if v_next_norm <= BASIS_DROP_TOL * norm(w):
+        if v_next_norm <= BASIS_DROP_TOL * np.sqrt(WtW[j, j]):
             break  # basis cannot grow further; use the j+1 vectors built
         v_next = scale(v_next, 1.0 / v_next_norm)
         V.append(v_next)
         for i, v in enumerate(V):
             VtV[i, j + 1] = VtV[j + 1, i] = inner(v, v_next)
 
-    m_eff = j + 1
-    beta = _gram_solve(WtW[:m_eff, :m_eff], Wr[:m_eff], "projection")
-    u_hat = trunc.apply(combine([u_hat] + V[:m_eff], np.concatenate([[1.0], beta])))
-    return u_hat, m_eff
+    if rank <= j:
+        warnings.warn(
+            f"projection Gram system is numerically rank deficient ({rank}/{j + 1}); "
+            "shrinking the step",
+            stacklevel=3,
+        )
+    u_hat = trunc.apply(combine([u_hat] + V, np.concatenate([[1.0], beta])))
+    return u_hat, j + 1
 
 
 def solve(

@@ -200,10 +200,19 @@ class TestComparison:
         by_name = {r["variant"]: r for r in rows}
         assert abs(by_name["pgd-direct"]["kappa"] - by_name["lrp-multilevel"]["kappa"]) <= 5
 
-    def test_unknown_variant(self, tmp_path):
+    def test_unknown_variant(self, tmp_path, capsys):
         cfg = load_config(None, [s.replace(" ", "") for s in FAST])
-        with pytest.raises(ConfigError):
-            run_comparison(cfg, ["lrp-quantum"], tmp_path / "cmp")
+        for variants in (["lrp-quantum"], []):
+            with pytest.raises(ConfigError):
+                run_comparison(cfg, variants, tmp_path / "cmp")
+        # an unknown or empty --variants list exits 2 and writes nothing
+        path = write_cfg(tmp_path, FAST)
+        for arg in ("lrp-quantum", ","):
+            out = tmp_path / "out"
+            assert main(["compare", "--config", str(path), "--variants", arg, "--out", str(out)]) == 2
+            assert "invalid configuration" in capsys.readouterr().err
+            assert not out.exists()
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestMainEntry:

@@ -504,6 +504,20 @@ class TestPipeline:
         assert res.report.converged
         assert res.report.final_rank <= res.pgd.Zc.shape[1]
 
+    @pytest.mark.parametrize("truncation", ["multilevel", "svd"])
+    def test_repeated_pipeline_is_bit_identical(self, truncation):
+        # no solver state carries over from one solve to the next in the
+        # same process
+        spec = PipelineSpec(
+            kind="diffusion", domain=UNIT, corr_len=4.0, sigma=0.05, mean_a0=1.0,
+            degree=2, fine_level=4, eps=1e-5, coarse_level=3, truncation=truncation,
+        )
+        first, second = pipeline(spec), pipeline(spec)
+        assert first.report.converged
+        assert np.array_equal(first.solution.Y, second.solution.Y)
+        assert np.array_equal(first.solution.Z, second.solution.Z)
+        assert np.array_equal(first.report.residual_history, second.report.residual_history)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PipelineSpec(kind="heat", domain=UNIT, corr_len=1.0, sigma=0.1,
