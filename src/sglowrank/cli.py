@@ -188,6 +188,7 @@ def _report_dict(spec: PipelineSpec, result) -> dict:
         "converged": result.report.converged,
         "status": result.report.status,
         "residual_history": list(result.report.residual_history),
+        "complement_history": list(result.report.complement_history),
     }
     report["timings"] = {k: float(v) for k, v in result.report.wall_times.items()}
     return report

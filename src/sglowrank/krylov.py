@@ -8,17 +8,23 @@ K_0^{-1} is set up once as one eigenbasis of (A_x, M_x) and one banded LU of
 the tridiagonal systems P_y + lambda_j Q_y (fast diagonalization); a block
 solve is then two batched GEMMs and one banded solve.  Operators without
 these factors fall back to SuperLU.  Every basis vector produced inside a
-cycle is compressed by a truncation operator, so the basis is not
-orthogonal and both projections are computed through explicit Gram
-systems:
+cycle is compressed by a truncation operator or lies in a fixed frame, so
+the basis is not orthogonal and both projections are computed through
+explicit Gram systems:
 
     (V_j^T V_j) alpha = V_j^T w_j        (orthogonalization step)
     (W_m^T W_m) beta  = W_m^T r_k        (residual projection; W = L V)
 
-Every matvec output and every residual is stored as its dense
-n_x x n_xi block, paired with the identity frame (``lowrank.block`` /
-``lowrank.fold``).  A matvec of (Y, Z) solves X = K_0^{-1} Y once and folds
-all M+1 terms with one product [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T;
+With projection truncation onto an orthonormal basis B the cycles run on
+the reduced operator sum_l (B^T G_l B) (x) K_l (``lowrank.reduce_operator``;
+Powell, Silvester & Simoncini, SISC 2017) without truncation: every basis
+vector, matvec output and W row is an n_x x kappa block of the
+kappa-identity frame, so inner products are kappa-wide Frobenius dots and
+combinations sum spatial factors (``lowrank.combine``, ``inners``).  Its
+term 0 is (I, K_0), so one preconditioner serves A and the reduced
+operator.  With SVD truncation the same loop runs on A, every block
+n_x x n_xi.  A matvec of (Y, Z) solves X = K_0^{-1} Y once and folds all
+M+1 terms with one product [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T;
 the mean term is Y itself because K_0 K_0^{-1} = I and G_0 = I, which the
 preconditioner checks once.  That spatial stack lives only inside the
 matvec.  The output blocks of a cycle sit in one array of m rows
@@ -29,28 +35,26 @@ After each matvec j the cycle solves its W Gram system once for beta
 (Saad & Schultz, SISSC 1986), and that solve serves the early end, the
 cap m and the update: a cycle ends at the first j whose least-squares
 residual ||r - sum_{i<=j} beta_i W_i||, formed explicitly from the stored
-rows, is below eps ||f||, or at j = m - 1.  The residual is taken before
-truncation, so the true residual at the top of the next cycle still
-decides convergence, and stagnation is a test between cycles only.
+rows, is below its target, or at j = m - 1.
 
-With projection truncation onto a basis B every basis vector and the
-iterate are n_x x kappa blocks Y paired with B itself.  The generic rules
-of ``lowrank`` then keep all work in that frame: V^T w is one product
-W B and kappa-wide Frobenius dots (``inners``), the combination
-w - sum alpha_i V_i is the block W next to the summed Y_i (n_xi + kappa
-columns) before its projection, and the cycle update u + V beta is the
-summed Y.  SVD truncation runs through the same loop.  Every norm is
-taken in an orthonormal stochastic frame (``lowrank.norm``): the identity
-of the folded blocks and of the right-hand side, B, or the factor an SVD
-truncation returns.
-
-The cycle update is u <- T(u + V beta); the outer loop checks the true
-untruncated residual and stops on ||r|| / ||f|| < eps, after a cycle that
-removes less than a fraction STAGNATION_TOL of the residual (the basis
-cannot represent a better iterate), on a vanished truncated residual, or
-after MAX_CYCLES; ``SolveReport.status`` says which.  With right
-preconditioning the accumulated iterate lives in the preconditioned
-variable, so M^{-1} is applied once on return.
+Convergence is judged on the true residual only, once per cycle: the
+iterate, lifted by B with projection, gives R = f - A M^{-1} u_hat, and
+the solve stops on ||R|| / ||f|| < eps.  With projection R splits into
+its frame part R B, which seeds the next cycle, and its complement r_perp
+with ||r_perp||^2 = ||R||^2 - ||R B||^2.  r_perp moves with the iterate,
+but the cycles only drive R B to zero: once a cycle has met its target
+the iterate is near the reduced Galerkin solution that the restarts
+converge to, whose residual is its complement alone, so
+||r_perp|| >= eps ||f|| after such a cycle stops the solve as
+basis-limited.  Otherwise the next cycle's target is
+sqrt(eps^2 ||f||^2 - ||r_perp||^2), or eps ||f|| in the first cycle
+(whose zero iterate leaves f's own complement) and after a cycle cut by
+the cap m whose iterate's complement exceeds eps.  The solve also stops
+after a cycle that removes less than a fraction STAGNATION_TOL of the
+residual (basis-limited), on a vanished truncated residual, or after
+MAX_CYCLES; ``SolveReport.status`` says which.  With right preconditioning the
+accumulated iterate lives in the preconditioned variable, so M^{-1} is
+applied once on return.
 
 The pipeline builds the KL expansion and the chaos matrices once
 (``build_stochastic``), assembles the coarse problem and runs the PGD
@@ -75,8 +79,8 @@ import scipy.sparse.linalg as spla
 
 from . import fem
 from .chaos import build_spectral_basis, build_stochastic_matrices
-# apply_operator is not called here; it stays a module attribute because
-# perfbench/spans.py traces krylov.apply_operator
+# add and apply_operator are not called here; they stay module attributes
+# because perfbench/spans.py traces krylov.add and krylov.apply_operator
 from .lowrank import (  # noqa: F401
     FactoredVector,
     StochasticOperator,
@@ -91,6 +95,7 @@ from .lowrank import (  # noqa: F401
     inner,
     inners,
     norm,
+    reduce_operator,
     scale,
 )
 from .pgd import PgdSolution, handle_nonhomogeneous_bc, solve_pgd
@@ -206,7 +211,8 @@ class MeanPreconditioner:
 
 
 def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> FactoredVector:
-    """(A M^{-1}) u as its dense n_x x n_xi block, paired with the identity.
+    """(A M^{-1}) u as its dense block, paired with the identity of its size
+    (n_x x n_xi, or n_x x kappa for a reduced operator).
 
     With X = K_0^{-1} Y, one product of the stacked factors folds all terms,
     [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T: the mean term is Y
@@ -231,14 +237,19 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
 class SolveReport:
     """Counts and residual history of one solve.
 
-    ``status`` says why it stopped: ``converged``, ``basis-limited`` (a
-    cycle kept more than 1 - STAGNATION_TOL of the residual),
-    ``max-cycles`` or ``basis-vanished`` (the truncated residual was zero).
+    ``status`` says why it stopped: ``converged``, ``basis-limited`` (after
+    a cycle that met its target, the residual's part outside the
+    projection basis alone is at least eps, or a cycle kept more than
+    1 - STAGNATION_TOL of the residual), ``max-cycles`` or
+    ``basis-vanished`` (the truncated residual was zero).
+    ``complement_history`` holds ||r_perp|| / ||f|| at the top of each
+    cycle, next to ``residual_history`` (0.0 without projection).
     """
 
     cycles: int
     matvecs: int
     residual_history: list[float]
+    complement_history: list[float]
     final_rank: int
     status: str
     wall_times: dict = field(default_factory=dict)
@@ -260,39 +271,55 @@ def _gram_solve(Gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return sol
 
 
-def _cycle(A, P, trunc: TruncationOperator, m: int, r, v0, u_hat, W: np.ndarray, target: float):
-    """One restart cycle from the unit basis vector v0 and the residual r.
+def _residual(A: StochasticOperator, P, u_hat: FactoredVector) -> FactoredVector:
+    """f - A M^{-1} u_hat as its dense block.
 
-    Matvecs are stored as rows of W, and W W^T and W r grow by one row per
-    matvec, and each matvec solves the Gram system once for beta.  The
-    cycle ends at the first matvec j whose least-squares residual
-    ||r - sum_{i<=j} beta_i W_i|| is below ``target``, formed explicitly
-    (||r||^2 - (W r)^T beta cancels at these residuals), or after m
-    matvecs.  The last beta and its rank give the update T(u_hat + V beta)
-    and the cycle's one projection warning.  Returns the update and the
-    number of matvecs.  Every vector of the cycle is released on return.
+    The matvec block of a nonzero iterate is subtracted from Y_f Z_f^T in
+    place, which for a rank-one f with Z_f = e_1 gives exactly the fold of
+    [Y_f | -W] [Z_f | I]^T.
     """
-    n_x, n_xi = A.shape
+    R = A.rhs.Y @ A.rhs.Z.T
+    if u_hat.rank:
+        R -= apply_preconditioned(A, P, u_hat).Y
+    return block(R)
+
+
+def _cycle(A, P, truncate, m: int, r: np.ndarray, v0, u_hat, W: np.ndarray, target: float):
+    """One restart cycle from the unit basis vector v0 and the residual block r.
+
+    r is the dense residual block in the identity frame of the matvec
+    outputs.  Matvecs are stored as rows of W, and W W^T and W r grow by
+    one row per matvec, and each matvec solves the Gram system once for
+    beta.  The cycle ends at the first matvec j whose least-squares
+    residual ||r - sum_{i<=j} beta_i W_i|| is below ``target``, formed
+    explicitly (||r||^2 - (W r)^T beta cancels at these residuals), or
+    after m matvecs.  The last beta and its rank give the update
+    truncate(u_hat + V beta) and the cycle's one projection warning.
+    Returns the update, the number of matvecs and whether the last
+    least-squares residual fell below ``target`` (False for a cycle cut
+    by the cap m or by an exhausted basis).  Every vector of the cycle is
+    released on return.
+    """
     V = [v0]
     VtV = np.zeros((m, m))
     VtV[0, 0] = inner(v0, v0)
     WtW = np.zeros((m, m))
     Wr = np.zeros(m)
+    r_flat = r.ravel()
     for j in range(m):
         w = apply_preconditioned(A, P, V[j])
         # keep the block once: w becomes a view of its stored row, which is
         # rewritten only by a later cycle
         W[j] = w.Y.ravel()
-        w = block(W[j].reshape(n_x, n_xi))
-        if j == 0:
-            r_flat = coordinates(r, w.Z).ravel()  # r in the identity frame of the blocks
+        w = block(W[j].reshape(r.shape))
         Wr[j] = W[j] @ r_flat
         WtW[j, : j + 1] = WtW[: j + 1, j] = W[: j + 1] @ W[j]
         beta, _, rank, _ = np.linalg.lstsq(WtW[: j + 1, : j + 1], Wr[: j + 1], rcond=GRAM_RCOND)
-        if j + 1 == m or np.linalg.norm(r_flat - beta @ W[: j + 1]) < target:
+        reached = bool(np.linalg.norm(r_flat - beta @ W[: j + 1]) < target)
+        if reached or j + 1 == m:
             break
         alpha = _gram_solve(VtV[: j + 1, : j + 1], inners(V, w), "orthogonalization")
-        v_next = trunc.apply(combine([w] + V, np.concatenate([[1.0], -alpha])))
+        v_next = truncate(combine([w] + V, np.concatenate([[1.0], -alpha])))
         v_next_norm = norm(v_next)
         if v_next_norm <= BASIS_DROP_TOL * np.sqrt(WtW[j, j]):
             break  # basis cannot grow further; use the j+1 vectors built
@@ -307,8 +334,8 @@ def _cycle(A, P, trunc: TruncationOperator, m: int, r, v0, u_hat, W: np.ndarray,
             "shrinking the step",
             stacklevel=3,
         )
-    u_hat = trunc.apply(combine([u_hat] + V, np.concatenate([[1.0], beta])))
-    return u_hat, j + 1
+    u_hat = truncate(combine([u_hat] + V, np.concatenate([[1.0], beta])))
+    return u_hat, j + 1, reached
 
 
 def solve(
@@ -320,13 +347,16 @@ def solve(
 ) -> tuple[FactoredVector, SolveReport]:
     """Run restarted low-rank projection cycles until a stopping test passes.
 
-    ``trunc`` compresses every basis vector and iterate, ``eps`` is the
-    relative residual to reach, ``m`` the longest restart (a cycle ends at
-    the first matvec whose least-squares residual passes eps) and ``u0`` an
-    optional initial guess; at most MAX_CYCLES cycles run.  Returns the
-    solution in the original variable together with a report.  The
-    residual history holds the true relative residual at the top of each
-    cycle, including the final accepted value.
+    ``trunc`` is an SVD truncation, which compresses every basis vector and
+    iterate, or a projection onto B, whose reduced operator the cycles
+    solve without truncation (the stopping rule with its complement part
+    is in the module docstring).  ``eps`` is the relative residual to
+    reach, ``m`` the longest restart (a cycle ends at the first matvec
+    whose least-squares residual passes its target) and ``u0`` an optional
+    initial guess; at most MAX_CYCLES cycles run.  Returns the solution in
+    the original variable together with a report.  The residual history
+    holds the true relative residual at the top of each cycle, including
+    the final accepted value.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -339,28 +369,51 @@ def solve(
     n_x, n_xi = A.shape
     fnorm = norm(A.rhs)
     if fnorm == 0.0:
-        report = SolveReport(0, 0, [0.0], 0, "converged", {"setup": t_setup, "solve": 0.0})
+        report = SolveReport(0, 0, [0.0], [0.0], 0, "converged", {"setup": t_setup, "solve": 0.0})
         return FactoredVector.zero(n_x, n_xi), report
 
-    # iterate in the preconditioned variable u_hat = M u
+    t1 = time.perf_counter()
+    B = trunc.basis if trunc.kind == "projection" else None
+    if B is None:
+        A_cycle, truncate = A, trunc.apply
+    else:
+        # no truncation: vectors of one frame combine within it, and fold
+        # caps any width above kappa
+        A_cycle, truncate = reduce_operator(A, B), fold
+
+    # the iterate in the preconditioned variable M u, in the frame of A_cycle
     if u0 is None or u0.rank == 0:
-        u_hat = FactoredVector.zero(n_x, n_xi)
+        x_hat = FactoredVector.zero(*A_cycle.shape)
         u_given = None
     else:
-        u_hat = P.apply(u0)
+        x_hat = P.apply(u0)
         u_given = u0
+        if B is not None:
+            # only the guess's part in span(B) is checked and returned
+            x_hat, u_given = block(coordinates(x_hat, B)), None
 
-    t1 = time.perf_counter()
     # the matvec output blocks of one cycle, one row each
-    W = np.empty((m, n_x * n_xi))
+    W = np.empty((m, n_x * A_cycle.shape[1]))
     history: list[float] = []
+    complement: list[float] = []
     cycles = 0
     matvecs = 0
+    reached = False  # whether the last cycle met its target
     status = "max-cycles"
 
     for outer in range(MAX_CYCLES + 1):
-        r = fold(add(A.rhs, scale(apply_preconditioned(A, P, u_hat), -1.0)))
-        rel = norm(r) / fnorm
+        u_hat = x_hat  # the iterate of A: x_hat itself, or x_hat lifted by B
+        if B is not None:
+            u_hat = FactoredVector._adopt(x_hat.Y, B @ x_hat.Z, x_hat.orthonormal)
+        r = _residual(A, P, u_hat)
+        r_norm = norm(r)
+        rel = r_norm / fnorm
+        perp = 0.0
+        if B is not None:
+            # the frame part (R B, B) is the reduced residual: pair it with
+            # the kappa-identity frame of the cycles
+            r = block(trunc.apply(r).Y)
+            perp = float(np.sqrt(max(r_norm**2 - norm(r) ** 2, 0.0))) / fnorm
         if history and rel > history[-1]:
             warnings.warn(
                 f"cycle {outer} increased the relative residual "
@@ -369,8 +422,15 @@ def solve(
                 stacklevel=2,
             )
         history.append(rel)
+        complement.append(perp)
         if rel < eps:
             status = "converged"
+            break
+        if reached and perp >= eps:
+            # the last cycle met its target, so the iterate is near the
+            # reduced solution the cycles converge to, and its complement
+            # is the floor that further restarts leave
+            status = "basis-limited"
             break
         if len(history) > 1 and rel > (1.0 - STAGNATION_TOL) * history[-2]:
             status = "basis-limited"
@@ -378,14 +438,25 @@ def solve(
         if outer == MAX_CYCLES:
             break
 
-        v_tilde = trunc.apply(r)
+        if B is not None:
+            v_tilde = r
+        else:
+            # the zero iterate's residual is f: its SVD runs on f's own
+            # factors, narrower than the block
+            v_tilde = trunc.apply(A.rhs if x_hat.rank == 0 else r)
         v_norm = norm(v_tilde)
         if v_norm == 0.0:
             warnings.warn("truncated residual vanished; cannot build a basis", stacklevel=2)
             status = "basis-vanished"
             break
-        u_hat, cycle_matvecs = _cycle(
-            A, P, trunc, m, r, scale(v_tilde, 1.0 / v_norm), u_hat, W, eps * fnorm
+        # the complement of the zero iterate is f's own, and one of an
+        # iterate far from the reduced solution can exceed eps: both cycles
+        # aim at eps ||f|| alone, as every SVD cycle does
+        target = eps
+        if cycles and 0.0 < perp < eps:
+            target = np.sqrt(eps**2 - perp**2)
+        x_hat, cycle_matvecs, reached = _cycle(
+            A_cycle, P, truncate, m, r.Y, scale(v_tilde, 1.0 / v_norm), x_hat, W, fnorm * target
         )
         matvecs += cycle_matvecs
         cycles += 1
@@ -402,7 +473,8 @@ def solve(
     else:
         solution = P.solve(u_hat)
     report = SolveReport(
-        cycles, matvecs, history, solution.rank, status, {"setup": t_setup, "solve": t_solve}
+        cycles, matvecs, history, complement, solution.rank, status,
+        {"setup": t_setup, "solve": t_solve},
     )
     return solution, report
 

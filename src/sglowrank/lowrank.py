@@ -15,17 +15,19 @@ rank-reduction operators bring ranks back down: a Frobenius-optimal SVD
 truncation computed through thin QR factorizations of the factors (of the
 folded block when the input is wider than n_xi), and a projection onto a
 fixed orthonormal stochastic basis B, which costs two matrix products and
-no factorization.
+no factorization.  ``reduce_operator`` forms the Galerkin projection of
+the operator onto R^{n_x} (x) span(B), sum_l (B^T G_l B) (x) K_l, whose
+vectors are n_x x kappa blocks.
 
 The stochastic factor Z is a frame that vectors share by identity: every
-folded block shares one identity, every projection onto B shares B.  Two
-rules make arithmetic in one shared frame cost no more than the blocks
-themselves.  ``combine`` sums the scaled spatial factors of vectors that
-share one Z object and concatenates only distinct frames, so a
-combination of projected vectors stays kappa columns wide (and projecting
-it onto its own frame returns it unchanged).  ``inners`` evaluates the
-inner products of many vectors against one vector w through one product
-Y_w (Z_w^T Z) per distinct Z, since <v, w> = <Y_v, Y_w Z_w^T Z_v>_F.
+folded block of one size shares one identity, every projection onto B
+shares B.  Two rules make arithmetic in one shared frame cost no more than
+the blocks themselves.  ``combine`` sums the scaled spatial factors of
+vectors that share one Z object and concatenates only distinct frames, so
+a combination of blocks of a reduced operator stays kappa columns wide.
+``inners`` evaluates the inner products of many vectors against one
+vector w through one product Y_w (Z_w^T Z) per distinct Z, since
+<v, w> = <Y_v, Y_w Z_w^T Z_v>_F.
 
 Folded blocks and the outputs of both truncations have orthonormal
 stochastic factors by construction, and are flagged so when they are
@@ -62,6 +64,7 @@ __all__ = [
     "block",
     "coordinates",
     "residual_norm",
+    "reduce_operator",
     "build_operator",
 ]
 
@@ -362,6 +365,21 @@ class TruncationOperator:
 def residual_norm(A: StochasticOperator, u: FactoredVector) -> float:
     """||f - A u||_2, the norm of the residual's n_x x n_xi block."""
     return norm(add(A.rhs, scale(apply_operator(A, u), -1.0)))
+
+
+def reduce_operator(A: StochasticOperator, B: np.ndarray) -> StochasticOperator:
+    """The Galerkin projection (I (x) B)^T A (I (x) B) onto the frame of B.
+
+    For B with orthonormal columns that is sum_l (B^T G_l B) (x) K_l, which
+    acts on n_x x kappa blocks.  Term 0 is (I_kappa, K_0), so C_0 = I holds
+    by construction; the right-hand side is (Y_f, B^T Z_f).  The spatial
+    matrices, ``symmetric`` and ``mean_factors`` are those of A, so the mean
+    preconditioner of A serves the reduced operator too.
+    """
+    terms = [(sp.identity(B.shape[1], format="csr"), A.mean_spatial)]
+    terms.extend((sp.csr_matrix(B.T @ (G @ B)), K) for G, K in A.terms[1:])
+    rhs = FactoredVector._adopt(A.rhs.Y, B.T @ A.rhs.Z)
+    return StochasticOperator(tuple(terms), rhs, A.symmetric, A.mean_factors)
 
 
 def build_operator(spatial, Gl) -> StochasticOperator:

@@ -120,6 +120,21 @@ def vec_to_mat(v, n_x, n_xi):
     return v.reshape(n_xi, n_x).T
 
 
+def reduced_galerkin_solve(A, B):
+    """Dense Galerkin solution of the small system A u = f in R^n_x (x) span(B).
+
+    With the lift L = kron(B, I) (stochastic index outermost, as in
+    ``dense_vec``) and orthonormal B, solves (L^T D L) x = L^T b.  Returns
+    the lifted solution L x and its relative residual ||b - D L x|| / ||b||,
+    which lies wholly outside span(B): the basis floor.
+    """
+    D = dense_operator(A)
+    b = dense_vec(A.rhs)
+    L = np.kron(B, np.eye(A.shape[0]))
+    u = L @ np.linalg.solve(L.T @ D @ L, L.T @ b)
+    return u, float(np.linalg.norm(b - D @ u) / np.linalg.norm(b))
+
+
 # ---------------------------------------------------------------------------
 # dense GMRES reference (no restarting)
 

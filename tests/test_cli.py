@@ -133,6 +133,10 @@ class TestRunExperiment:
         assert data["solve"]["converged"] is True
         assert data["solve"]["status"] == "converged"
         assert data["solve"]["residual_history"][-1] < 1e-5
+        # the residual's part outside the coarse basis, one per cycle top
+        complement = data["solve"]["complement_history"]
+        assert len(complement) == len(data["solve"]["residual_history"])
+        assert 0.0 <= complement[-1] <= data["solve"]["residual_history"][-1]
         assert (tmp_path / "out" / "residual_history.csv").exists()
         assert report["problem"]["n_x_nodes"] == 17**2
 

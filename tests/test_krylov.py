@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import dense_gmres, dense_operator, dense_vec, random_factored
+from oracles import (
+    dense_gmres,
+    dense_operator,
+    dense_vec,
+    random_factored,
+    reduced_galerkin_solve,
+)
 from sglowrank import krylov, lowrank, pgd
 from sglowrank.chaos import build_spectral_basis, build_stochastic_matrices
 from sglowrank.fem import assemble_diffusion, make_grid
@@ -178,11 +184,12 @@ class TestFixedFrame:
 
     def test_basis_vectors_and_iterate_share_the_basis(self, monkeypatch):
         A = galerkin_operator(level=4, M=5, p=3, sigma=0.05, c=4.0)
-        n_xi = A.shape[1]
+        n_x, n_xi = A.shape
         trunc = TruncationOperator("projection", basis=solve_pgd(A, 1e-6).Zc)
         kappa = trunc.rank
         m = 6
-        # the unframed combination w - sum alpha_i V_i grows to n_xi + (m-1) kappa
+        # an unframed combination w - sum alpha_i V_i would grow to
+        # n_xi + (m-1) kappa
         assert kappa < n_xi < (m - 1) * kappa
 
         inputs = []
@@ -192,26 +199,40 @@ class TestFixedFrame:
             inputs.append(u)
             return matvec(A_, P_, u)
 
-        widths = []
+        built = []
         set_factors = lowrank.FactoredVector._set_factors
 
         def recording_set_factors(self, Y, Z):
-            widths.append(Y.shape[1])
+            built.append((Y.shape[1], Z.shape[0]))
             set_factors(self, Y, Z)
 
         monkeypatch.setattr(krylov, "apply_preconditioned", recording_matvec)
         monkeypatch.setattr(lowrank.FactoredVector, "_set_factors", recording_set_factors)
         u, report = solve(A, trunc, 1e-6, m=m)
         assert report.converged and report.matvecs > 1
-        framed = [x for x in inputs if x.rank]
-        assert len(framed) == len(inputs) - 1  # the zero initial iterate
-        assert all(x.Z is trunc.basis for x in framed)
-        assert u.Z is trunc.basis
-        assert max(widths) <= n_xi + kappa
+        # every cycle matvec takes an n_x x kappa block of the kappa-identity
+        # frame; the only full-width inputs are the lifted iterates of the
+        # residual checks after a cycle (the zero iterate takes no matvec)
+        reduced = [x for x in inputs if x.shape == (n_x, kappa)]
+        lifted = [x for x in inputs if x.shape == (n_x, n_xi)]
+        assert len(reduced) == report.matvecs and len(lifted) == report.cycles
+        assert len(reduced) + len(lifted) == len(inputs)
+        identity = reduced[0].Z
+        assert np.array_equal(identity, np.eye(kappa))
+        assert all(x.Z is identity and x.rank == kappa for x in reduced)
+        # the lifted iterates and the returned Z are B times a kappa-row factor
+        # (the identity of the cycles' frame)
+        B = trunc.basis
+        assert all(np.array_equal(x.Z, B) and x.rank == kappa for x in lifted)
+        assert np.array_equal(u.Z, B) and u.rank == kappa
+        # no vector is wider than its frame: nothing concatenates W with B
+        assert all(width <= frame for width, frame in built if frame == kappa)
+        assert max(width for width, _ in built) <= n_xi
 
     def test_basis_limited_run_stops(self):
         # a coarse basis learned at a loose tolerance cannot represent the
-        # fine solution to eps; the solve ends after the first flat cycle
+        # fine solution to eps: after one cycle the residual's part outside
+        # the basis alone is above eps, and the solve ends there
         spec = PipelineSpec(
             kind="diffusion", domain=UNIT, corr_len=3.0, sigma=0.05, mean_a0=1.0,
             degree=2, num_modes=4, coarse_level=4, fine_level=5, eps=1e-6,
@@ -221,9 +242,43 @@ class TestFixedFrame:
             res = pipeline(spec)
         assert res.report.status == "basis-limited"
         assert not res.report.converged
-        assert res.report.cycles <= 3
-        hist = res.report.residual_history
-        assert hist[-1] > (1.0 - krylov.STAGNATION_TOL) * hist[-2]
+        assert res.report.cycles == 1
+        assert res.report.complement_history[-1] >= spec.eps
+        assert res.report.residual_history[-1] >= res.report.complement_history[-1]
+
+    def test_basis_limited_iterate_is_the_reduced_galerkin_solution(self):
+        # eps below the basis floor and m long enough that the first cycle
+        # reaches tau = eps ||f||: that cycle computes the Galerkin solution
+        # in span(B), whose residual lies wholly outside the basis
+        A = galerkin_operator(level=4, M=3, p=2, sigma=0.1)
+        B = solve_pgd(galerkin_operator(level=3, M=3, p=2, sigma=0.1), 1e-2).Zc
+        assert B.shape[1] < A.shape[1]
+        u_star, floor = reduced_galerkin_solve(A, B)
+        eps, m = 1e-9, 30
+        assert floor > 1e3 * eps
+        with pytest.warns(UserWarning, match="basis-limited"):
+            u, report = solve(A, TruncationOperator("projection", basis=B), eps, m=m)
+        assert (report.status, report.cycles) == ("basis-limited", 1)
+        assert report.matvecs < m
+        assert np.linalg.norm(dense_vec(u) - u_star) <= 1e-8 * np.linalg.norm(u_star)
+        assert report.complement_history[-1] == pytest.approx(floor, rel=1e-6)
+
+    def test_capped_cycle_restarts_although_its_complement_exceeds_eps(self):
+        # a level-2 basis on level 4: floor 1.6e-3, f's own complement
+        # 2.1e-2.  At eps = 3e-3 a cycle of m = 8 converges at once; one cut
+        # by the cap m = 1 leaves an iterate far from the reduced solution,
+        # whose complement (7.7e-3) is above eps but not the floor, so the
+        # solve restarts instead of stopping basis-limited
+        A = galerkin_operator(level=4, M=4, p=2, sigma=0.1, c=2.0)
+        B = solve_pgd(galerkin_operator(level=2, M=4, p=2, sigma=0.1, c=2.0), 1e-3).Zc
+        trunc = TruncationOperator("projection", basis=B)
+        eps = 3e-3
+        _, long = solve(A, trunc, eps, m=8)
+        assert long.converged and long.cycles == 1
+        _, report = solve(A, trunc, eps, m=1)
+        assert report.converged and report.cycles > 1
+        assert min(report.complement_history[:2]) > eps
+        assert report.residual_history[-1] < eps
 
     def test_status_of_other_stops(self, monkeypatch):
         A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
@@ -336,6 +391,19 @@ class TestSolve:
         assert np.array_equal(u.Y, u_star.Y)
         assert np.array_equal(u.Z, u_star.Z)
 
+    def test_projected_initial_guess_is_checked_and_returned(self):
+        # a guess outside span(B) enters the reduced solve by its part in
+        # span(B): the history and the returned vector both describe that part
+        A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
+        u_star, _ = solve(A, no_truncation(A), 1e-10)
+        B = solve_pgd(galerkin_operator(level=2, M=3, p=2, sigma=0.1), 1e-2).Zc
+        assert B.shape[1] < A.shape[1]
+        u, report = solve(A, TruncationOperator("projection", basis=B), 1e-1, u0=u_star)
+        assert (report.cycles, report.status) == (0, "converged")
+        assert np.abs(B @ (B.T @ u.Z) - u.Z).max() <= 1e-14
+        rel = residual_norm(A, u) / norm(A.rhs)
+        assert rel == pytest.approx(report.residual_history[-1], rel=1e-9)
+
     def test_matches_dense_gmres_without_truncation(self, monkeypatch):
         # one cycle is one restart of dense GMRES on the right-preconditioned
         # operator D M^{-1}, mapped back to the original variable u = M^{-1} x_hat;
@@ -386,33 +454,36 @@ class TestSolve:
         cut, cut_report = solve(A, trunc, 1e-6, m=report.matvecs)
         assert np.array_equal(cut_report.residual_history, report.residual_history)
         assert np.array_equal(cut.Y, u.Y) and np.array_equal(cut.Z, u.Z)
+        # shorter cycles restart until they reach eps
+        _, restarted = solve(A, trunc, 1e-6, m=2)
+        assert restarted.converged and restarted.cycles > 1
         monkeypatch.setattr(krylov, "MAX_CYCLES", 1)
         with pytest.warns(UserWarning, match="max-cycles"):
             _, short = solve(A, trunc, 1e-6, m=report.matvecs - 1)
         assert short.residual_history[-1] >= 1e-6
 
-    def test_basis_vector_ranks_bounded(self):
+    def test_basis_vector_ranks_bounded(self, monkeypatch):
         A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
         pgd_sol = solve_pgd(A, 1e-5)
         kappa = pgd_sol.Zc.shape[1]
+        trunc = TruncationOperator("projection", basis=pgd_sol.Zc)
 
-        class RecordingTrunc:
-            def __init__(self, inner_op):
-                self.inner_op = inner_op
-                self.output_ranks = []
+        inputs = []
+        matvec = krylov.apply_preconditioned
 
-            def apply(self, vec):
-                out = self.inner_op.apply(vec)
-                self.output_ranks.append(out.rank)
-                return out
+        def recording_matvec(A_, P_, u):
+            inputs.append(u)
+            return matvec(A_, P_, u)
 
-        trunc = RecordingTrunc(TruncationOperator("projection", basis=pgd_sol.Zc))
+        monkeypatch.setattr(krylov, "apply_preconditioned", recording_matvec)
         u, report = solve(A, trunc, 1e-5, m=6)
+        assert report.converged
         assert u.rank <= kappa
-        # every truncated object (basis vectors and iterates) is exactly
-        # projection-rank sized
-        assert trunc.output_ranks
-        assert all(r == kappa for r in trunc.output_ranks)
+        # every vector a matvec sees (basis vectors and lifted iterates) is
+        # exactly projection-rank sized, and the cycles' are kappa wide
+        assert len(inputs) == report.matvecs + report.cycles
+        assert all(x.rank == kappa for x in inputs)
+        assert sum(x.shape[1] == kappa for x in inputs) >= report.matvecs
 
     def test_saved_basis_drives_a_later_solve(self, tmp_path):
         # the stochastic basis exported by a coarse run can be reloaded and

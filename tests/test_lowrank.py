@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_operator, dense_vec, random_factored, random_operator
+from sglowrank import krylov
 from sglowrank.lowrank import (
     FactoredVector,
     TruncationOperator,
@@ -14,6 +16,7 @@ from sglowrank.lowrank import (
     inner,
     inners,
     norm,
+    reduce_operator,
     residual_norm,
     scale,
     truncate_svd,
@@ -320,6 +323,37 @@ class TestTruncationOperator:
             TruncationOperator("projection", basis=2.0 * np.eye(3)[:, :2])
         with pytest.raises(ValueError):
             TruncationOperator("unknown")
+
+
+class TestReduceOperator:
+    def test_matches_dense_galerkin_projection(self, rng):
+        n_x, n_xi, kappa = 6, 7, 3
+        A = random_operator(rng, n_x, n_xi, 3)
+        B, _ = np.linalg.qr(rng.standard_normal((n_xi, kappa)))
+        R = reduce_operator(A, B)
+        assert R.shape == (n_x, kappa) and R.symmetric == A.symmetric
+        # the lift (I (x) B) with the stochastic index outermost
+        L = np.kron(B, np.eye(n_x))
+        want = L.T @ dense_operator(A) @ L
+        assert np.abs(dense_operator(R) - want).max() <= 1e-13 * np.abs(want).max()
+        want_rhs = L.T @ dense_vec(A.rhs)
+        assert np.abs(dense_vec(R.rhs) - want_rhs).max() <= 1e-13 * np.abs(want_rhs).max()
+        # G_0 is the identity by construction, not B^T B
+        G0 = R.terms[0][0]
+        assert G0.shape == (kappa, kappa) and (sp.csr_matrix(G0) != sp.identity(kappa)).nnz == 0
+
+    @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion"])
+    def test_mean_preconditioner_keeps_fast_diagonalization(self, rng, kind):
+        nu = 1 / 200 if kind == "convection-diffusion" else None
+        spec = krylov.PipelineSpec(kind=kind, domain=(-1.0, 1.0, -1.0, 1.0), nu=nu,
+                                   num_modes=2, degree=2)
+        kl, stoch = krylov.build_stochastic(spec)
+        A = krylov.build_problem(spec, 4, kl, stoch)[2]
+        B, _ = np.linalg.qr(rng.standard_normal((A.shape[1], 3)))
+        R = reduce_operator(A, B)
+        assert R.mean_factors is A.mean_factors and R.terms[0][1] is A.mean_spatial
+        P = krylov.MeanPreconditioner(R)
+        assert isinstance(P._inverse, krylov._FastDiagonalization)
 
 
 class TestResidualNorm:
