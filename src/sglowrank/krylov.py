@@ -23,11 +23,11 @@ kappa-identity frame, so inner products are kappa-wide Frobenius dots and
 combinations sum spatial factors (``lowrank.combine``, ``inners``).  Its
 term 0 is (I, K_0), so one preconditioner serves A and the reduced
 operator.  With SVD truncation the same loop runs on A, every block
-n_x x n_xi.  A matvec of (Y, Z) solves X = K_0^{-1} Y once and folds all
-M+1 terms with one product [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T;
-the mean term is Y itself because K_0 K_0^{-1} = I and G_0 = I, which the
-preconditioner checks once.  That spatial stack lives only inside the
-matvec.  The output blocks of a cycle sit in one array of m rows
+n_x x n_xi.  A matvec of (Y, Z) solves X = K_0^{-1} Y once, starts its
+output block at the mean term Y Z^T (K_0 K_0^{-1} = I, and G_0 = I, which
+the preconditioner checks once) and adds (K_l X)(G_l Z)^T for l = 1..M
+into it in place by BLAS, so besides the output and X it holds one K_l X
+at a time.  The output blocks of a cycle sit in one array of m rows
 allocated before the first cycle, so each matvec adds its row of W^T W
 and W^T r with one BLAS product each.
 
@@ -214,23 +214,29 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
     """(A M^{-1}) u as its dense block, paired with the identity of its size
     (n_x x n_xi, or n_x x kappa for a reduced operator).
 
-    With X = K_0^{-1} Y, one product of the stacked factors folds all terms,
-    [Y | K_1 X | ... | K_M X] [G_0 Z | ... | G_M Z]^T: the mean term is Y
-    itself because K_0 K_0^{-1} = I.  The n_x x (M+1) rank(u) spatial stack
-    is allocated here and released on return.
+    With X = K_0^{-1} Y the output starts as the mean term Y Z^T, because
+    K_0 K_0^{-1} = I and G_0 = I, and each further term adds
+    (K_l X)(G_l Z)^T into it in place: dgemm accumulates
+    (G_l Z)(K_l X)^T into the Fortran-ordered transpose of the C-ordered
+    output.  Besides the output and X only one K_l X is live at a time.
     """
     n_x, n_xi = A.shape
     if u.shape != (n_x, n_xi):
         raise ValueError(f"operator shape {(n_x, n_xi)} does not match vector {u.shape}")
     if u.rank == 0:
         return FactoredVector.zero(n_x, n_xi)
-    r = u.rank
     X = np.ascontiguousarray(P.solve(u).Y)
-    S = np.empty((n_x, r * A.num_terms))
-    S[:, :r] = u.Y
-    for l, (_, K) in enumerate(A.terms[1:], start=1):
-        S[:, l * r : (l + 1) * r] = K @ X
-    return block(S @ np.hstack([G @ u.Z for G, _ in A.terms]).T)
+    out = u.Y @ u.Z.T
+    for G, K in A.terms[1:]:
+        # both products are C-ordered, so their transposes reach BLAS uncopied
+        acc = scipy.linalg.blas.dgemm(
+            1.0, (G @ u.Z).T, (K @ X).T, beta=1.0, c=out.T, trans_a=1, overwrite_c=1
+        )
+        # f2py copies c unless it is Fortran-ordered float64; a copy would
+        # drop this term from out
+        if not np.may_share_memory(acc, out):
+            raise RuntimeError("dgemm did not accumulate into the matvec output")
+    return block(out)
 
 
 @dataclass

@@ -121,17 +121,19 @@ def vec_to_mat(v, n_x, n_xi):
 
 
 def reduced_galerkin_solve(A, B):
-    """Dense Galerkin solution of the small system A u = f in R^n_x (x) span(B).
+    """Galerkin solution of the small system A u = f in R^n_x (x) span(B).
 
     With the lift L = kron(B, I) (stochastic index outermost, as in
-    ``dense_vec``) and orthonormal B, solves (L^T D L) x = L^T b.  Returns
-    the lifted solution L x and its relative residual ||b - D L x|| / ||b||,
-    which lies wholly outside span(B): the basis floor.
+    ``dense_vec``) and orthonormal B, solves (L^T D L) x = L^T b, where D is
+    sum_l kron(G_l, K_l) and D and L are assembled as explicit sparse
+    Kronecker matrices.  Returns the lifted solution L x and its relative
+    residual ||b - D L x|| / ||b||, which lies wholly outside span(B): the
+    basis floor.
     """
-    D = dense_operator(A)
+    D = sum(sp.kron(G, K, format="csr") for G, K in A.terms)
     b = dense_vec(A.rhs)
-    L = np.kron(B, np.eye(A.shape[0]))
-    u = L @ np.linalg.solve(L.T @ D @ L, L.T @ b)
+    L = sp.kron(sp.csr_matrix(B), sp.identity(A.shape[0]), format="csr")
+    u = L @ spla.spsolve((L.T @ (D @ L)).tocsc(), L.T @ b)
     return u, float(np.linalg.norm(b - D @ u) / np.linalg.norm(b))
 
 

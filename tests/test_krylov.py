@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +33,7 @@ from sglowrank.lowrank import (
     build_operator,
     fold,
     norm,
+    reduce_operator,
     residual_norm,
     scale,
     truncate_svd,
@@ -114,8 +116,8 @@ class TestPreconditioner:
         assert norm(diff) <= 1e-12 * norm(u)
 
     def test_folded_matvec_matches_dense(self, rng):
-        # vectors in two frames, the first one again: the stochastic stack
-        # reused for a repeated Z must be rebuilt for a new one
+        # vectors in two frames, u, v, then u again: each matvec depends on
+        # its input alone, with no state carried over from the one before
         A = galerkin_operator(level=3, M=3, p=2)
         n_x, n_xi = A.shape
         P = MeanPreconditioner(A)
@@ -128,6 +130,46 @@ class TestPreconditioner:
             assert out.shape == (n_x, n_xi) and out.rank == n_xi
             want = D @ dense_vec(x)
             assert np.linalg.norm(dense_vec(out) - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion"])
+    def test_reduced_matvec_matches_dense_projection(self, rng, kind):
+        # the reduced terms B^T G_l B are dense kappa x kappa matrices stored
+        # as CSR; against L^T D (I (x) K_0^{-1}) L with the lift L = kron(B, I)
+        A = problem_operator(kind, 3, M=2, p=2)[2]
+        n_x, n_xi = A.shape
+        B, _ = np.linalg.qr(rng.standard_normal((n_xi, 4)))
+        R = reduce_operator(A, B)
+        u = random_factored(rng, n_x, 4, 3)
+        got = dense_vec(apply_preconditioned(R, MeanPreconditioner(A), u))
+        L = np.kron(B, np.eye(n_x))
+        Minv = np.kron(np.eye(n_xi), np.linalg.inv(A.mean_spatial.toarray()))
+        want = L.T @ dense_operator(A) @ Minv @ L @ dense_vec(u)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_matvec_memory_is_output_solve_and_one_term(self, rng):
+        # M = 7 terms folded into a kappa-wide output: the call may hold the
+        # output, X = K_0^{-1} Y (kept by the preconditioner, plus the copy
+        # the sparse products read), one K_l X and, during the solve, the
+        # two fast-diagonalization work arrays, but no spatial stack of the
+        # M + 1 terms
+        A = galerkin_operator(level=5, M=7, p=2)
+        n_x, n_xi = A.shape
+        kappa = r = 20
+        B, _ = np.linalg.qr(rng.standard_normal((n_xi, kappa)))
+        R = reduce_operator(A, B)
+        P = MeanPreconditioner(R)
+        assert R.num_terms == 8 and isinstance(P._inverse, krylov._FastDiagonalization)
+        apply_preconditioned(R, P, random_factored(rng, n_x, kappa, r))
+        u = random_factored(rng, n_x, kappa, r)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = apply_preconditioned(R, P, u)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n_x, kappa)
+        assert peak <= 8 * n_x * (kappa + 4 * r) + 64 * 1024
 
     def test_rejects_inexact_identity_mean(self):
         A = galerkin_operator()
@@ -279,6 +321,42 @@ class TestFixedFrame:
         assert report.converged and report.cycles > 1
         assert min(report.complement_history[:2]) > eps
         assert report.residual_history[-1] < eps
+
+    def test_status_follows_the_basis_floor(self):
+        # 30 cells of level-4 problems with PGD bases from coarser grids:
+        # kind, sigma, coarse level and PGD tolerance set the basis and its
+        # floor (the residual of the reduced Galerkin solution); eps and m
+        # cycle through the cells.  A floor below 0.9 eps must converge, one
+        # above 1.1 eps must stop basis-limited
+        bases = [
+            ("diffusion", 0.05, 2, 1e-2), ("diffusion", 0.2, 2, 1e-3),
+            ("diffusion", 0.3, 2, 1e-4), ("diffusion", 0.05, 3, 1e-3),
+            ("diffusion", 0.2, 3, 1e-2), ("convection-diffusion", 0.05, 2, 1e-3),
+            ("convection-diffusion", 0.2, 2, 1e-4), ("convection-diffusion", 0.3, 2, 1e-2),
+            ("convection-diffusion", 0.05, 3, 1e-2), ("convection-diffusion", 0.3, 3, 1e-2),
+        ]
+        eps_values, m_values = (3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4), (1, 2, 4, 8)
+        statuses = {"converged": 0, "basis-limited": 0}
+        for i, (kind, sigma, coarse, pgd_eps) in enumerate(bases):
+            nu = 1 / 50 if kind == "convection-diffusion" else None
+            spec = PipelineSpec(kind=kind, domain=BIG if nu else UNIT, corr_len=2.0, sigma=sigma,
+                                num_modes=3, degree=2, nu=nu, pgd_eps=pgd_eps)
+            kl, stoch = krylov.build_stochastic(spec)
+            A = krylov.build_problem(spec, 4, kl, stoch)[2]
+            B = krylov.run_pgd(spec, kl, stoch, coarse)[1].Zc
+            _, floor = reduced_galerkin_solve(A, B)
+            for k in range(3):
+                eps, m = eps_values[(i + 2 * k) % 6], m_values[(i + k) % 4]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    _, report = solve(A, TruncationOperator("projection", basis=B), eps, m=m)
+                cell = (kind, sigma, coarse, pgd_eps, eps, m, floor, report.status)
+                if floor < 0.9 * eps:
+                    assert report.status == "converged", cell
+                elif floor > 1.1 * eps:
+                    assert report.status == "basis-limited", cell
+                statuses[report.status] += 1
+        assert min(statuses.values()) >= 10, statuses
 
     def test_status_of_other_stops(self, monkeypatch):
         A = galerkin_operator(level=3, M=3, p=2, sigma=0.1)
