@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 from oracles import dense_operator, dense_vec, random_factored, random_operator
 from sglowrank import krylov
 from sglowrank.lowrank import (
+    SV_DROP_TOL,
     FactoredVector,
     TruncationOperator,
     add,
     apply_operator,
+    block,
     combine,
     fold,
     inner,
@@ -203,6 +207,22 @@ class TestSharedFrame:
         assert np.allclose(got, [inner(v, w) for v in vectors], rtol=1e-12)
 
 
+#: one input of each kind truncate_svd takes, built from a generator
+SVD_INPUTS = {
+    "identity-frame block": lambda rng: block(rng.standard_normal((30, 12))),
+    "earlier truncation": lambda rng: truncate_svd(random_factored(rng, 30, 12, 8), rank=8),
+    "unflagged": lambda rng: random_factored(rng, 30, 12, 6),
+    "rank-deficient block": lambda rng: block(
+        rng.standard_normal((30, 3)) @ rng.standard_normal((3, 12))
+    ),
+    "rank-deficient unflagged": lambda rng: FactoredVector(
+        rng.standard_normal((30, 3)) @ rng.standard_normal((3, 9)), rng.standard_normal((12, 9))
+    ),
+    "short-wide block": lambda rng: block(rng.standard_normal((5, 12))),
+    "short-wide unflagged": lambda rng: random_factored(rng, 5, 12, 9),
+}
+
+
 class TestSvdTruncation:
     def test_exact_rank_recovery(self, rng):
         base = random_factored(rng, 10, 8, 2)
@@ -251,6 +271,48 @@ class TestSvdTruncation:
             assert np.allclose(s_got, s_ref[:k], rtol=1e-12, atol=0.0)
             want = (Qy @ U[:, :k] * s_ref[:k]) @ (Qz @ Vt[:k].T).T
             assert np.abs(dense_of(out) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", list(SVD_INPUTS))
+    @pytest.mark.parametrize("rank", [None, 2, 4])
+    def test_matches_dense_svd(self, rng, case, rank):
+        # against numpy's SVD of the dense block Y Z^T
+        u = SVD_INPUTS[case](rng)
+        if case == "earlier truncation":
+            assert u.orthonormal and u.Z.shape == (12, 8)  # not the identity frame
+        dense = dense_of(u)
+        sv = np.linalg.svd(dense, compute_uv=False)
+        above = int(np.sum(sv > SV_DROP_TOL * sv[0]))
+        keep = above if rank is None else min(rank, above)
+        out = truncate_svd(u, rank=rank)
+        assert out.rank == keep and out.orthonormal
+        optimal = np.sqrt(np.sum(sv[keep:] ** 2))
+        err = np.linalg.norm(dense_of(out) - dense)
+        assert abs(err - optimal) <= 1e-12 * np.linalg.norm(dense)
+        assert np.allclose(np.linalg.norm(out.Y, axis=0), sv[:keep], rtol=0.0, atol=1e-12 * sv[0])
+        assert np.abs(out.Z.T @ out.Z - np.eye(keep)).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["rank-deficient block", "rank-deficient unflagged"])
+    def test_exact_rank_deficiency_keeps_the_true_rank(self, rng, case):
+        u = SVD_INPUTS[case](rng)
+        sv = np.linalg.svd(dense_of(u), compute_uv=False)
+        assert truncate_svd(u).rank == int(np.sum(sv > SV_DROP_TOL * sv[0])) == 3
+
+    def test_memory_is_input_copy_output_and_r(self, rng):
+        # a flagged n_x x n_xi block of the diffusion-l6 size, as fold makes
+        # every truncation input inside an SVD cycle: the call may hold one
+        # working copy of Y for the R-only QR, R and the output, but no Q
+        n_x, n_xi, k = 3969, 120, 65
+        u = block(rng.standard_normal((n_x, n_xi)))
+        truncate_svd(u, rank=k)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = truncate_svd(u, rank=k)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.rank == k
+        assert peak <= 8 * (n_x * n_xi + (n_x + n_xi) * k + n_xi * n_xi) + 64 * 1024
 
 
 class TestProjectionTruncation:
