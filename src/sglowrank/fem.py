@@ -27,6 +27,15 @@ so that the block can be inverted by fast diagonalization in x.
 Homogeneous Dirichlet conditions are imposed by restricting every 1D factor to the interior
 nodes; non-homogeneous data is folded into per-term right-hand-side
 contributions -(A_l g_D)[interior].
+
+No sparse Kronecker product is formed.  Every 1D matrix is tridiagonal and
+is kept as its three diagonals, each diagonal entry the sum of its two
+element contributions.  A sum of Kronecker pairs restricted to the interior
+is a 9-point stencil: interior node (j, i) couples to (j + a, i + b),
+a, b in {-1, 0, 1}, with value sum B_y[j, j + a] B_x[i, i + b].  All these
+values come from one broadcast product per pair, and one CSR matrix keeps
+the nonzero ones whose neighbour is interior.  Every entry is the sum that
+sum kron(B_y, B_x) forms, so the matrices equal that assembly bit for bit.
 """
 
 from __future__ import annotations
@@ -180,27 +189,31 @@ def _gauss_points(t: np.ndarray) -> np.ndarray:
     return t[:-1, None] + 0.5 * h[:, None] * (1.0 + np.array([-_GP, _GP]))
 
 
-def _assemble_1d(Ke: np.ndarray) -> sp.csr_matrix:
-    """The 1D matrix on n_e + 1 nodes with element matrices Ke, shape (n_e, 2, 2)."""
-    first = np.arange(len(Ke))[:, None, None]
-    rows = np.broadcast_to(first + np.arange(2)[:, None], Ke.shape).ravel()
-    cols = np.broadcast_to(first + np.arange(2)[None, :], Ke.shape).ravel()
-    return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(len(Ke) + 1,) * 2).tocsr()
+def _assemble_1d(Ke: np.ndarray) -> np.ndarray:
+    """The 1D matrix B on n_e + 1 nodes with element matrices Ke, shape (n_e, 2, 2),
+    as its diagonals: row k of the (3, n_e + 1) result holds B[i, i + k - 1], zero
+    where that column does not exist.  A diagonal entry sums its two elements."""
+    D = np.zeros((3, len(Ke) + 1))
+    D[0, 1:] = Ke[:, 1, 0]
+    D[1, :-1] = Ke[:, 0, 0]
+    D[1, 1:] += Ke[:, 1, 1]
+    D[2, :-1] = Ke[:, 0, 1]
+    return D
 
 
-def _stiffness_1d(t: np.ndarray, coef=1.0) -> sp.csr_matrix:
+def _stiffness_1d(t: np.ndarray, coef=1.0) -> np.ndarray:
     """A = int c psi_a' psi_b' on the nodes t, ``coef`` = c at the Gauss points."""
     h, c = np.diff(t), np.broadcast_to(coef, (len(t) - 1, 2))
     return _assemble_1d(np.einsum("eg,a,b->eab", c, _DPSI, _DPSI) * (2.0 / h)[:, None, None])
 
 
-def _mass_1d(t: np.ndarray, coef=1.0) -> sp.csr_matrix:
+def _mass_1d(t: np.ndarray, coef=1.0) -> np.ndarray:
     """M = int c psi_a psi_b on the nodes t, ``coef`` = c at the Gauss points."""
     h, c = np.diff(t), np.broadcast_to(coef, (len(t) - 1, 2))
     return _assemble_1d(np.einsum("eg,ag,bg->eab", c, _PSI, _PSI) * (0.5 * h)[:, None, None])
 
 
-def _convection_1d(t: np.ndarray) -> sp.csr_matrix:
+def _convection_1d(t: np.ndarray) -> np.ndarray:
     """C = int psi_a psi_b' on the nodes t (derivative on the trial index)."""
     return _assemble_1d(np.einsum("eg,ag,b->eab", np.ones((len(t) - 1, 2)), _PSI, _DPSI))
 
@@ -211,15 +224,43 @@ def _stiffness(grid: Grid, cx, cy=1.0) -> list[tuple]:
     return [(_stiffness_1d(y, cy), _mass_1d(x, cx)), (_mass_1d(y, cy), _stiffness_1d(x, cx))]
 
 
+def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices i - 1, i, i + 1 of every i < n as rows of a (3, n) array, and
+    whether each lies in [0, n)."""
+    idx = np.arange(n, dtype=np.int32) + np.arange(-1, 2, dtype=np.int32)[:, None]
+    return idx, (idx >= 0) & (idx < n)
+
+
+def _stencil_csr(vals: np.ndarray, cols: np.ndarray, inside: np.ndarray) -> sp.csr_matrix:
+    """The square matrix with entry vals[k, r] at (r, cols[k, r]) wherever inside[k, r]
+    holds and the value is not zero; the int32 cols must ascend in k."""
+    n = vals.shape[1]
+    keep = (inside & (vals != 0)).T
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((vals.T[keep], cols.T[keep], indptr), shape=(n, n))
+
+
 def _interior(pairs: list[tuple]) -> sp.csr_matrix:
     """sum kron(B_y, B_x) restricted to the interior nodes, without stored zeros.
 
-    A 1D matrix can store exact zeros (C has a zero diagonal), which its
-    Kronecker products keep; a sparse sum drops them, a single term must too.
+    Interior node (j, i) couples to (j + a, i + b), a, b in {-1, 0, 1}, with
+    value sum B_y[j, j + a] B_x[i, i + b]: one broadcast product per pair on a
+    (3, 3, n_y, n_x) array.  Neighbours on the boundary are dropped, and so
+    are exact zeros (C has a zero diagonal), as a sparse sum would drop them.
     """
-    total = sum(sp.kron(By[1:-1, 1:-1], Bx[1:-1, 1:-1], format="csr") for By, Bx in pairs)
-    total.eliminate_zeros()
-    return total
+    vals = sum(Dy[:, None, 1:-1, None] * Dx[None, :, None, 1:-1] for Dy, Dx in pairs)
+    ny, nx = vals.shape[2:]
+    (j, in_y), (i, in_x) = _neighbours(ny), _neighbours(nx)
+    cols = (j * nx)[:, None, :, None] + i[None, :, None, :]
+    inside = in_y[:, None, :, None] & in_x[None, :, None, :]
+    return _stencil_csr(vals.reshape(9, -1), cols.reshape(9, -1), inside.reshape(9, -1))
+
+
+def _interior_1d(D: np.ndarray) -> sp.csr_matrix:
+    """The 1D matrix with diagonals D restricted to the interior nodes, without stored zeros."""
+    d = D[:, 1:-1]
+    return _stencil_csr(d, *_neighbours(d.shape[1]))
 
 
 def _mean_factors(grid: Grid, coef: float, transport=0.0) -> tuple[sp.csr_matrix, ...]:
@@ -230,12 +271,20 @@ def _mean_factors(grid: Grid, coef: float, transport=0.0) -> tuple[sp.csr_matrix
     """
     x, y = grid.x_coords, grid.y_coords
     P_y, Q_y = coef * _stiffness_1d(y) + transport, coef * _mass_1d(y)
-    return tuple(B[1:-1, 1:-1].tocsr() for B in (P_y, Q_y, _stiffness_1d(x), _mass_1d(x)))
+    return tuple(_interior_1d(D) for D in (P_y, Q_y, _stiffness_1d(x), _mass_1d(x)))
+
+
+def _matmul_1d(D: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """B v along the first axis of v, B the 1D matrix with diagonals D."""
+    out = D[1, :, None] * v
+    out[1:] += D[0, 1:, None] * v[:-1]
+    out[:-1] += D[2, :-1, None] * v[1:]
+    return out
 
 
 def _coupling(pairs: list[tuple], g: np.ndarray) -> np.ndarray:
     """-(sum kron(B_y, B_x)) g at the interior nodes, g given as an (n_y, n_x) array."""
-    Ag = sum(By @ (Bx @ g.T).T for By, Bx in pairs)
+    Ag = sum(_matmul_1d(By, _matmul_1d(Bx, g.T).T) for By, Bx in pairs)
     return -Ag[1:-1, 1:-1].ravel()
 
 
@@ -270,9 +319,10 @@ def assemble_diffusion(grid: Grid, kl: KLExpansion) -> SpatialMatrices:
     _coercivity_check(kl, factors)
     K = [_interior(_stiffness(grid, kl.mean_a0))]
     K.extend(_interior(_stiffness(grid, fx, fy)) for fx, fy in factors)
-    # the load int phi_a is the row sum of the unit-weight mass matrix
+    # the load int phi_a is the row sum of the unit-weight mass matrix, added
+    # as a sparse row sum adds it: B[i, i - 1] + (B[i, i] + B[i, i + 1])
     Mx, My = _mass_1d(grid.x_coords), _mass_1d(grid.y_coords)
-    f0 = np.kron(My.sum(axis=1).A1[1:-1], Mx.sum(axis=1).A1[1:-1])
+    f0 = np.kron((My[0] + (My[1] + My[2]))[1:-1], (Mx[0] + (Mx[1] + Mx[2]))[1:-1])
     return SpatialMatrices(tuple(K), f0, _mean_factors(grid, kl.mean_a0))
 
 

@@ -91,6 +91,7 @@ from .lowrank import (  # noqa: F401
     build_operator,
     combine,
     coordinates,
+    dense,
     fold,
     inner,
     inners,
@@ -226,7 +227,7 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
     if u.rank == 0:
         return FactoredVector.zero(n_x, n_xi)
     X = np.ascontiguousarray(P.solve(u).Y)
-    out = u.Y @ u.Z.T
+    out = dense(u)
     for G, K in A.terms[1:]:
         # both products are C-ordered, so their transposes reach BLAS uncopied
         acc = scipy.linalg.blas.dgemm(
@@ -284,7 +285,7 @@ def _residual(A: StochasticOperator, P, u_hat: FactoredVector) -> FactoredVector
     place, which for a rank-one f with Z_f = e_1 gives exactly the fold of
     [Y_f | -W] [Z_f | I]^T.
     """
-    R = A.rhs.Y @ A.rhs.Z.T
+    R = dense(A.rhs)
     if u_hat.rank:
         R -= apply_preconditioned(A, P, u_hat).Y
     return block(R)

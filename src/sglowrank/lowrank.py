@@ -63,6 +63,7 @@ __all__ = [
     "truncate_svd",
     "fold",
     "block",
+    "dense",
     "coordinates",
     "residual_norm",
     "reduce_operator",
@@ -243,6 +244,16 @@ def block(W: np.ndarray) -> FactoredVector:
     return FactoredVector._adopt(W, _identity(W.shape[1]), orthonormal=True)
 
 
+def dense(u: FactoredVector) -> np.ndarray:
+    """mat(u) = Y Z^T as a new C-ordered array.  A block of the shared
+    identity frame is that array already, so its Y is copied, not multiplied
+    by I (the rule of ``coordinates``)."""
+    # a square flagged Z is the only candidate: no other size reaches the cache
+    if u.orthonormal and u.rank == u.shape[1] and u.Z is _identity(u.rank):
+        return np.array(u.Y, order="C")
+    return u.Y @ u.Z.T
+
+
 def fold(u: FactoredVector) -> FactoredVector:
     """u itself if rank(u) <= n_xi, else exactly the block (Y Z^T, I).
 
@@ -251,7 +262,7 @@ def fold(u: FactoredVector) -> FactoredVector:
     """
     if u.rank <= u.shape[1]:
         return u
-    return block(u.Y @ u.Z.T)
+    return block(dense(u))
 
 
 def coordinates(u: FactoredVector, Z: np.ndarray) -> np.ndarray:
@@ -298,7 +309,7 @@ def norm(u: FactoredVector) -> float:
         return 0.0
     if u.orthonormal:
         return float(np.linalg.norm(u.Y))
-    return float(np.linalg.norm(u.Y @ u.Z.T))
+    return float(np.linalg.norm(dense(u)))
 
 
 def truncate_svd(u: FactoredVector, rank: int | None = None) -> FactoredVector:

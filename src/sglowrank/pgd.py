@@ -15,10 +15,12 @@ data of every K_l on their union sparsity pattern, and likewise for the
 G_l, so that all condensation weights v^T M_l v come from one product
 ``data @ (v[rows] * v[cols])`` and every condensed matrix from one product
 ``weights @ data`` scattered into a preallocated array.  The spatial matrix
-is solved in LAPACK banded storage (lexicographic Q1 numbering gives
-half-bandwidth 2^level): banded Cholesky when every K_l is symmetric, banded
-LU otherwise.  The stochastic matrix, at most a few hundred rows, is solved
-densely.  The products K_l Y and G_l Z of the current factors are cached as
+is scattered into a Fortran-ordered array in LAPACK's band layout
+(lexicographic Q1 numbering gives half-bandwidth 2^level) and solved by
+``dpbsv``, banded Cholesky, when every K_l is symmetric, else by ``dgbsv``,
+banded LU, whose array carries the LU's fill rows; the operator is checked
+for finite data once, when the workspace is built.  The stochastic matrix,
+at most a few hundred rows, is solved densely.  The products K_l Y and G_l Z of the current factors are cached as
 column blocks KY and GZ that grow by one pair per enrichment, so the
 right-hand sides are F z - KY (GZ^T z) and F^T y - GZ (KY^T y); this uses
 that every G_l is symmetric, which the workspace checks once.
@@ -49,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import lapack
 
 from .lowrank import (
     FactoredVector,
@@ -136,6 +138,10 @@ class _Workspace:
     def __init__(self, A: StochasticOperator):
         self._K = [K for _, K in A.terms]
         self._G = [G for G, _ in A.terms]
+        # the condensed solves check nothing: reject non-finite data once here
+        arrays = [M.data for M in self._K + self._G] + [A.rhs.Y, A.rhs.Z]
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError("PGD needs a finite operator and right-hand side")
         if any((G != G.T).nnz for G in self._G):
             raise ValueError("PGD needs symmetric stochastic matrices G_l")
         self._F = A.rhs
@@ -152,13 +158,17 @@ class _Workspace:
         self._symmetric = A.symmetric
         self._band_keep = slice(None)
         if A.symmetric:
-            # the Cholesky path reads the lower triangle only
-            upper = 0
+            # dpbsv reads the lower triangle only
+            upper = fill = 0
             self._band_keep = rows >= cols
-        # LAPACK banded storage ab[upper + i - j, j] = a[i, j]
+        else:
+            # dgbsv's LU writes its fill into `lower` extra leading rows
+            fill = lower
+        # LAPACK band storage ab[fill + upper + i - j, j] = a[i, j], Fortran-ordered
+        # so that f2py passes it on with a plain copy; entries off the pattern stay 0
         self._l_and_u = (lower, upper)
-        self._band = np.zeros((lower + upper + 1, n_x))
-        self._band_at = ((upper + rows - cols)[self._band_keep], cols[self._band_keep])
+        self._band = np.zeros((fill + lower + upper + 1, n_x), order="F")
+        self._band_at = ((fill + upper + rows - cols)[self._band_keep], cols[self._band_keep])
         self._dense = np.zeros((n_xi, n_xi))
 
     def extend(self, y: np.ndarray, z: np.ndarray) -> None:
@@ -179,9 +189,16 @@ class _Workspace:
         if abs(weights[0]) < 1e-300:
             raise _DegenerateEnrichment("spatial condensation vanished")
         self._band[self._band_at] = (weights @ self.spatial.data)[self._band_keep]
+        rhs = self.spatial_rhs(z)
         if self._symmetric:
-            return solveh_banded(self._band, self.spatial_rhs(z), lower=True)
-        return solve_banded(self._l_and_u, self._band, self.spatial_rhs(z))
+            _, y, info = lapack.dpbsv(self._band, rhs, lower=1, overwrite_b=1)
+        else:
+            _, _, y, info = lapack.dgbsv(*self._l_and_u, self._band, rhs, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("condensed spatial matrix is singular or indefinite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of the banded solve")
+        return y
 
     def solve_stochastic(self, y: np.ndarray) -> np.ndarray:
         weights = self.spatial.weights(y)

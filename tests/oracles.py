@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own code paths: dense
 Kronecker algebra, a collocation eigensolver for the covariance kernel, a
 plain dense GMRES, quadrature evaluation of polynomial moments, a Q1
-element loop on the 2D grid, series solutions of the deterministic limit
+element loop on the 2D grid, the Q1 matrices as sums of sparse Kronecker
+products of COO-assembled 1D matrices (same arithmetic as ``fem``, so
+compared bit for bit), series solutions of the deterministic limit
 problems, and sampled deterministic solves of the parametric problem.  The
 pointwise evaluators of the chaos polynomials and the KL modes read only the
 package's recurrence coefficients and 1D mode factors, which the quadrature
@@ -290,6 +292,90 @@ def q1_element_loop(x, y, coefs, nu=None, wind=(0.0, 1.0)):
                         wgrad = wind[0] * dx + wind[1] * dy
                         out["N"][block] += jac * np.outer(phi, wgrad)
                         out["S"][block] += jac * delta * np.outer(wgrad, wgrad)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Q1 finite elements as sums of sparse Kronecker products of 1D matrices
+
+_GP = 1.0 / np.sqrt(3.0)
+_PSI = 0.5 * np.array([[1.0 + _GP, 1.0 - _GP], [1.0 - _GP, 1.0 + _GP]])
+_DPSI = np.array([-0.5, 0.5])
+
+
+def element_matrices_1d(t, kind, coef=1.0):
+    """Q1 element matrices, shape (n_e, 2, 2), on the 1D nodes t by the 2-point
+    Gauss rule: ``kind`` "stiffness" int c psi_a' psi_b', "mass" int c psi_a psi_b
+    or "convection" int psi_a psi_b'; ``coef`` = c at the Gauss points."""
+    h, c = np.diff(t), np.broadcast_to(coef, (len(t) - 1, 2))
+    if kind == "stiffness":
+        return np.einsum("eg,a,b->eab", c, _DPSI, _DPSI) * (2.0 / h)[:, None, None]
+    if kind == "mass":
+        return np.einsum("eg,ag,bg->eab", c, _PSI, _PSI) * (0.5 * h)[:, None, None]
+    return np.einsum("eg,ag,b->eab", np.ones((len(t) - 1, 2)), _PSI, _DPSI)
+
+
+def coo_1d(Ke):
+    """The 1D matrix with element matrices Ke assembled COO -> CSR: every
+    element entry stored, duplicates summed."""
+    first = np.arange(len(Ke))[:, None, None]
+    rows = np.broadcast_to(first + np.arange(2)[:, None], Ke.shape).ravel()
+    cols = np.broadcast_to(first + np.arange(2)[None, :], Ke.shape).ravel()
+    return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(len(Ke) + 1,) * 2).tocsr()
+
+
+def kron_interior(pairs):
+    """sum sp.kron(B_y, B_x) of 1D CSR pairs on the interior nodes, without stored zeros."""
+    total = sum(sp.kron(By[1:-1, 1:-1], Bx[1:-1, 1:-1], format="csr") for By, Bx in pairs)
+    total.eliminate_zeros()
+    return total
+
+
+def kron_assembly(grid, kl, nu=None, g=None):
+    """The spatial matrices of ``fem.assemble_diffusion`` (without ``nu``) or
+    ``fem.assemble_convection_diffusion`` (with ``nu`` and the nodal Dirichlet
+    data g, shape (n_y, n_x)) from COO-assembled 1D CSR matrices.
+
+    Returns a dict with ``K``, ``mean_factors`` (interior 1D CSR factors
+    P_y, Q_y, A_x, M_x) and ``f0``; with ``nu`` also ``N``, ``S`` and the lift
+    ``coupling`` -(A_l g)[interior], A_0 = nu K_0 + N + S.
+    """
+    x, y = grid.x_coords, grid.y_coords
+
+    def gauss(t):
+        return t[:-1, None] + 0.5 * np.diff(t)[:, None] * (1.0 + np.array([-_GP, _GP]))
+
+    def A(t, c=1.0):
+        return coo_1d(element_matrices_1d(t, "stiffness", c))
+
+    def M(t, c=1.0):
+        return coo_1d(element_matrices_1d(t, "mass", c))
+
+    def stiffness(cx, cy=1.0):
+        return [(A(y, cy), M(x, cx)), (M(y, cy), A(x, cx))]
+
+    scale = 1.0 if nu is None else nu
+    coef = scale * kl.mean_a0
+    factors = [mode_factors(kl, l, gauss(x), gauss(y)) for l in range(kl.num_modes)]
+    terms = [stiffness(coef)] + [stiffness(scale * fx, fy) for fx, fy in factors]
+    out = {"K": [kron_interior(pairs) for pairs in terms]}
+    if nu is None:
+        out["f0"] = np.kron(M(y).sum(axis=1).A1[1:-1], M(x).sum(axis=1).A1[1:-1])
+        transport = 0.0
+    else:
+        h = np.diff(y)
+        peclet = h / (2.0 * nu)
+        delta = np.where(peclet > 1.0, h / 2.0 * (1.0 - 1.0 / peclet), 0.0)
+        Cy, Ay_delta = coo_1d(element_matrices_1d(y, "convection")), A(y, delta[:, None])
+        N, S = [(Cy, M(x))], [(Ay_delta, M(x))]
+        out.update(N=kron_interior(N), S=kron_interior(S), f0=np.zeros(grid.n_interior))
+        out["coupling"] = [
+            -sum(By @ (Bx @ g.T).T for By, Bx in pairs)[1:-1, 1:-1].ravel()
+            for pairs in [terms[0] + N + S] + terms[1:]
+        ]
+        transport = Cy + Ay_delta
+    P_y, Q_y = coef * A(y) + transport, coef * M(y)
+    out["mean_factors"] = [B[1:-1, 1:-1].tocsr() for B in (P_y, Q_y, A(x), M(x))]
     return out
 
 

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from oracles import eval_mode, poisson_square_series, q1_element_loop, vertical_wind_profile
+from oracles import (
+    coo_1d,
+    element_matrices_1d,
+    eval_mode,
+    kron_assembly,
+    poisson_square_series,
+    q1_element_loop,
+    vertical_wind_profile,
+)
+from sglowrank import fem
 from sglowrank.fem import (
     assemble_convection_diffusion,
     assemble_diffusion,
@@ -172,6 +181,60 @@ class TestAgainstElementLoop:
         mats = [ref["K"][0] + ref["N"] + ref["S"]] + ref["K"][1:]
         for coupling, A in zip(spatial.bc_lift.coupling, mats, strict=True):
             assert_close(coupling, -(A @ g)[idx])
+
+
+def assert_same_bits(got, want):
+    """Arrays, or the data, indices and indptr of CSR matrices, equal bit for bit."""
+    parts = ("data", "indices", "indptr") if hasattr(want, "indptr") else (None,)
+    for part in parts:
+        a, b = (got, want) if part is None else (getattr(got, part), getattr(want, part))
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestAgainstKronAssembly:
+    """The banded assembly against sums of sparse Kronecker products of
+    COO-assembled 1D matrices, which form every entry by the same sums."""
+
+    @pytest.mark.parametrize("kind", ["stiffness", "mass", "convection"])
+    @pytest.mark.parametrize("stretch", [None, 1.3], ids=["uniform", "stretched"])
+    def test_1d_diagonals(self, kind, stretch, rng):
+        t = make_grid(4, UNIT, stretch).y_coords
+        # a zero weight on some elements stores zeros, as the streamline matrix does
+        coef = rng.random((len(t) - 1, 2)) * (rng.random((len(t) - 1, 1)) < 0.7)
+        for Ke in (element_matrices_1d(t, kind), element_matrices_1d(t, kind, coef)):
+            D = fem._assemble_1d(Ke)
+            B = coo_1d(Ke)
+            assert_same_bits(D[0, 1:], B.diagonal(-1))
+            assert_same_bits(D[1], B.diagonal(0))
+            assert_same_bits(D[2, :-1], B.diagonal(1))
+            assert D[0, 0] == D[2, -1] == 0.0
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    @pytest.mark.parametrize("stretched", [False, True], ids=["uniform", "stretched"])
+    @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion"])
+    def test_spatial_matrices(self, kind, stretched, level):
+        if kind == "diffusion":
+            grid = make_grid(level, UNIT, 1.3 if stretched else None)
+            kl = kl_for(c=2.0, sigma=0.1, M=4)
+            spatial = assemble_diffusion(grid, kl)
+            want = kron_assembly(grid, kl)
+        else:
+            nu = 1 / 200
+            grid = make_grid(level, BIG, stretch_for_boundary_layer(level, BIG, nu) if stretched else None)
+            kl = kl_for(domain=BIG, c=2.0, sigma=0.1, M=3)
+            spatial = assemble_convection_diffusion(grid, kl, nu)
+            g = spatial.bc_lift.values_full.reshape(len(grid.y_coords), -1)
+            want = kron_assembly(grid, kl, nu, g)
+            assert_same_bits(spatial.N, want["N"])
+            assert_same_bits(spatial.S, want["S"])
+            for got, ref in zip(spatial.bc_lift.coupling, want["coupling"], strict=True):
+                assert_same_bits(got, ref)
+        for got, ref in zip(spatial.K, want["K"], strict=True):
+            assert_same_bits(got, ref)
+        for got, ref in zip(spatial.mean_factors, want["mean_factors"], strict=True):
+            assert_same_bits(got, ref)
+        assert_same_bits(spatial.f0, want["f0"])
 
 
 class TestConvectionDiffusion:

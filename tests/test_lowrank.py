@@ -16,6 +16,7 @@ from sglowrank.lowrank import (
     apply_operator,
     block,
     combine,
+    dense,
     fold,
     inner,
     inners,
@@ -154,6 +155,17 @@ class TestFold:
         assert u.Z is v.Z
         assert inner(u, v) == pytest.approx(float(dense_vec(u) @ dense_vec(v)), rel=1e-12)
         assert norm(u) == pytest.approx(np.linalg.norm(dense_of(u)), rel=1e-12)
+
+
+    def test_dense_copies_a_block_and_multiplies_any_other_frame(self, rng):
+        W = rng.standard_normal((9, 4))
+        u = block(W)
+        got = dense(u)
+        assert got.tobytes() == W.tobytes() and got.flags.c_contiguous
+        assert not np.may_share_memory(got, u.Y)
+        # the same numbers in a frame that is not the shared identity
+        for v in (FactoredVector(W, np.eye(4)), random_factored(rng, 9, 4, 3)):
+            assert np.array_equal(dense(v), v.Y @ v.Z.T)
 
 
 class TestSharedFrame:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_banded, solveh_banded
 
 from oracles import dense_operator, dense_vec, random_operator
 from sglowrank import pgd
@@ -79,6 +82,16 @@ class TestEnrichment:
             assert np.abs(mat - want).max() <= 1e-12 * np.abs(want).max()
             sol = np.linalg.solve(want, ws.spatial_rhs(z))
             assert np.abs(ws.solve_spatial(z) - sol).max() <= 1e-10 * np.abs(sol).max()
+            # scipy's wrappers of the same LAPACK routines give the same bits
+            # on the same band (LAPACK storage ab[u + i - j, j] = a[i, j])
+            lower, upper = ws._l_and_u
+            rows = [np.pad(np.diagonal(mat, k), (k, 0)) for k in range(upper, 0, -1)]
+            rows += [np.pad(np.diagonal(mat, -k), (0, k)) for k in range(lower + 1)]
+            if A.symmetric:
+                want_bits = solveh_banded(np.array(rows), ws.spatial_rhs(z), lower=True)
+            else:
+                want_bits = solve_banded((lower, upper), np.array(rows), ws.spatial_rhs(z))
+            assert ws.solve_spatial(z).tobytes() == want_bits.tobytes()
 
             # stochastic condensation (y (x) I)^T A (y (x) I), solved densely
             Q = np.kron(np.eye(n_xi), y.reshape(-1, 1))
@@ -144,6 +157,34 @@ class TestWorkspace:
             _Workspace(bad)
         with pytest.raises(ValueError, match="symmetric"):
             solve_pgd(bad, 1e-6)
+
+    @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion"])
+    def test_failed_band_factorization_raises_linalg_error(self, rng, kind):
+        # enrich_rank_one restarts on LinAlgError, so a failed factorization must raise it
+        A = diffusion_operator() if kind == "diffusion" else cd_operator()[0]
+        z = rng.standard_normal(A.shape[1])
+        ws = _Workspace(A)
+        ws.solve_spatial(z)
+        cond = ws.spatial
+        cond.data[:, cond.cols == 3] = 0.0  # a zero column: singular on both paths
+        with pytest.raises(np.linalg.LinAlgError):
+            ws.solve_spatial(z)
+        if A.symmetric:
+            ws = _Workspace(A)
+            ws.spatial.data[:, (ws.spatial.rows == 0) & (ws.spatial.cols == 0)] *= -1.0
+            with pytest.raises(np.linalg.LinAlgError):  # indefinite: no Cholesky factor
+                ws.solve_spatial(z)
+
+    @pytest.mark.parametrize("where", ["spatial", "stochastic", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_operator_rejected(self, where, bad):
+        A = diffusion_operator()
+        G, K = (M.copy() for M in A.terms[1])
+        Y = A.rhs.Y.copy()
+        {"spatial": K.data, "stochastic": G.data, "rhs": Y}[where][0] = bad
+        A = replace(A, terms=(A.terms[0], (G, K)) + A.terms[2:], rhs=FactoredVector(Y, A.rhs.Z))
+        with pytest.raises(ValueError, match="finite"):
+            _Workspace(A)
 
     def test_symmetry_flag_has_no_default(self):
         # flagged symmetric, this transport operator fails in the banded Cholesky
