@@ -124,8 +124,8 @@ class SpatialMatrices:
     K: tuple[sp.csr_matrix, ...]  # mean stiffness first, then one per KL mode
     f0: np.ndarray
     # interior 1D factors (P_y, Q_y, A_x, M_x) of the mean block:
-    # K[0] + N + S = kron(P_y, M_x) + kron(Q_y, A_x); None when not built by fem
-    mean_factors: tuple[sp.csr_matrix, ...] | None = None
+    # K[0] + N + S = kron(P_y, M_x) + kron(Q_y, A_x)
+    mean_factors: tuple[sp.csr_matrix, ...]
     N: sp.csr_matrix | None = None
     S: sp.csr_matrix | None = None
     bc_lift: BoundaryLift | None = None

@@ -2,15 +2,14 @@
 
 The solver runs GMRES-style cycles on the right-preconditioned operator
 L = A M^{-1}.  M is always the mean-based block preconditioner
-G_0 (x) K_0 = I (x) K_0 (Powell & Elman, IMA J. Numer. Anal. 2009).  On
-the tensor grids of ``fem``, K_0 = kron(P_y, M_x) + kron(Q_y, A_x), so
-K_0^{-1} is set up once as one eigenbasis of (A_x, M_x) and one banded LU of
-the tridiagonal systems P_y + lambda_j Q_y (fast diagonalization); a block
-solve is then two batched GEMMs and one banded solve.  Operators without
-these factors fall back to SuperLU.  Every basis vector produced inside a
-cycle is compressed by a truncation operator or lies in a fixed frame, so
-the basis is not orthogonal and both projections are computed through
-explicit Gram systems:
+G_0 (x) K_0 = I (x) K_0 (Powell & Elman, IMA J. Numer. Anal. 2009).  Every
+operator carries the 1D factors of K_0 = kron(P_y, M_x) + kron(Q_y, A_x),
+so K_0^{-1} is set up once as one eigenbasis of (A_x, M_x) and one banded
+LU of the tridiagonal systems P_y + lambda_j Q_y (fast diagonalization); a
+block solve is then two batched GEMMs and one banded solve.  Every basis
+vector produced inside a cycle is compressed by a truncation operator or
+lies in a fixed frame, so the basis is not orthogonal and both projections
+are computed through explicit Gram systems:
 
     (V_j^T V_j) alpha = V_j^T w_j        (orthogonalization step)
     (W_m^T W_m) beta  = W_m^T r_k        (residual projection; W = L V)
@@ -75,7 +74,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem
 from .chaos import build_spectral_basis, build_stochastic_matrices
@@ -130,18 +128,31 @@ STAGNATION_TOL = 1e-2
 MAX_CYCLES = 50
 
 
-class _FastDiagonalization:
-    """K^{-1} for K = kron(P_y, M_x) + kron(Q_y, A_x), P_y and Q_y tridiagonal.
+class MeanPreconditioner:
+    """Exact inverse of the mean spatial block, applied columnwise.
 
-    With A_x V = M_x V diag(lambda) and V^T M_x V = I (Lynch, Rice & Thomas,
-    Numer. Math. 1964), K u = f on the (y, x) grid becomes one tridiagonal
+    M = G_0 (x) K_0 with G_0 = I, checked exactly once here, so that
+    M^{-1} = I (x) K_0^{-1} and the mean term of A M^{-1} is the identity.
+    K_0 = kron(P_y, M_x) + kron(Q_y, A_x) is inverted by fast
+    diagonalization from the operator's ``mean_factors``: with
+    A_x V = M_x V diag(lambda) and V^T M_x V = I (Lynch, Rice & Thomas,
+    Numer. Math. 1964), K_0 u = f on the (y, x) grid becomes one tridiagonal
     system (P_y + lambda_j Q_y) t_j = (F V)_j per x-mode j.  All n_x of
     them are stacked block-diagonally in one band matrix (kl = ku = 1, the
     couplings between blocks zero) and factorized once by LAPACK gbtrf with
-    partial pivoting, so a nonsymmetric P_y is handled too.
+    partial pivoting, so a nonsymmetric P_y is handled too.  Besides K_0,
+    V and the LU it keeps only its last solve; the matvec allocates its own
+    workspace.
     """
 
-    def __init__(self, P_y, Q_y, A_x, M_x):
+    def __init__(self, A: StochasticOperator):
+        G0 = A.terms[0][0]
+        n_xi = A.shape[1]
+        identity = sp.identity(n_xi, format="csr")
+        if G0.shape != (n_xi, n_xi) or (sp.csr_matrix(G0) != identity).nnz:
+            raise ValueError("the mean preconditioner needs G_0 = I exactly")
+        self._mean = A.mean_spatial
+        P_y, Q_y, A_x, M_x = A.mean_factors
         lam, V = scipy.linalg.eigh(A_x.toarray(), M_x.toarray())
         self._Vt = np.ascontiguousarray(V.T)
         self._n = n_y, n_x = P_y.shape[0], len(lam)
@@ -154,45 +165,6 @@ class _FastDiagonalization:
         self._lu, self._piv, info = scipy.linalg.lapack.dgbtrf(ab.reshape(4, n_x * n_y), 1, 1)
         if info > 0:
             raise ValueError("the mean spatial block is singular")
-
-    def solve(self, Y: np.ndarray) -> np.ndarray:
-        """K^{-1} Y for the r columns of Y, returned Fortran-ordered.
-
-        Two n_y n_x x r arrays are live: a copy of the columns of Y as
-        (y, x) grids, which the back transform overwrites with the result,
-        and their modal (j, y) grids, which gbtrs solves in place.
-        """
-        (n_y, n_x), r = self._n, Y.shape[1]
-        grids = np.array(Y.T, order="C").reshape(r, n_y, n_x)
-        modal = np.matmul(self._Vt, grids.transpose(0, 2, 1))
-        scipy.linalg.lapack.dgbtrs(self._lu, 1, 1, modal.reshape(r, -1).T, self._piv, overwrite_b=1)
-        np.matmul(modal.transpose(0, 2, 1), self._Vt, out=grids)
-        return grids.reshape(r, -1).T
-
-
-class MeanPreconditioner:
-    """Exact inverse of the mean spatial block, applied columnwise.
-
-    M = G_0 (x) K_0 with G_0 = I, checked exactly once here, so that
-    M^{-1} = I (x) K_0^{-1} and the mean term of A M^{-1} is the identity.
-    An operator built by ``fem`` carries the 1D factors of K_0, which is then
-    inverted by fast diagonalization (``_FastDiagonalization``); any other
-    operator falls back to a SuperLU factorization of K_0.  Either is set up
-    exactly once.  Besides K_0 and its inverse it keeps only its last solve;
-    the matvec allocates its own workspace.
-    """
-
-    def __init__(self, A: StochasticOperator):
-        G0 = A.terms[0][0]
-        n_xi = A.shape[1]
-        identity = sp.identity(n_xi, format="csr")
-        if G0.shape != (n_xi, n_xi) or (sp.csr_matrix(G0) != identity).nnz:
-            raise ValueError("the mean preconditioner needs G_0 = I exactly")
-        self._mean = A.mean_spatial
-        if A.mean_factors is None:
-            self._inverse = spla.splu(A.mean_spatial.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        else:
-            self._inverse = _FastDiagonalization(*A.mean_factors)
         self._last: tuple[FactoredVector | None, FactoredVector | None] = (None, None)
 
     def apply(self, u: FactoredVector) -> FactoredVector:
@@ -202,11 +174,21 @@ class MeanPreconditioner:
     def solve(self, u: FactoredVector) -> FactoredVector:
         """M^{-1} u = (I (x) K_0^{-1}) u; rank is unchanged.
 
-        The last result is kept: the solver's final M^{-1} u_hat repeats the
-        solve of its last residual check.
+        Two n_y n_x x r arrays are live: a copy of the r columns of Y as
+        (y, x) grids, which the back transform overwrites with the result,
+        and their modal (j, y) grids, which gbtrs solves in place.  The last
+        result is kept: the solver's final M^{-1} u_hat repeats the solve of
+        its last residual check.
         """
         if self._last[0] is not u:
-            X = self._inverse.solve(np.asarray(u.Y)) if u.rank else np.array(u.Y)
+            (n_y, n_x), r = self._n, u.rank
+            grids = np.array(u.Y.T, order="C").reshape(r, n_y, n_x)
+            modal = np.matmul(self._Vt, grids.transpose(0, 2, 1))
+            scipy.linalg.lapack.dgbtrs(
+                self._lu, 1, 1, modal.reshape(r, n_x * n_y).T, self._piv, overwrite_b=1
+            )
+            np.matmul(modal.transpose(0, 2, 1), self._Vt, out=grids)
+            X = grids.reshape(r, n_y * n_x).T
             self._last = (u, FactoredVector._adopt(X, u.Z, u.orthonormal))
         return self._last[1]
 

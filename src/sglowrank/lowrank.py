@@ -164,14 +164,15 @@ class StochasticOperator:
     reads the lower triangle by design, and a transport operator flagged
     symmetric fails there.  ``mean_factors`` are the 1D factors
     (P_y, Q_y, A_x, M_x) with mean block kron(P_y, M_x) + kron(Q_y, A_x)
-    (``fem.SpatialMatrices.mean_factors``), or None for an operator not
-    built from them.
+    (``fem.SpatialMatrices.mean_factors``), from which
+    ``krylov.MeanPreconditioner`` inverts the mean block; like ``symmetric``
+    they have no default.
     """
 
     terms: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]
     rhs: FactoredVector
     symmetric: bool
-    mean_factors: tuple[sp.csr_matrix, ...] | None = None
+    mean_factors: tuple[sp.csr_matrix, ...]
 
     @property
     def shape(self) -> tuple[int, int]:

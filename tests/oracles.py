@@ -9,7 +9,8 @@ compared bit for bit), series solutions of the deterministic limit
 problems, and sampled deterministic solves of the parametric problem.  The
 pointwise evaluators of the chaos polynomials and the KL modes read only the
 package's recurrence coefficients and 1D mode factors, which the quadrature
-and Nystrom checks verify on their own.
+and Nystrom checks verify on their own.  The last section builds small test
+instances: random operators and the package's own diffusion operator.
 """
 
 import math
@@ -19,8 +20,15 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sglowrank.chaos import XI_BOUND, recurrence_coefficients
-from sglowrank.randfield import mode_factors
+from sglowrank.chaos import (
+    XI_BOUND,
+    build_spectral_basis,
+    build_stochastic_matrices,
+    recurrence_coefficients,
+)
+from sglowrank.fem import assemble_diffusion, make_grid
+from sglowrank.lowrank import FactoredVector, StochasticOperator, build_operator
+from sglowrank.randfield import ExponentialCovariance, build_kl, mode_factors
 
 
 # ---------------------------------------------------------------------------
@@ -408,32 +416,46 @@ def vertical_wind_profile(y, nu):
 
 
 # ---------------------------------------------------------------------------
-# small random instances
+# small instances
 
 
 def random_factored(rng, n_x, n_xi, rank):
-    from sglowrank.lowrank import FactoredVector
-
     return FactoredVector(rng.standard_normal((n_x, rank)), rng.standard_normal((n_xi, rank)))
 
 
-def random_operator(rng, n_x, n_xi, n_terms, spd=True, density=0.4):
-    """Random small Kronecker-sum operator with an SPD-dominant mean term."""
-    from sglowrank.lowrank import FactoredVector, StochasticOperator
+def _spd_tridiagonal(rng, n, shift):
+    """Random symmetric tridiagonal n x n matrix, diagonally dominant so
+    that its eigenvalues are at least ``shift``."""
+    off = rng.standard_normal(n - 1)
+    radius = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    return sp.diags([off, shift + radius + rng.random(n), off], [-1, 0, 1], format="csr")
 
-    terms = []
-    for l in range(n_terms):
+
+def random_operator(rng, n_x, n_xi, n_terms):
+    """Random small symmetric Kronecker-sum operator with an SPD-dominant mean term.
+
+    K_0 = kron(P_y, M_x) + kron(Q_y, A_x) of random SPD tridiagonal
+    factors, carried as the operator's ``mean_factors``.  Their sizes
+    multiply to n_x (the x size is the largest divisor of n_x up to its
+    square root, 1 for a prime), and P_y's eigenvalues are at least n_x,
+    the others' at least 1, so K_0's smallest eigenvalue is at least n_x + 1.
+    """
+    size_x = max(d for d in range(1, math.isqrt(n_x) + 1) if n_x % d == 0)
+    P_y, Q_y = (_spd_tridiagonal(rng, n_x // size_x, shift) for shift in (n_x, 1.0))
+    A_x, M_x = (_spd_tridiagonal(rng, size_x, 1.0) for _ in range(2))
+    K0 = (sp.kron(P_y, M_x) + sp.kron(Q_y, A_x)).tocsr()
+    terms = [(sp.identity(n_xi, format="csr"), K0)]
+    for _ in range(1, n_terms):
         K = rng.standard_normal((n_x, n_x))
         G = rng.standard_normal((n_xi, n_xi))
-        G = 0.5 * (G + G.T)
-        if spd:
-            K = 0.5 * (K + K.T)
-        if l == 0:
-            K = K @ K.T + n_x * np.eye(n_x)
-            G = np.eye(n_xi)
-        else:
-            K = 0.1 * K
-            G = 0.1 * G
-        terms.append((sp.csr_matrix(G), sp.csr_matrix(K)))
+        terms.append((sp.csr_matrix(0.05 * (G + G.T)), sp.csr_matrix(0.05 * (K + K.T))))
     rhs = FactoredVector(rng.standard_normal((n_x, 1)), rng.standard_normal((n_xi, 1)))
-    return StochasticOperator(tuple(terms), rhs, symmetric=spd)
+    return StochasticOperator(tuple(terms), rhs, True, (P_y, Q_y, A_x, M_x))
+
+
+def diffusion_operator(level=3, M=3, p=2, sigma=0.1, c=2.0):
+    """The diffusion operator of ``fem`` on the unit square."""
+    unit = (0.0, 1.0, 0.0, 1.0)
+    kl = build_kl(ExponentialCovariance(sigma, c, unit), 1.0, num_modes=M)
+    stoch = build_stochastic_matrices(build_spectral_basis(M, p))
+    return build_operator(assemble_diffusion(make_grid(level, unit), kl), stoch)

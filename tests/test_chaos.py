@@ -74,7 +74,10 @@ class TestStochasticMatrices:
         # the operator pairs K_0 with G_0 = I and the load with e_1
         Gl = build_stochastic_matrices(build_spectral_basis(3, 2))
         n = Gl[0].shape[0]
-        spatial = SpatialMatrices(tuple(sp.identity(4, format="csr") for _ in range(4)), np.ones(4))
+        eye = [sp.identity(k, format="csr") for k in (1, 4)]
+        # the mean block I_4 = kron(I_4, I_1) + kron(0, 0)
+        mean_factors = (eye[1], 0 * eye[1], 0 * eye[0], eye[0])
+        spatial = SpatialMatrices(tuple(eye[1] for _ in range(4)), np.ones(4), mean_factors)
         A = build_operator(spatial, Gl)
         assert np.array_equal(A.terms[0][0].toarray(), np.eye(n))
         assert [G for G, _ in A.terms[1:]] == list(Gl)

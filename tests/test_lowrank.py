@@ -426,8 +426,13 @@ class TestReduceOperator:
         B, _ = np.linalg.qr(rng.standard_normal((A.shape[1], 3)))
         R = reduce_operator(A, B)
         assert R.mean_factors is A.mean_factors and R.terms[0][1] is A.mean_spatial
-        P = krylov.MeanPreconditioner(R)
-        assert isinstance(P._inverse, krylov._FastDiagonalization)
+        # so the reduced operator's preconditioner solves exactly as A's does
+        Y = rng.standard_normal((A.shape[0], 2))
+        solves = [
+            krylov.MeanPreconditioner(op).solve(FactoredVector(Y, rng.standard_normal((n_xi, 2)))).Y
+            for op, n_xi in ((R, 3), (A, A.shape[1]))
+        ]
+        assert np.array_equal(*solves)
 
 
 class TestResidualNorm:

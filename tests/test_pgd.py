@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_banded, solveh_banded
 
-from oracles import dense_operator, dense_vec, random_operator
+from oracles import dense_operator, dense_vec, diffusion_operator, random_operator
 from sglowrank import pgd
 from sglowrank.chaos import build_spectral_basis, build_stochastic_matrices
-from sglowrank.fem import assemble_convection_diffusion, assemble_diffusion, make_grid
+from sglowrank.fem import assemble_convection_diffusion, make_grid
 from sglowrank.lowrank import (
     FactoredVector,
     StochasticOperator,
@@ -28,16 +28,7 @@ from sglowrank.pgd import (
 )
 from sglowrank.randfield import ExponentialCovariance, build_kl
 
-UNIT = (0.0, 1.0, 0.0, 1.0)
 BIG = (-1.0, 1.0, -1.0, 1.0)
-
-
-def diffusion_operator(level=3, M=3, p=2, sigma=0.1, c=2.0):
-    cov = ExponentialCovariance(sigma, c, UNIT)
-    kl = build_kl(cov, 1.0, num_modes=M)
-    stoch = build_stochastic_matrices(build_spectral_basis(M, p))
-    spatial = assemble_diffusion(make_grid(level, UNIT), kl)
-    return build_operator(spatial, stoch)
 
 
 def cd_operator(level=3, M=2, p=2, sigma=0.05, c=8.0, nu=0.1):
@@ -132,8 +123,9 @@ class TestWorkspace:
             np.fill_diagonal(keep, True)
             return sp.csr_matrix(M.toarray() * keep)
 
-        terms = tuple((masked(G) if l else G, masked(K)) for l, (G, K) in enumerate(base.terms))
-        A = StochasticOperator(terms, base.rhs, base.symmetric)
+        # K_0 keeps the Kronecker pattern of its mean factors
+        terms = base.terms[:1] + tuple((masked(G), masked(K)) for G, K in base.terms[1:])
+        A = replace(base, terms=terms)
         ws = _Workspace(A)
         for cond, mats in ((ws.spatial, [K for _, K in terms]), (ws.stochastic, [G for G, _ in terms])):
             # every term misses entries of the union pattern
@@ -152,7 +144,7 @@ class TestWorkspace:
         G, K = A.terms[1]
         G = G.tolil()
         G[0, 1] += 1.0
-        bad = StochasticOperator((A.terms[0], (G.tocsr(), K), A.terms[2]), A.rhs, A.symmetric)
+        bad = replace(A, terms=(A.terms[0], (G.tocsr(), K), A.terms[2]))
         with pytest.raises(ValueError, match="symmetric"):
             _Workspace(bad)
         with pytest.raises(ValueError, match="symmetric"):
@@ -191,6 +183,9 @@ class TestWorkspace:
         A, _ = cd_operator()
         with pytest.raises(TypeError, match="symmetric"):
             StochasticOperator(A.terms, A.rhs)
+        # the mean block's 1D factors have no default either
+        with pytest.raises(TypeError, match="mean_factors"):
+            StochasticOperator(A.terms, A.rhs, A.symmetric)
         assert not A.symmetric
         assert solve_pgd(A, 1e-6).kappa == 10
 
@@ -315,7 +310,7 @@ class TestSolvePgd:
 
     def test_scale_invariance(self):
         A = diffusion_operator(level=3, M=3, p=2, sigma=0.1)
-        scaled = StochasticOperator(A.terms, scale(A.rhs, 10.0), A.symmetric)
+        scaled = replace(A, rhs=scale(A.rhs, 10.0))
         sol = solve_pgd(A, 1e-6)
         sol10 = solve_pgd(scaled, 1e-6)
         assert sol10.kappa == sol.kappa
@@ -334,7 +329,7 @@ class TestSolvePgd:
 
     def test_zero_rhs_gives_rank_zero(self):
         A = diffusion_operator()
-        zero = StochasticOperator(A.terms, FactoredVector.zero(*A.shape), A.symmetric)
+        zero = replace(A, rhs=FactoredVector.zero(*A.shape))
         sol = solve_pgd(zero, 1e-6)
         assert sol.kappa == 0 and sol.converged and sol.rel_residual == 0.0
         assert sol.Zc.shape == (A.shape[1], 0)
