@@ -77,8 +77,8 @@ import scipy.sparse as sp
 
 from . import fem
 from .chaos import build_spectral_basis, build_stochastic_matrices
-# add and apply_operator are not called here; they stay module attributes
-# because perfbench/spans.py traces krylov.add and krylov.apply_operator
+# add and apply_operator are not called here, apply_operator nowhere in the
+# package; they stay because perfbench/spans.py traces both krylov names
 from .lowrank import (  # noqa: F401
     FactoredVector,
     StochasticOperator,

@@ -65,7 +65,6 @@ __all__ = [
     "block",
     "dense",
     "coordinates",
-    "residual_norm",
     "reduce_operator",
     "build_operator",
 ]
@@ -179,16 +178,12 @@ class StochasticOperator:
         return (self.terms[0][1].shape[0], self.terms[0][0].shape[0])
 
     @property
-    def num_terms(self) -> int:
-        return len(self.terms)
-
-    @property
     def mean_spatial(self) -> sp.csr_matrix:
         return self.terms[0][1]
 
 
 def apply_operator(A: StochasticOperator, u: FactoredVector) -> FactoredVector:
-    """A u in factored form; output rank is num_terms * rank(u)."""
+    """A u in factored form; output rank is len(A.terms) * rank(u)."""
     n_x, n_xi = A.shape
     if u.shape != (n_x, n_xi):
         raise ValueError(f"operator shape {(n_x, n_xi)} does not match vector {u.shape}")
@@ -372,11 +367,6 @@ class TruncationOperator:
         if self.kind == "svd-rank":
             return truncate_svd(u, rank=self.rank)
         return FactoredVector._adopt(coordinates(u, self.basis), self.basis, orthonormal=True)
-
-
-def residual_norm(A: StochasticOperator, u: FactoredVector) -> float:
-    """||f - A u||_2, the norm of the residual's n_x x n_xi block."""
-    return norm(add(A.rhs, scale(apply_operator(A, u), -1.0)))
 
 
 def reduce_operator(A: StochasticOperator, B: np.ndarray) -> StochasticOperator:

@@ -20,10 +20,11 @@ is scattered into a Fortran-ordered array in LAPACK's band layout
 ``dpbsv``, banded Cholesky, when every K_l is symmetric, else by ``dgbsv``,
 banded LU, whose array carries the LU's fill rows; the operator is checked
 for finite data once, when the workspace is built.  The stochastic matrix,
-at most a few hundred rows, is solved densely.  The products K_l Y and G_l Z of the current factors are cached as
-column blocks KY and GZ that grow by one pair per enrichment, so the
-right-hand sides are F z - KY (GZ^T z) and F^T y - GZ (KY^T y); this uses
-that every G_l is symmetric, which the workspace checks once.
+at most a few hundred rows, is solved densely.  The products K_l Y and
+G_l Z of the current factors are cached as column blocks KY and GZ that
+grow by one pair per enrichment: the right-hand sides are F z - KY (GZ^T z)
+and F^T y - GZ (KY^T y) (every G_l is symmetric, checked once), and each
+checkpoint's residual is F_Y F_Z^T - KY GZ^T, one product (``residual_norm``).
 
 Once enrichment has converged, one update pass re-solves all stochastic
 factors at once through the coupled block system with (i, j) block
@@ -58,7 +59,6 @@ from .lowrank import (
     StochasticOperator,
     add,
     norm,
-    residual_norm,
     truncate_svd,
 )
 
@@ -207,6 +207,14 @@ class _Workspace:
         cond = self.stochastic
         self._dense[cond.rows, cond.cols] = weights @ cond.data
         return np.linalg.solve(self._dense, self.stochastic_rhs(y))
+
+
+def residual_norm(workspace: _Workspace, Z: np.ndarray | None = None) -> float:
+    """||F_Y F_Z^T - KY GZ^T||_F for the current factors, or their Y paired with Z."""
+    F, GZ = workspace._F, workspace.GZ
+    if Z is not None:  # G_l z_i in the pair-major column order of KY
+        GZ = np.stack([G @ Z for G in workspace._G], axis=2).reshape(len(Z), -1)
+    return float(np.linalg.norm(F.Y @ F.Z.T - workspace.KY @ GZ.T))
 
 
 def _increment_change(y_new, z_new, y_old, z_old) -> float:
@@ -381,6 +389,8 @@ def solve_pgd(A: StochasticOperator, eps: float, seed: int = 0) -> PgdSolution:
     worsen the measured residual.  Enrichment stops at rank MAX_RANK.
     ``seed`` seeds the random restarts of the enrichment.
     """
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     n_x, n_xi = A.shape
     rng = np.random.default_rng(seed)
     fnorm = norm(A.rhs)
@@ -398,16 +408,16 @@ def solve_pgd(A: StochasticOperator, eps: float, seed: int = 0) -> PgdSolution:
         at_checkpoint = u.rank == 1 or u.rank % RESIDUAL_EVERY == 0
         if not (at_checkpoint or u.rank == MAX_RANK):
             continue
-        rel = residual_norm(A, u) / fnorm
+        rel = residual_norm(workspace) / fnorm
         history.append(rel)
         converged = rel < eps
 
     # the update is optimal in the operator-induced norm, which can move the
     # l2 residual slightly; keep whichever factor set measures better
-    updated = FactoredVector(u.Y, update_stochastic(workspace))
-    updated_rel = residual_norm(A, updated) / fnorm
+    Z = update_stochastic(workspace)
+    updated_rel = residual_norm(workspace, Z) / fnorm
     if updated_rel <= rel:
-        u, rel = updated, updated_rel
+        u, rel = FactoredVector(u.Y, Z), updated_rel
     history.append(rel)
     converged = converged or rel < eps
 

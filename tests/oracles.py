@@ -126,6 +126,17 @@ def dense_vec(u):
     return (u.Z @ u.Y.T).ravel() if u.rank else np.zeros(u.shape[0] * u.shape[1])
 
 
+def residual_norm(A, u):
+    """||F - sum_l K_l U G_l^T||_F for U = Y Z^T of u, formed densely and
+    multiplied by the operator's sparse matrices, as ``perfbench/check.py``
+    does; no factored arithmetic."""
+    R = A.rhs.Y @ A.rhs.Z.T
+    U = u.Y @ u.Z.T
+    for G, K in A.terms:
+        R -= (G @ (K @ U).T).T
+    return float(np.linalg.norm(R))
+
+
 def vec_to_mat(v, n_x, n_xi):
     return v.reshape(n_xi, n_x).T
 

@@ -15,6 +15,7 @@ from oracles import (
     diffusion_operator,
     random_factored,
     reduced_galerkin_solve,
+    residual_norm,
 )
 from sglowrank import krylov, lowrank, pgd
 from sglowrank.krylov import (
@@ -31,7 +32,6 @@ from sglowrank.lowrank import (
     fold,
     norm,
     reduce_operator,
-    residual_norm,
     scale,
     truncate_svd,
 )
@@ -143,7 +143,7 @@ class TestPreconditioner:
         B, _ = np.linalg.qr(rng.standard_normal((n_xi, kappa)))
         R = reduce_operator(A, B)
         P = MeanPreconditioner(R)
-        assert R.num_terms == 8
+        assert len(R.terms) == 8
         apply_preconditioned(R, P, random_factored(rng, n_x, kappa, r))
         u = random_factored(rng, n_x, kappa, r)
         tracemalloc.start()
@@ -175,7 +175,7 @@ class TestFold:
         A = diffusion_operator()
         n_x, n_xi = A.shape
         u = random_factored(rng, n_x, n_xi, 3)
-        assert A.num_terms * u.rank > n_xi
+        assert len(A.terms) * u.rank > n_xi
         P = MeanPreconditioner(A)
         out = apply_preconditioned(A, P, u)
         assert out.rank <= n_xi
@@ -193,7 +193,7 @@ class TestFold:
             trunc = TruncationOperator("projection", basis=truncate_svd(u_star, rank=6).Z)
         else:
             trunc = TruncationOperator("svd-rank", rank=6)
-        assert A.num_terms * trunc.rank > A.shape[1]
+        assert len(A.terms) * trunc.rank > A.shape[1]
         u, report = solve(A, trunc, 1e-3, m=6)
         assert report.converged
         b = dense_vec(A.rhs)

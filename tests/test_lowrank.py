@@ -6,8 +6,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_operator, dense_vec, random_factored, random_operator
-from sglowrank import krylov
+from oracles import (
+    dense_operator,
+    dense_vec,
+    diffusion_operator,
+    random_factored,
+    random_operator,
+    residual_norm,
+)
+from sglowrank import krylov, pgd
 from sglowrank.lowrank import (
     SV_DROP_TOL,
     FactoredVector,
@@ -22,7 +29,6 @@ from sglowrank.lowrank import (
     inners,
     norm,
     reduce_operator,
-    residual_norm,
     scale,
     truncate_svd,
 )
@@ -435,27 +441,64 @@ class TestReduceOperator:
         assert np.array_equal(*solves)
 
 
+def workspace_of(A, u):
+    """A PGD workspace whose current factors are the pairs of u."""
+    workspace = pgd._Workspace(A)
+    for y, z in zip(u.Y.T, u.Z.T):
+        workspace.extend(y, z)
+    return workspace
+
+
+def convection_operator():
+    """A small nonsymmetric operator of ``build_problem`` with its Dirichlet lift."""
+    spec = krylov.PipelineSpec(kind="convection-diffusion", domain=(-1.0, 1.0, -1.0, 1.0),
+                               nu=1 / 200, num_modes=2, degree=2)
+    return krylov.build_problem(spec, 3, *krylov.build_stochastic(spec))[2]
+
+
 class TestResidualNorm:
+    """``pgd.residual_norm`` reads the workspace's cached K_l Y and G_l Z
+    blocks; ``oracles.residual_norm`` re-applies the operator densely."""
+
+    OPERATORS = {
+        "random": lambda rng: random_operator(rng, 8, 5, 3),
+        "diffusion": lambda rng: diffusion_operator(level=2, M=2, p=2),
+        "convection": lambda rng: convection_operator(),
+    }
+
     def test_exact_solution_gives_tiny_residual(self, rng):
         A = random_operator(rng, 8, 5, 3)
         dense = dense_operator(A)
         x = np.linalg.solve(dense, dense_vec(A.rhs))
         # represent the exact solution in factored form (full rank)
-        X = x.reshape(5, 8).T
-        u = FactoredVector(X, np.eye(5))
-        fnorm = norm(A.rhs)
-        assert residual_norm(A, u) <= 1e-10 * fnorm
+        u = FactoredVector(x.reshape(5, 8).T, np.eye(5))
+        assert pgd.residual_norm(workspace_of(A, u)) <= 1e-10 * norm(A.rhs)
 
     def test_zero_iterate_gives_rhs_norm(self, rng):
         A = random_operator(rng, 8, 5, 3)
-        got = residual_norm(A, FactoredVector.zero(8, 5))
+        got = pgd.residual_norm(pgd._Workspace(A))
         assert got == pytest.approx(norm(A.rhs), rel=1e-14)
 
     def test_matches_dense(self, rng):
         A = random_operator(rng, 8, 5, 3)
         u = random_factored(rng, 8, 5, 2)
         want = np.linalg.norm(dense_vec(A.rhs) - dense_operator(A) @ dense_vec(u))
+        assert pgd.residual_norm(workspace_of(A, u)) == pytest.approx(want, rel=1e-11)
         assert residual_norm(A, u) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("kind", OPERATORS)
+    def test_matches_oracle(self, rng, kind):
+        A = self.OPERATORS[kind](rng)
+        assert A.symmetric == (kind != "convection")
+        zero = pgd.residual_norm(pgd._Workspace(A))
+        assert zero == pytest.approx(residual_norm(A, FactoredVector.zero(*A.shape)), rel=1e-14)
+        u = random_factored(rng, *A.shape, 3)
+        workspace = workspace_of(A, u)
+        assert pgd.residual_norm(workspace) == pytest.approx(residual_norm(A, u), rel=1e-10)
+        # an update's Z pairs with the cached K_l Y of the current spatial factors
+        Z = rng.standard_normal((A.shape[1], 3))
+        want = residual_norm(A, FactoredVector(u.Y, Z))
+        assert pgd.residual_norm(workspace, Z) == pytest.approx(want, rel=1e-10)
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,10 +35,11 @@ def test_instrument_enters_traces_and_restores():
     tracer = spans.Tracer()
     with spans.instrument(tracer):
         assert krylov.solve is not originals["krylov.solve"]
-        reports = [
-            krylov.pipeline(PipelineSpec(**cells.warmup_kwargs(workload))).report
+        results = [
+            krylov.pipeline(PipelineSpec(**cells.warmup_kwargs(workload)))
             for workload in ("diffusion-l6", "diffusion-l6-svd", "convection-l6")
         ]
+    reports = [r.report for r in results]
     assert krylov.solve is originals["krylov.solve"]
     assert krylov.inner is originals["krylov.inner"]
     assert krylov.apply_preconditioned is originals["krylov.apply_preconditioned"]
@@ -63,6 +64,9 @@ def test_instrument_enters_traces_and_restores():
     assert calls["krylov.matvec"] == sum(
         r.matvecs + len(r.residual_history) - 1 for r in reports
     )
+    # every PGD checkpoint and the update's accept test read the traced
+    # pgd.residual_norm: each records one residual_history entry
+    assert calls["pgd.residual"] == sum(len(r.pgd.residual_history) for r in results)
     metrics = spans.layer_metrics(tracer)
     assert metrics["lowrank.truncate_rank_in_max"] > 0
     assert metrics["krylov.basis_bytes"] > 0

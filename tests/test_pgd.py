@@ -5,7 +5,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_banded, solveh_banded
 
-from oracles import dense_operator, dense_vec, diffusion_operator, random_operator
+from oracles import (
+    dense_operator,
+    dense_vec,
+    diffusion_operator,
+    random_operator,
+    residual_norm,
+)
 from sglowrank import pgd
 from sglowrank.chaos import build_spectral_basis, build_stochastic_matrices
 from sglowrank.fem import assemble_convection_diffusion, make_grid
@@ -16,7 +22,6 @@ from sglowrank.lowrank import (
     add,
     build_operator,
     norm,
-    residual_norm,
     scale,
 )
 from sglowrank.pgd import (
@@ -327,6 +332,12 @@ class TestSolvePgd:
         assert np.array_equal(a.factors.Y, b.factors.Y)
         assert np.array_equal(a.factors.Z, b.factors.Z)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, 1.0, 2.0, float("nan")])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        # eps <= 0 or NaN would enrich to MAX_RANK, eps >= 1 stop at rank one
+        with pytest.raises(ValueError, match="eps must lie in"):
+            solve_pgd(diffusion_operator(level=2, M=2, p=1), eps)
+
     def test_zero_rhs_gives_rank_zero(self):
         A = diffusion_operator()
         zero = replace(A, rhs=FactoredVector.zero(*A.shape))
@@ -402,14 +413,16 @@ class TestSolvePgd:
         assert bool(steps) == (kind == "convection-diffusion")
         for kappa, count in steps:
             assert count <= max(200, 20 * kappa)
-        assert sol.rel_residual == residual_norm(A, sol.factors) / fnorm
+        assert sol.rel_residual == pytest.approx(residual_norm(A, sol.factors) / fnorm, rel=1e-10)
         assert sol.rel_residual <= sol.residual_history[-2]
 
         # an update that measures worse is dropped for the enriched factors
         monkeypatch.setattr(pgd, "update_stochastic", lambda ws: np.zeros_like(ws.current.Z))
         enriched = solve_pgd(A, 1e-6)
         assert enriched.residual_history[-1] == enriched.residual_history[-2]
-        assert enriched.rel_residual == residual_norm(A, enriched.factors) / fnorm
+        assert enriched.rel_residual == pytest.approx(
+            residual_norm(A, enriched.factors) / fnorm, rel=1e-10
+        )
         assert np.any(enriched.factors.Z)
 
 
@@ -452,7 +465,7 @@ class TestBoundaryLift:
         )
         stoch = build_stochastic_matrices(build_spectral_basis(2, 1))
         A = build_operator(spatial_mod, stoch)
-        assert A.num_terms == 3
+        assert len(A.terms) == 3
         A = handle_nonhomogeneous_bc(A, spatial_mod.bc_lift)
         n_x, n_xi = A.shape
         got = dense_vec(A.rhs)
