@@ -249,7 +249,7 @@ def run_comparison(spec: PipelineSpec, variants, out_dir: Path) -> list[dict]:
         try:
             if variant == "pgd-direct":
                 kl, stoch = build_stochastic(spec)
-                _, sol = run_pgd(spec, kl, stoch, level=spec.fine_level)
+                _, sol = run_pgd(dataclasses.replace(spec, coarse_level=spec.fine_level), kl, stoch)
                 entry.update(
                     kappa=sol.kappa,
                     final_rank=sol.kappa,

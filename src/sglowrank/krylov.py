@@ -500,11 +500,12 @@ class PipelineSpec:
     nu: float | None = None
     m: int = 8
     truncation: str = "multilevel"  # "multilevel" | "svd"
-    pgd_eps: float | None = None  # PGD tolerance; None means eps
     seed: int = 0
 
     def __post_init__(self):
-        d = self.domain
+        # a tuple of floats: a list would skip the finite check and leave the spec unhashable
+        d = tuple(map(float, self.domain))
+        object.__setattr__(self, "domain", d)
         checks = [
             (self.kind in ("diffusion", "convection-diffusion"),
              f"kind must be diffusion or convection-diffusion, got {self.kind!r}"),
@@ -527,8 +528,6 @@ class PipelineSpec:
             (self.m >= 1, f"m must be >= 1, got {self.m}"),
             (self.truncation in ("multilevel", "svd"),
              f"truncation must be multilevel or svd, got {self.truncation!r}"),
-            (self.pgd_eps is None or 0 < self.pgd_eps < 1,
-             f"pgd_eps must lie in (0, 1), got {self.pgd_eps}"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
         ]
         errors = [message for ok, message in checks if not ok]
@@ -590,21 +589,18 @@ def build_problem(
 
 
 def run_pgd(
-    spec: PipelineSpec, kl: KLExpansion, stoch: tuple[sp.csr_matrix, ...], level: int | None = None
+    spec: PipelineSpec, kl: KLExpansion, stoch: tuple[sp.csr_matrix, ...]
 ) -> tuple[fem.Grid, PgdSolution]:
-    """The grid of ``level`` and the PGD solution of ``spec`` on it.
+    """The coarse grid and the PGD solution of ``spec`` on it, to ``spec.eps``.
 
-    ``level`` defaults to the coarse level: ``spec.coarse_level`` or, when
-    that is None, the level ``fem.recommend_coarse_level`` picks for the
-    field.  The tolerance is ``pgd_eps``, else ``eps``.
+    The coarse level is ``spec.coarse_level`` or, when that is None, the
+    level ``fem.recommend_coarse_level`` picks for the field.
     """
-    if level is None:
-        level = spec.coarse_level
+    level = spec.coarse_level
     if level is None:
         level = fem.recommend_coarse_level(kl, spec.nu)
     grid, _, A = build_problem(spec, level, kl, stoch)
-    sol = solve_pgd(A, spec.pgd_eps if spec.pgd_eps is not None else spec.eps, seed=spec.seed)
-    return grid, sol
+    return grid, solve_pgd(A, spec.eps, seed=spec.seed)
 
 
 def pipeline(spec: PipelineSpec) -> PipelineResult:

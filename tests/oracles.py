@@ -20,15 +20,10 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sglowrank.chaos import (
-    XI_BOUND,
-    build_spectral_basis,
-    build_stochastic_matrices,
-    recurrence_coefficients,
-)
-from sglowrank.fem import assemble_diffusion, make_grid
-from sglowrank.lowrank import FactoredVector, StochasticOperator, build_operator
-from sglowrank.randfield import ExponentialCovariance, build_kl, mode_factors
+from sglowrank.chaos import XI_BOUND, recurrence_coefficients
+from sglowrank.krylov import PipelineSpec, build_problem, build_stochastic
+from sglowrank.lowrank import FactoredVector, StochasticOperator
+from sglowrank.randfield import mode_factors
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +460,6 @@ def random_operator(rng, n_x, n_xi, n_terms):
 
 
 def diffusion_operator(level=3, M=3, p=2, sigma=0.1, c=2.0):
-    """The diffusion operator of ``fem`` on the unit square."""
-    unit = (0.0, 1.0, 0.0, 1.0)
-    kl = build_kl(ExponentialCovariance(sigma, c, unit), 1.0, num_modes=M)
-    stoch = build_stochastic_matrices(build_spectral_basis(M, p))
-    return build_operator(assemble_diffusion(make_grid(level, unit), kl), stoch)
+    """The package's diffusion operator on the unit square, built from a spec."""
+    spec = PipelineSpec(corr_len=c, sigma=sigma, degree=p, num_modes=M)
+    return build_problem(spec, level, *build_stochastic(spec))[2]

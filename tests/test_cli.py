@@ -37,6 +37,9 @@ FAST = [
 ]
 
 
+# keys of no PipelineSpec field, whatever their value
+REMOVED_KEYS = ("wind", "capture", "max_cycles", "pgd_max_rank", "pgd_eps")
+
 # a convection-diffusion cell, for the checks of its own keys
 FAST_CD = ["kind = convection-diffusion" if line.startswith("kind") else line for line in FAST]
 FAST_CD += ["nu = 0.05"]
@@ -100,6 +103,11 @@ class TestConfigParsing:
         readme = (ROOT / "README.md").read_text()
         missing = [f.name for f in dataclasses.fields(PipelineSpec) if f"`{f.name}`" not in readme]
         assert not missing, missing
+
+    def test_readme_names_no_removed_key(self):
+        readme = (ROOT / "README.md").read_text()
+        lingering = [key for key in REMOVED_KEYS if f"`{key}`" in readme]
+        assert not lingering, lingering
 
     def test_cd_requires_nu(self):
         with pytest.raises(ConfigError, match="nu"):
@@ -204,6 +212,11 @@ class TestComparison:
         # the direct fine-grid PGD lands within one rank-reporting bucket
         by_name = {r["variant"]: r for r in rows}
         assert abs(by_name["pgd-direct"]["kappa"] - by_name["lrp-multilevel"]["kappa"]) <= 5
+        # and is the coarse stage of the spec with the fine level as its coarse one
+        kl, stoch = build_stochastic(cfg)
+        _, sol = run_pgd(dataclasses.replace(cfg, coarse_level=cfg.fine_level), kl, stoch)
+        assert (by_name["pgd-direct"]["kappa"], by_name["pgd-direct"]["rel_residual"]) == (
+            sol.kappa, sol.rel_residual)
 
     def test_unknown_variant(self, tmp_path, capsys):
         cfg = load_config(None, [s.replace(" ", "") for s in FAST])
@@ -233,20 +246,19 @@ class TestMainEntry:
             "eps = -3", "eps = abc", "fine_level = 6.5", "domain = 0,1", "wind = 1",
             "preconditioner = foo", "max_cycles = 0", "pgd_max_rank = 0", "pgd_update_every = 0",
             "mean_a0 = 0", "seed = -1", "pgd_update_policy = every-k",
-            "eps = 2", "pgd_eps = 1", "domain = -inf, inf, -1, 1", "corr_len = inf",
-            "nu = 0.01", "wind = 1, 0", "capture = 0.9", "max_cycles = 5", "pgd_max_rank = 10",
+            "eps = 2", "domain = -inf, inf, -1, 1", "corr_len = inf", "nu = 0.01",
+            "wind = 1, 0", "capture = 0.9", "max_cycles = 5", "pgd_max_rank = 10",
+            "pgd_eps = 1e-3",
         ]
         cases = [FAST + [bad] for bad in diffusion]
         cases += [FAST_CD + [bad] for bad in ("wind = nan, 1", "nu = inf", "wind = 0, 0")]
-        # keys of no PipelineSpec field, whatever their value
-        removed = ("wind", "capture", "max_cycles", "pgd_max_rank")
         for i, lines in enumerate(cases):
             path = write_cfg(tmp_path, lines, name=f"bad{i}.cfg")
             code = main(["run", "--config", str(path), "--out", str(tmp_path / f"out{i}")])
             assert code == 2, lines[-1]
             err = capsys.readouterr().err
             assert "invalid configuration" in err, lines[-1]
-            if lines[-1].split("=")[0].strip() in removed:
+            if lines[-1].split("=")[0].strip() in REMOVED_KEYS:
                 assert "unknown config key" in err, lines[-1]
             assert not (tmp_path / f"out{i}" / "report.json").exists(), lines[-1]
         path = write_cfg(tmp_path, FAST)
@@ -311,8 +323,8 @@ class TestMainEntry:
         assert len(rows) - 1 == 17**2
 
     def test_nonconvergence_exit_one(self, tmp_path):
-        # a basis learned to pgd_eps = 1e-3 cannot carry the fine solve to eps = 1e-5
-        path = write_cfg(tmp_path, FAST + ["pgd_eps = 1e-3"])
+        # a basis learned on level 2 cannot carry the fine solve to eps = 1e-5
+        path = write_cfg(tmp_path, FAST + ["coarse_level = 2"])
         with pytest.warns(UserWarning, match="basis-limited"):
             code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
@@ -346,12 +358,12 @@ class TestMainEntry:
 
     # (extra config lines, coarse level, kappa, basis rank, exit code of run);
     # kappa and basis rank are the values measured for these cells.  A basis
-    # learned to pgd_eps = 1e-3 is smaller and cannot carry the fine solve
-    # to eps = 1e-5.
+    # learned on level 2 is smaller and cannot carry the fine solve to
+    # eps = 1e-5.
     @pytest.mark.parametrize("extra,level,kappa,rank,run_code", [
         ([], 3, 20, 20, 0),
         (["coarse_level = auto"], 4, 25, 21, 0),
-        (["pgd_eps = 1e-3"], 3, 5, 5, 1),
+        (["coarse_level = 2"], 2, 15, 9, 1),
     ])
     def test_coarse_only_matches_run(self, tmp_path, extra, level, kappa, rank, run_code):
         path = write_cfg(tmp_path, FAST + extra)

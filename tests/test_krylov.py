@@ -19,6 +19,7 @@ from oracles import (
 )
 from sglowrank import krylov, lowrank, pgd
 from sglowrank.krylov import (
+    ConfigError,
     MeanPreconditioner,
     PipelineSpec,
     apply_preconditioned,
@@ -257,13 +258,13 @@ class TestFixedFrame:
         assert max(width for width, _ in built) <= n_xi
 
     def test_basis_limited_run_stops(self):
-        # a coarse basis learned at a loose tolerance cannot represent the
-        # fine solution to eps: after one cycle the residual's part outside
-        # the basis alone is above eps, and the solve ends there
+        # a basis learned on too coarse a grid (level 2: kappa 15, rank 9)
+        # cannot represent the fine solution to eps: after one cycle the
+        # residual's part outside the basis alone is above eps, and the
+        # solve ends there
         spec = PipelineSpec(
             kind="diffusion", domain=UNIT, corr_len=3.0, sigma=0.05, mean_a0=1.0,
-            degree=2, num_modes=4, coarse_level=4, fine_level=5, eps=1e-6,
-            pgd_eps=1e-3, m=8,
+            degree=2, num_modes=4, coarse_level=2, fine_level=5, eps=1e-6, m=8,
         )
         with pytest.warns(UserWarning, match="stopped after .* cycles .*basis-limited"):
             res = pipeline(spec)
@@ -309,10 +310,10 @@ class TestFixedFrame:
 
     def test_status_follows_the_basis_floor(self):
         # 30 cells of level-4 problems with PGD bases from coarser grids:
-        # kind, sigma, coarse level and PGD tolerance set the basis and its
-        # floor (the residual of the reduced Galerkin solution); eps and m
-        # cycle through the cells.  A floor below 0.9 eps must converge, one
-        # above 1.1 eps must stop basis-limited
+        # kind, sigma, coarse level and the spec's eps set the basis and its
+        # floor (the residual of the reduced Galerkin solution); the fine
+        # eps and m cycle through the cells.  A floor below 0.9 eps must
+        # converge, one above 1.1 eps must stop basis-limited
         bases = [
             ("diffusion", 0.05, 2, 1e-2), ("diffusion", 0.2, 2, 1e-3),
             ("diffusion", 0.3, 2, 1e-4), ("diffusion", 0.05, 3, 1e-3),
@@ -322,20 +323,20 @@ class TestFixedFrame:
         ]
         eps_values, m_values = (3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4), (1, 2, 4, 8)
         statuses = {"converged": 0, "basis-limited": 0}
-        for i, (kind, sigma, coarse, pgd_eps) in enumerate(bases):
+        for i, (kind, sigma, coarse, basis_eps) in enumerate(bases):
             nu = 1 / 50 if kind == "convection-diffusion" else None
             spec = PipelineSpec(kind=kind, domain=BIG if nu else UNIT, corr_len=2.0, sigma=sigma,
-                                num_modes=3, degree=2, nu=nu, pgd_eps=pgd_eps)
+                                num_modes=3, degree=2, nu=nu, eps=basis_eps, coarse_level=coarse)
             kl, stoch = krylov.build_stochastic(spec)
             A = krylov.build_problem(spec, 4, kl, stoch)[2]
-            B = krylov.run_pgd(spec, kl, stoch, coarse)[1].Zc
+            B = krylov.run_pgd(spec, kl, stoch)[1].Zc
             _, floor = reduced_galerkin_solve(A, B)
             for k in range(3):
                 eps, m = eps_values[(i + 2 * k) % 6], m_values[(i + k) % 4]
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)
                     _, report = solve(A, TruncationOperator("projection", basis=B), eps, m=m)
-                cell = (kind, sigma, coarse, pgd_eps, eps, m, floor, report.status)
+                cell = (kind, sigma, coarse, basis_eps, eps, m, floor, report.status)
                 if floor < 0.9 * eps:
                     assert report.status == "converged", cell
                 elif floor > 1.1 * eps:
@@ -659,3 +660,12 @@ class TestPipeline:
         with pytest.raises(ValueError):
             PipelineSpec(kind="convection-diffusion", domain=UNIT, corr_len=1.0,
                          sigma=0.1, mean_a0=1.0, degree=2, fine_level=4, eps=1e-4)
+        # a list domain is checked like a tuple and leaves the spec hashable
+        messages = []
+        for domain in ([0.0, np.inf, 0.0, 1.0], (0.0, np.inf, 0.0, 1.0)):
+            with pytest.raises(ConfigError, match="domain must be finite") as exc:
+                PipelineSpec(domain=domain)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        spec = PipelineSpec(domain=[0, 1, 0, 1])
+        assert spec == PipelineSpec() and hash(spec) == hash(PipelineSpec())
