@@ -21,12 +21,12 @@ vector, matvec output and W row is an n_x x kappa block of the
 kappa-identity frame, so inner products are kappa-wide Frobenius dots and
 combinations sum spatial factors (``lowrank.combine``, ``inners``).  Its
 term 0 is (I, K_0), so one preconditioner serves A and the reduced
-operator.  With SVD truncation the same loop runs on A, every block
-n_x x n_xi.  A matvec of (Y, Z) solves X = K_0^{-1} Y once, starts its
-output block at the mean term Y Z^T (K_0 K_0^{-1} = I, and G_0 = I, which
-the preconditioner checks once) and adds (K_l X)(G_l Z)^T for l = 1..M
-into it in place by BLAS, so besides the output and X it holds one K_l X
-at a time.  The output blocks of a cycle sit in one array of m rows
+operator.  With SVD truncation the same loop runs on A, and each
+combination is its n_x x n_xi block before it is truncated.  A matvec of
+(Y, Z) solves X = K_0^{-1} Y once, starts its output block at the mean
+term Y Z^T (K_0 K_0^{-1} = I, and G_0 = I, which the preconditioner
+checks once) and adds (K_l X)(G_l Z)^T for l = 1..M into it in place by
+BLAS, so besides the output and X it holds one K_l X at a time.  The output blocks of a cycle sit in one array of m rows
 allocated before the first cycle, so each matvec adds its row of W^T W
 and W^T r with one BLAS product each.
 
@@ -90,7 +90,6 @@ from .lowrank import (  # noqa: F401
     combine,
     coordinates,
     dense,
-    fold,
     inner,
     inners,
     norm,
@@ -264,8 +263,8 @@ def _residual(A: StochasticOperator, P, u_hat: FactoredVector) -> FactoredVector
     """f - A M^{-1} u_hat as its dense block.
 
     The matvec block of a nonzero iterate is subtracted from Y_f Z_f^T in
-    place, which for a rank-one f with Z_f = e_1 gives exactly the fold of
-    [Y_f | -W] [Z_f | I]^T.
+    place, which for a rank-one f with Z_f = e_1 gives exactly the block of
+    f - W as ``combine`` forms it across the two frames.
     """
     R = dense(A.rhs)
     if u_hat.rank:
@@ -273,7 +272,7 @@ def _residual(A: StochasticOperator, P, u_hat: FactoredVector) -> FactoredVector
     return block(R)
 
 
-def _cycle(A, P, truncate, m: int, r: np.ndarray, v0, u_hat, W: np.ndarray, target: float):
+def _cycle(A, P, merge, m: int, r: np.ndarray, v0, u_hat, W: np.ndarray, target: float):
     """One restart cycle from the unit basis vector v0 and the residual block r.
 
     r is the dense residual block in the identity frame of the matvec
@@ -282,8 +281,9 @@ def _cycle(A, P, truncate, m: int, r: np.ndarray, v0, u_hat, W: np.ndarray, targ
     beta.  The cycle ends at the first matvec j whose least-squares
     residual ||r - sum_{i<=j} beta_i W_i|| is below ``target``, formed
     explicitly (||r||^2 - (W r)^T beta cancels at these residuals), or
-    after m matvecs.  The last beta and its rank give the update
-    truncate(u_hat + V beta) and the cycle's one projection warning.
+    after m matvecs.  ``merge(vectors, coeffs)`` forms every combination
+    of the cycle, so the last beta and its rank give the update
+    merge([u_hat] + V, [1, beta]) and the cycle's one projection warning.
     Returns the update, the number of matvecs and whether the last
     least-squares residual fell below ``target`` (False for a cycle cut
     by the cap m or by an exhausted basis).  Every vector of the cycle is
@@ -308,7 +308,7 @@ def _cycle(A, P, truncate, m: int, r: np.ndarray, v0, u_hat, W: np.ndarray, targ
         if reached or j + 1 == m:
             break
         alpha = _gram_solve(VtV[: j + 1, : j + 1], inners(V, w), "orthogonalization")
-        v_next = truncate(combine([w] + V, np.concatenate([[1.0], -alpha])))
+        v_next = merge([w] + V, np.concatenate([[1.0], -alpha]))
         v_next_norm = norm(v_next)
         if v_next_norm <= BASIS_DROP_TOL * np.sqrt(WtW[j, j]):
             break  # basis cannot grow further; use the j+1 vectors built
@@ -323,7 +323,7 @@ def _cycle(A, P, truncate, m: int, r: np.ndarray, v0, u_hat, W: np.ndarray, targ
             "shrinking the step",
             stacklevel=3,
         )
-    u_hat = truncate(combine([u_hat] + V, np.concatenate([[1.0], beta])))
+    u_hat = merge([u_hat] + V, np.concatenate([[1.0], beta]))
     return u_hat, j + 1, reached
 
 
@@ -364,11 +364,11 @@ def solve(
     t1 = time.perf_counter()
     B = trunc.basis if trunc.kind == "projection" else None
     if B is None:
-        A_cycle, truncate = A, trunc.apply
+        A_cycle, merge = A, lambda vectors, coeffs: trunc.apply(combine(vectors, coeffs))
     else:
-        # no truncation: vectors of one frame combine within it, and fold
-        # caps any width above kappa
-        A_cycle, truncate = reduce_operator(A, B), fold
+        # no truncation: every vector of the cycles is a block of the
+        # kappa-identity frame, and combines within it
+        A_cycle, merge = reduce_operator(A, B), combine
 
     # the iterate in the preconditioned variable M u, in the frame of A_cycle
     if u0 is None or u0.rank == 0:
@@ -445,7 +445,7 @@ def solve(
         if cycles and 0.0 < perp < eps:
             target = np.sqrt(eps**2 - perp**2)
         x_hat, cycle_matvecs, reached = _cycle(
-            A_cycle, P, truncate, m, r.Y, scale(v_tilde, 1.0 / v_norm), x_hat, W, fnorm * target
+            A_cycle, P, merge, m, r.Y, scale(v_tilde, 1.0 / v_norm), x_hat, W, fnorm * target
         )
         matvecs += cycle_matvecs
         cycles += 1

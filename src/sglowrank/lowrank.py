@@ -9,35 +9,34 @@ Kronecker-sum operator sum_l G_l (x) K_l acts blockwise,
 so a matvec multiplies the stored rank by the number of terms and an
 addition concatenates factors.  A factor pair wider than the stochastic
 dimension stores more numbers than the dense n_x x n_xi block it
-represents; ``fold`` rewrites such a vector exactly as that block, Y Z^T,
-paired with the identity, which caps the width at n_xi.  Two
+represents; ``block`` pairs such a block with the identity frame.  Two
 rank-reduction operators bring ranks back down: a Frobenius-optimal SVD
-truncation computed from the R factor of Y alone once Z is orthonormal
-(the folded block when the input is wider than n_xi), and a projection
-onto a fixed orthonormal stochastic basis B, which costs two matrix
-products and no factorization.  ``reduce_operator`` forms the Galerkin
-projection of the operator onto R^{n_x} (x) span(B),
+truncation computed from the R factor of Y alone once Z is orthonormal,
+and a projection onto a fixed orthonormal stochastic basis B, which costs
+two matrix products and no factorization.  ``reduce_operator`` forms the
+Galerkin projection of the operator onto R^{n_x} (x) span(B),
 sum_l (B^T G_l B) (x) K_l, whose vectors are n_x x kappa blocks.
 
 The stochastic factor Z is a frame that vectors share by identity: every
-folded block of one size shares one identity, every projection onto B
-shares B.  Two rules make arithmetic in one shared frame cost no more than
-the blocks themselves.  ``combine`` sums the scaled spatial factors of
-vectors that share one Z object and concatenates only distinct frames, so
-a combination of blocks of a reduced operator stays kappa columns wide.
-``inners`` evaluates the inner products of many vectors against one
-vector w through one product Y_w (Z_w^T Z) per distinct Z, since
-<v, w> = <Y_v, Y_w Z_w^T Z_v>_F.
+block of one size shares one identity, every projection onto B shares B.
+Two rules make arithmetic in shared frames cost no more than the blocks
+themselves.  ``combine`` sums the scaled spatial factors of vectors that
+share one Z object, so a combination of blocks of a reduced operator
+stays kappa columns wide; a combination across frames is its n_x x n_xi
+block, to which the identity frame adds its Y and every other frame one
+product Y Z^T.  ``inners`` evaluates the inner products of many vectors
+against one vector w through one product Y_w (Z_w^T Z) per distinct Z,
+since <v, w> = <Y_v, Y_w Z_w^T Z_v>_F.
 
-Folded blocks and the outputs of both truncations have orthonormal
-stochastic factors by construction, and are flagged so when they are
-built.  For those the norm is the Frobenius norm of Y, and the inner
-product of two vectors sharing the same factor Z is the Frobenius dot
-product of their spatial factors; no QR or Gram product is formed.  Every
-other norm is the Frobenius norm of the block Y Z^T, the vector in the
-identity frame, so every norm is taken in an orthonormal frame and its
-error is the round-off of forming that block (a Gram-matrix evaluation
-would lose half the digits of a small residual of large terms).
+Blocks and the outputs of both truncations have orthonormal stochastic
+factors by construction, and are flagged so when they are built.  For
+those the norm is the Frobenius norm of Y, and the inner product of two
+vectors sharing the same factor Z is the Frobenius dot product of their
+spatial factors; no QR or Gram product is formed.  Every other norm is
+the Frobenius norm of the block Y Z^T, the vector in the identity frame,
+so every norm is taken in an orthonormal frame and its error is the
+round-off of forming that block (a Gram-matrix evaluation would lose half
+the digits of a small residual of large terms).
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ __all__ = [
     "inners",
     "norm",
     "truncate_svd",
-    "fold",
     "block",
     "dense",
     "coordinates",
@@ -90,7 +88,7 @@ def _check_orthonormal(B: np.ndarray) -> None:
 
 @functools.lru_cache(maxsize=4)
 def _identity(n: int) -> np.ndarray:
-    """The read-only identity every folded block of size n shares as its Z."""
+    """The read-only identity every block of size n shares as its Z."""
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
@@ -102,7 +100,7 @@ class FactoredVector:
 
     The constructor copies and freezes the arrays it is given.
     ``orthonormal`` records that Z has orthonormal columns by construction;
-    only the package's own constructors (the truncations and ``fold``) set
+    only the package's own constructors (the truncations and ``block``) set
     it, and ``norm``, ``coordinates`` and ``truncate_svd`` then skip the QR
     and Gram products of Z.
     """
@@ -209,34 +207,45 @@ def scale(u: FactoredVector, alpha: float) -> FactoredVector:
 def combine(vectors, coeffs) -> FactoredVector:
     """sum_i c_i v_i, summing the scaled Y of vectors that share one Z object.
 
-    Each distinct Z (in order of first appearance) contributes its summed
-    spatial factor once; distinct frames are concatenated.  A combination
-    within one frame keeps that Z and its ``orthonormal`` flag, so it is
-    no wider than the frame.  Zero coefficients and rank-0 vectors are
-    skipped.
+    A combination within one frame keeps that Z and its ``orthonormal``
+    flag.  Across frames it is the n_x x n_xi ``block``: the identity frame
+    adds its Y as it is and every other frame one product Y Z^T, one frame
+    at a time, with no factors concatenated.  Zero coefficients and rank-0
+    vectors are skipped.
     """
+    shape = vectors[0].shape
     frames: dict[int, list] = {}
     for v, c in zip(vectors, coeffs):
-        if c == 0.0 or v.rank == 0:
-            continue
-        frame = frames.get(id(v.Z))
-        if frame is None:
-            frames[id(v.Z)] = [c * v.Y, v.Z, v.orthonormal]
-        else:
-            frame[0] += c * v.Y
-            frame[2] = frame[2] or v.orthonormal
+        if v.shape != shape:
+            raise ValueError(f"shape mismatch {v.shape} vs {shape}")
+        if c != 0.0 and v.rank:
+            frames.setdefault(id(v.Z), []).append((c, v))
     if not frames:
-        return FactoredVector.zero(*vectors[0].shape)
+        return FactoredVector.zero(*shape)
     if len(frames) == 1:
-        (Y, Z, orthonormal), = frames.values()
-        return FactoredVector._adopt(Y, Z, orthonormal)
-    parts = list(frames.values())
-    return FactoredVector._adopt(np.hstack([p[0] for p in parts]), np.hstack([p[1] for p in parts]))
+        (terms,) = frames.values()
+        flagged = any(v.orthonormal for _, v in terms)
+        return FactoredVector._adopt(_frame_sum(terms), terms[0][1].Z, flagged)
+    out = np.zeros(shape)
+    eye = _identity(shape[1])
+    for terms in frames.values():
+        Y, Z = _frame_sum(terms), terms[0][1].Z
+        out += Y if Z is eye else Y @ Z.T
+    return block(out)
+
+
+def _frame_sum(terms) -> np.ndarray:
+    """sum c Y over the pairs (c, v) of one frame, as a new array."""
+    (c, v), *rest = terms
+    Y = c * v.Y
+    for c, v in rest:
+        Y += c * v.Y
+    return Y
 
 
 def block(W: np.ndarray) -> FactoredVector:
     """The dense n_x x n_xi block W as a vector, paired with the identity
-    frame that every folded block of this size shares."""
+    frame that every block of this size shares."""
     return FactoredVector._adopt(W, _identity(W.shape[1]), orthonormal=True)
 
 
@@ -248,17 +257,6 @@ def dense(u: FactoredVector) -> np.ndarray:
     if u.orthonormal and u.rank == u.shape[1] and u.Z is _identity(u.rank):
         return np.array(u.Y, order="C")
     return u.Y @ u.Z.T
-
-
-def fold(u: FactoredVector) -> FactoredVector:
-    """u itself if rank(u) <= n_xi, else exactly the block (Y Z^T, I).
-
-    The identity factor is shared by every folded block of the same size,
-    so ``inner`` and ``norm`` reduce to Frobenius products of Y.
-    """
-    if u.rank <= u.shape[1]:
-        return u
-    return block(dense(u))
 
 
 def coordinates(u: FactoredVector, Z: np.ndarray) -> np.ndarray:
@@ -314,15 +312,14 @@ def truncate_svd(u: FactoredVector, rank: int | None = None) -> FactoredVector:
     Keeps at most ``rank`` terms (Eckart-Young optimal), or every term when
     ``rank`` is None.  Singular values below SV_DROP_TOL times the largest
     are dropped in every mode so that roundoff never manufactures rank.
-    Z is made orthonormal first: a vector wider than n_xi is folded
-    (exactly), a flagged one already is, and any other takes
-    Z, R_z = qr(Z) and Y R_z^T.  Then with Y = Q R and R = U s V^T,
+    Z is made orthonormal first: a flagged vector's already is, and any
+    other takes Z, R_z = qr(Z) and Y R_z^T (for a vector wider than n_xi,
+    that Z is square and Y R_z^T is its n_x x n_xi block).  Then with Y = Q R and R = U s V^T,
     Y V_k = Q U_k s_k, so (Y V_k, Z V_k), flagged ``orthonormal``, is the
     truncation, and no Q factor is formed.
     """
     if u.rank == 0:
         return u
-    u = fold(u)
     if not u.orthonormal:
         Z, Rz = np.linalg.qr(u.Z)
         u = FactoredVector._adopt(u.Y @ Rz.T, Z, orthonormal=True)

@@ -153,6 +153,14 @@ def reduced_galerkin_solve(A, B):
     return u, float(np.linalg.norm(b - D @ u) / np.linalg.norm(b))
 
 
+def pod_basis(A, k):
+    """The top-k right singular vectors of the full-tensor Galerkin solution
+    of A (``reduced_galerkin_solve`` onto the identity): the best rank-k
+    stochastic basis for A's own problem (Eckart-Young)."""
+    u, _ = reduced_galerkin_solve(A, np.eye(A.shape[1]))
+    return np.linalg.svd(vec_to_mat(u, *A.shape), full_matrices=False)[2][:k].T
+
+
 # ---------------------------------------------------------------------------
 # dense GMRES reference (no restarting)
 

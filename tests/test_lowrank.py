@@ -24,7 +24,6 @@ from sglowrank.lowrank import (
     block,
     combine,
     dense,
-    fold,
     inner,
     inners,
     norm,
@@ -148,17 +147,12 @@ class TestAddInner:
 
 
 class TestFold:
-    def test_wide_vector_becomes_exact_block(self, rng):
-        u = random_factored(rng, 9, 4, 7)
-        out = fold(u)
-        assert out.rank == 4
-        assert np.array_equal(out.Z, np.eye(4))
-        assert np.abs(dense_of(out) - dense_of(u)).max() <= 1e-13 * np.abs(dense_of(u)).max()
+    """Dense n_x x n_xi blocks, paired with the identity frame."""
 
     def test_blocks_share_one_frame(self, rng):
-        u = fold(random_factored(rng, 9, 4, 6))
-        v = fold(random_factored(rng, 9, 4, 5))
-        assert u.Z is v.Z
+        u = block(rng.standard_normal((9, 4)))
+        v = block(rng.standard_normal((9, 4)))
+        assert u.Z is v.Z and np.array_equal(u.Z, np.eye(4))
         assert inner(u, v) == pytest.approx(float(dense_vec(u) @ dense_vec(v)), rel=1e-12)
         assert norm(u) == pytest.approx(np.linalg.norm(dense_of(u)), rel=1e-12)
 
@@ -192,15 +186,50 @@ class TestSharedFrame:
         # projecting onto its own frame leaves it as it is
         assert np.array_equal(op.apply(out).Y, out.Y)
 
-    def test_combination_across_frames_concatenates(self, rng):
+    def test_combination_across_frames_is_its_block(self, rng):
+        # the identity frame, a projection basis shared by two vectors, an
+        # unflagged frame and a skipped one, in mixed order
         B, _ = np.linalg.qr(rng.standard_normal((9, 4)))
         _, vs = self.framed(rng, 7, B, 2)
-        w = fold(random_factored(rng, 7, 9, 12))
+        w = block(rng.standard_normal((7, 9)))
+        loose = random_factored(rng, 7, 9, 3)
         skipped = random_factored(rng, 7, 9, 5)
-        out = combine([w, vs[0], skipped, vs[1]], [1.0, -0.5, 0.0, 2.0])
-        assert out.rank == 9 + 4 and not out.orthonormal
-        want = dense_of(w) - 0.5 * dense_of(vs[0]) + 2.0 * dense_of(vs[1])
-        assert np.abs(dense_of(out) - want).max() <= 1e-13 * np.abs(want).max()
+        vectors = [vs[0], w, skipped, loose, vs[1]]
+        coeffs = [-0.5, 1.0, 0.0, 3.0, 2.0]
+        out = combine(vectors, coeffs)
+        assert out.orthonormal and out.rank == 9 and out.Z is w.Z
+        want = sum(c * dense_of(v) for c, v in zip(coeffs, vectors))
+        assert np.abs(out.Y - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_combination_rejects_mismatched_shapes(self, rng):
+        # a 1-row Y sharing its Z with a 5-row one must not broadcast
+        u = random_factored(rng, 5, 3, 2)
+        v = FactoredVector._adopt(rng.standard_normal((1, 2)), u.Z)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            combine([u, v], [1.0, 2.0])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            combine([u, random_factored(rng, 5, 4, 2)], [1.0, 0.0])
+
+    def test_svd_cycle_combination_holds_no_stack(self, rng):
+        # w - sum_i alpha_i V_i as an SVD cycle forms it: the matvec block w
+        # and j truncations of rank kappa, each in a frame of its own.  The
+        # call may hold its output, one frame's sum and one product Y Z^T,
+        # but no factors concatenated n_xi + j kappa wide
+        n_x, n_xi, kappa, j = 2000, 60, 30, 4
+        w = block(rng.standard_normal((n_x, n_xi)))
+        V = [truncate_svd(random_factored(rng, n_x, n_xi, kappa)) for _ in range(j)]
+        coeffs = np.concatenate([[1.0], -rng.standard_normal(j)])
+        combine([w] + V, coeffs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = combine([w] + V, coeffs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert 2 * n_xi + kappa < n_xi + j * kappa
+        assert peak <= 8 * n_x * (2 * n_xi + kappa) + 64 * 1024
+        assert out.rank == n_xi
 
     def test_inners_one_product_per_frame(self, rng, monkeypatch):
         from sglowrank import lowrank
@@ -208,8 +237,8 @@ class TestSharedFrame:
         B, _ = np.linalg.qr(rng.standard_normal((9, 4)))
         _, vs = self.framed(rng, 7, B, 3)
         loose = random_factored(rng, 7, 9, 2)
-        vectors = vs + [loose, fold(random_factored(rng, 7, 9, 11))]
-        w = fold(random_factored(rng, 7, 9, 10))
+        vectors = vs + [loose, block(rng.standard_normal((7, 9)))]
+        w = block(rng.standard_normal((7, 9)))
         calls = []
         coordinates = lowrank.coordinates
 
@@ -275,7 +304,9 @@ class TestSvdTruncation:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_wide_input_folded_first(self, seed):
-        # reference: the factor-QR route on the unfolded n_xi + 30 columns
+        # an unflagged input wider than n_xi takes the qr(Z) route, whose
+        # square Z makes Y R_z^T its block; reference: QRs of both factors
+        # on the n_xi + 30 columns
         rng = np.random.default_rng(seed)
         n_x, n_xi = 40, 12
         u = random_factored(rng, n_x, n_xi, n_xi + 30)
@@ -316,8 +347,8 @@ class TestSvdTruncation:
         assert truncate_svd(u).rank == int(np.sum(sv > SV_DROP_TOL * sv[0])) == 3
 
     def test_memory_is_input_copy_output_and_r(self, rng):
-        # a flagged n_x x n_xi block of the diffusion-l6 size, as fold makes
-        # every truncation input inside an SVD cycle: the call may hold one
+        # a flagged n_x x n_xi block of the diffusion-l6 size, as combine
+        # makes every truncation input inside an SVD cycle: the call may hold one
         # working copy of Y for the R-only QR, R and the output, but no Q
         n_x, n_xi, k = 3969, 120, 65
         u = block(rng.standard_normal((n_x, n_xi)))

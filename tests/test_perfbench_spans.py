@@ -69,4 +69,7 @@ def test_instrument_enters_traces_and_restores():
     assert calls["pgd.residual"] == sum(len(r.pgd.residual_history) for r in results)
     metrics = spans.layer_metrics(tracer)
     assert metrics["lowrank.truncate_rank_in_max"] > 0
+    # the meter sees every truncation input at most n_xi wide: a combination
+    # across frames reaches the SVD as its block, not as concatenated factors
+    assert metrics["lowrank.truncate_rank_in_max"] <= min(r.n_xi for r in results)
     assert metrics["krylov.basis_bytes"] > 0
