@@ -8,33 +8,37 @@ so K_0^{-1} is set up once as one eigenbasis of (A_x, M_x) and one banded
 LU of the tridiagonal systems P_y + lambda_j Q_y (fast diagonalization); a
 block solve is then two batched GEMMs and one banded solve.  Every basis
 vector produced inside a cycle is compressed by a truncation operator or
-lies in a fixed frame, so the basis is not orthogonal and both projections
-are computed through explicit Gram systems:
-
-    (V_j^T V_j) alpha = V_j^T w_j        (orthogonalization step)
-    (W_m^T W_m) beta  = W_m^T r_k        (residual projection; W = L V)
+lies in a fixed frame, so the basis V is not orthogonal.  The cycle
+orthonormalizes the matvec outputs W = L V instead, and takes each next
+basis vector from the least-squares residual (residual-based simpler
+GMRES: Walker & Zhou, Numer. Linear Algebra Appl. 1994; Jiranek,
+Rozloznik & Gutknecht, SIAM J. Matrix Anal. Appl. 2008).
 
 With projection truncation onto an orthonormal basis B the cycles run on
 the reduced operator sum_l (B^T G_l B) (x) K_l (``lowrank.reduce_operator``;
 Powell, Silvester & Simoncini, SISC 2017) without truncation: every basis
 vector, matvec output and W row is an n_x x kappa block of the
-kappa-identity frame, so inner products are kappa-wide Frobenius dots and
-combinations sum spatial factors (``lowrank.combine``, ``inners``).  Its
-term 0 is (I, K_0), so one preconditioner serves A and the reduced
-operator.  With SVD truncation the same loop runs on A, and each
-combination is its n_x x n_xi block before it is truncated.  A matvec of
-(Y, Z) solves X = K_0^{-1} Y once, starts its output block at the mean
-term Y Z^T (K_0 K_0^{-1} = I, and G_0 = I, which the preconditioner
-checks once) and adds (K_l X)(G_l Z)^T for l = 1..M into it in place by
-BLAS, so besides the output and X it holds one K_l X at a time.  The output blocks of a cycle sit in one array of m rows
-allocated before the first cycle, so each matvec adds its row of W^T W
-and W^T r with one BLAS product each.
+kappa-identity frame, so W rows are n_x kappa long and combinations sum
+spatial factors (``lowrank.combine``).  Its term 0 is (I, K_0), so one
+preconditioner serves A and the reduced operator.  With SVD truncation
+the same loop runs on A, and each combination is its n_x x n_xi block
+before it is truncated.  A matvec of (Y, Z) solves X = K_0^{-1} Y once,
+starts its output block at the mean term Y Z^T (K_0 K_0^{-1} = I, and
+G_0 = I, which the preconditioner checks once) and adds (K_l X)(G_l Z)^T
+for l = 1..M into it in place by BLAS, so besides the output and X it
+holds one K_l X at a time.  The output blocks of a cycle sit in one
+array of m rows allocated before the first cycle.
 
-After each matvec j the cycle solves its W Gram system once for beta
-(Saad & Schultz, SISSC 1986), and that solve serves the early end, the
-cap m and the update: a cycle ends at the first j whose least-squares
-residual ||r - sum_{i<=j} beta_i W_i||, formed explicitly from the stored
-rows, is below its target, or at j = m - 1.
+Matvec j's block is copied into row j, and two classical Gram-Schmidt
+passes against the earlier rows orthonormalize it in place into q_j and
+fill column j of the triangular R of W = Q R.  With c_j = <q_j, r> the
+least-squares residual of the cycle is r - sum_{i<=j} c_i q_i, formed from
+the rows, and its merge (truncated on the SVD path), normalized, is the
+next basis vector.  A cycle ends at the first j whose least-squares
+residual is below its target, or at j = m - 1, and its update is
+u_hat + V beta with R beta = c.  A matvec whose R diagonal is at most
+BASIS_DROP_TOL max(||w_j||, 1) adds no direction to W: it is dropped with a
+warning, and the cycle ends on the earlier matvecs.
 
 Convergence is judged on the true residual only, once per cycle: the
 iterate, lifted by B with projection, gives R = f - A M^{-1} u_hat, and
@@ -91,7 +95,6 @@ from .lowrank import (  # noqa: F401
     coordinates,
     dense,
     inner,
-    inners,
     norm,
     reduce_operator,
     scale,
@@ -113,11 +116,10 @@ __all__ = [
     "pipeline",
 ]
 
-#: basis vectors whose post-orthogonalization norm falls below this multiple
-#: of the matvec norm terminate the inner loop (Krylov space exhausted)
+#: a matvec whose R diagonal, its norm after orthogonalization against the
+#: earlier W rows, is at most this multiple of max(||w_j||, 1) adds no
+#: direction: it is dropped and its cycle ends on the earlier matvecs
 BASIS_DROP_TOL = 1e-13
-#: numerical-rank threshold of the dense Gram solves
-GRAM_RCOND = 1e-12
 #: a cycle that keeps more than 1 - STAGNATION_TOL of the residual ends the
 #: solve as basis-limited.  Measured reduction factors: cycles of projection
 #: runs whose basis cannot represent the solution keep 0.999975-1.0 of it,
@@ -247,18 +249,6 @@ class SolveReport:
         return self.status == "converged"
 
 
-def _gram_solve(Gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Dense Gram solve; rank-deficient systems shrink to their numerical rank."""
-    sol, _, rank, _ = np.linalg.lstsq(Gram, rhs, rcond=GRAM_RCOND)
-    if rank < Gram.shape[0]:
-        warnings.warn(
-            f"{what} Gram system is numerically rank deficient "
-            f"({rank}/{Gram.shape[0]}); shrinking the step",
-            stacklevel=4,
-        )
-    return sol
-
-
 def _residual(A: StochasticOperator, P, u_hat: FactoredVector) -> FactoredVector:
     """f - A M^{-1} u_hat as its dense block.
 
@@ -272,58 +262,55 @@ def _residual(A: StochasticOperator, P, u_hat: FactoredVector) -> FactoredVector
     return block(R)
 
 
-def _cycle(A, P, merge, m: int, r: np.ndarray, v0, u_hat, W: np.ndarray, target: float):
+def _cycle(A, P, merge, m: int, r: FactoredVector, v0, u_hat, W: np.ndarray, target: float):
     """One restart cycle from the unit basis vector v0 and the residual block r.
 
-    r is the dense residual block in the identity frame of the matvec
-    outputs.  Matvecs are stored as rows of W, and W W^T and W r grow by
-    one row per matvec, and each matvec solves the Gram system once for
-    beta.  The cycle ends at the first matvec j whose least-squares
-    residual ||r - sum_{i<=j} beta_i W_i|| is below ``target``, formed
-    explicitly (||r||^2 - (W r)^T beta cancels at these residuals), or
-    after m matvecs.  ``merge(vectors, coeffs)`` forms every combination
-    of the cycle, so the last beta and its rank give the update
-    merge([u_hat] + V, [1, beta]) and the cycle's one projection warning.
-    Returns the update, the number of matvecs and whether the last
-    least-squares residual fell below ``target`` (False for a cycle cut
-    by the cap m or by an exhausted basis).  Every vector of the cycle is
-    released on return.
+    The recurrence and its stopping rules are in the module docstring; W's
+    rows hold the orthonormalized matvec outputs q_j, and
+    ``merge(vectors, coeffs)`` forms the basis vectors and the update
+    merge([u_hat] + V, [1, beta]).  Returns the update, the number of
+    matvecs (a dropped one included) and whether the last least-squares
+    residual fell below ``target`` (False for a cycle cut by the cap m or
+    by a dropped matvec).  Every vector of the cycle is released on return.
     """
     V = [v0]
-    VtV = np.zeros((m, m))
-    VtV[0, 0] = inner(v0, v0)
-    WtW = np.zeros((m, m))
-    Wr = np.zeros(m)
-    r_flat = r.ravel()
+    R = np.zeros((m, m))
+    c = np.zeros(m)
+    r_flat = r.Y.ravel()
     for j in range(m):
-        w = apply_preconditioned(A, P, V[j])
-        # keep the block once: w becomes a view of its stored row, which is
-        # rewritten only by a later cycle
-        W[j] = w.Y.ravel()
-        w = block(W[j].reshape(r.shape))
-        Wr[j] = W[j] @ r_flat
-        WtW[j, : j + 1] = WtW[: j + 1, j] = W[: j + 1] @ W[j]
-        beta, _, rank, _ = np.linalg.lstsq(WtW[: j + 1, : j + 1], Wr[: j + 1], rcond=GRAM_RCOND)
-        reached = bool(np.linalg.norm(r_flat - beta @ W[: j + 1]) < target)
-        if reached or j + 1 == m:
+        W[j] = apply_preconditioned(A, P, V[j]).Y.ravel()
+        w_norm = np.linalg.norm(W[j])
+        for _ in range(2):
+            h = W[:j] @ W[j]
+            W[j] -= h @ W[:j]
+            R[:j, j] += h
+        R[j, j] = np.linalg.norm(W[j])
+        # v_j has unit norm and L's mean term is the identity: 1 is the scale
+        # of w_j also where L nearly annihilates v_j
+        if R[j, j] <= BASIS_DROP_TOL * max(w_norm, 1.0):
+            warnings.warn(
+                f"projection Gram system is numerically rank deficient ({j}/{j + 1}); "
+                "shrinking the step",
+                stacklevel=3,
+            )
+            kept, reached = j, False
             break
-        alpha = _gram_solve(VtV[: j + 1, : j + 1], inners(V, w), "orthogonalization")
-        v_next = merge([w] + V, np.concatenate([[1.0], -alpha]))
-        v_next_norm = norm(v_next)
-        if v_next_norm <= BASIS_DROP_TOL * np.sqrt(WtW[j, j]):
-            break  # basis cannot grow further; use the j+1 vectors built
-        v_next = scale(v_next, 1.0 / v_next_norm)
-        V.append(v_next)
-        for i, v in enumerate(V):
-            VtV[i, j + 1] = VtV[j + 1, i] = inner(v, v_next)
+        W[j] /= R[j, j]
+        c[j] = inner(block(W[j].reshape(r.shape)), r)
+        # r - sum_i c_i q_i, written over the product: one array per matvec
+        v = c[: j + 1] @ W[: j + 1]
+        v = block(np.subtract(r_flat, v, out=v).reshape(r.shape))
+        kept, reached = j + 1, bool(norm(v) < target)
+        if reached or kept == m:
+            del v  # the update does not read the last least-squares residual
+            break
+        # rebinding v frees each intermediate block before the next matvec
+        v = merge([v], [1.0])
+        v = scale(v, 1.0 / norm(v))
+        V.append(v)
 
-    if rank <= j:
-        warnings.warn(
-            f"projection Gram system is numerically rank deficient ({rank}/{j + 1}); "
-            "shrinking the step",
-            stacklevel=3,
-        )
-    u_hat = merge([u_hat] + V, np.concatenate([[1.0], beta]))
+    beta = scipy.linalg.solve_triangular(R[:kept, :kept], c[:kept])
+    u_hat = merge([u_hat] + V[:kept], np.concatenate([[1.0], beta]))
     return u_hat, j + 1, reached
 
 
@@ -445,7 +432,7 @@ def solve(
         if cycles and 0.0 < perp < eps:
             target = np.sqrt(eps**2 - perp**2)
         x_hat, cycle_matvecs, reached = _cycle(
-            A_cycle, P, merge, m, r.Y, scale(v_tilde, 1.0 / v_norm), x_hat, W, fnorm * target
+            A_cycle, P, merge, m, r, scale(v_tilde, 1.0 / v_norm), x_hat, W, fnorm * target
         )
         matvecs += cycle_matvecs
         cycles += 1
@@ -519,8 +506,9 @@ class PipelineSpec:
             (0 < self.eps < 1, f"eps must lie in (0, 1), got {self.eps}"),
             (self.num_modes is None or self.num_modes >= 1,
              f"num_modes must be >= 1, got {self.num_modes}"),
-            (self.coarse_level is None or self.coarse_level >= 1,
-             f"coarse_level must be >= 1 or auto, got {self.coarse_level}"),
+            (self.coarse_level is None or 1 <= self.coarse_level <= self.fine_level,
+             f"coarse_level must lie in [1, fine_level = {self.fine_level}] or be auto, "
+             f"got {self.coarse_level}"),
             (self.kind != "convection-diffusion" or (self.nu is not None and self.nu > 0),
              "convection-diffusion needs a positive nu"),
             (self.kind != "diffusion" or self.nu is None,
@@ -594,11 +582,12 @@ def run_pgd(
     """The coarse grid and the PGD solution of ``spec`` on it, to ``spec.eps``.
 
     The coarse level is ``spec.coarse_level`` or, when that is None, the
-    level ``fem.recommend_coarse_level`` picks for the field.
+    level ``fem.recommend_coarse_level`` picks for the field, capped at the
+    fine level.
     """
     level = spec.coarse_level
     if level is None:
-        level = fem.recommend_coarse_level(kl, spec.nu)
+        level = min(fem.recommend_coarse_level(kl, spec.nu), spec.fine_level)
     grid, _, A = build_problem(spec, level, kl, stoch)
     return grid, solve_pgd(A, spec.eps, seed=spec.seed)
 

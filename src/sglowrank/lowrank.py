@@ -24,9 +24,9 @@ themselves.  ``combine`` sums the scaled spatial factors of vectors that
 share one Z object, so a combination of blocks of a reduced operator
 stays kappa columns wide; a combination across frames is its n_x x n_xi
 block, to which the identity frame adds its Y and every other frame one
-product Y Z^T.  ``inners`` evaluates the inner products of many vectors
-against one vector w through one product Y_w (Z_w^T Z) per distinct Z,
-since <v, w> = <Y_v, Y_w Z_w^T Z_v>_F.
+product Y Z^T.  ``inner`` pairs w with v's frame by one product
+Y_w (Z_w^T Z_v), since <v, w> = <Y_v, Y_w Z_w^T Z_v>_F, and two vectors
+of one frame take the Frobenius dot of their Y.
 
 Blocks and the outputs of both truncations have orthonormal stochastic
 factors by construction, and are flagged so when they are built.  For
@@ -57,7 +57,6 @@ __all__ = [
     "scale",
     "combine",
     "inner",
-    "inners",
     "norm",
     "truncate_svd",
     "block",
@@ -272,28 +271,13 @@ def coordinates(u: FactoredVector, Z: np.ndarray) -> np.ndarray:
     return u.Y @ (u.Z.T @ Z)
 
 
-def inners(vectors, w: FactoredVector) -> np.ndarray:
-    """[<v, w> for v in vectors] with one product coordinates(w, Z) per
-    distinct Z among the vectors: <v, w> = <Y_v, Y_w Z_w^T Z_v>_F."""
-    out = np.zeros(len(vectors))
-    frames: dict[int, np.ndarray] = {}
-    for i, v in enumerate(vectors):
-        if v.shape != w.shape:
-            raise ValueError(f"shape mismatch {v.shape} vs {w.shape}")
-        P = frames.get(id(v.Z))
-        if P is None:
-            P = frames[id(v.Z)] = coordinates(w, v.Z)
-        out[i] = np.vdot(v.Y, P)
-    return out
-
-
 def inner(u: FactoredVector, v: FactoredVector) -> float:
-    """<u, v> = <Y_u, coordinates(v, Z_u)>_F, the one-vector case of ``inners``.
+    """<u, v> = <Y_u, Y_v Z_v^T Z_u>_F = <Y_u, coordinates(v, Z_u)>_F.
 
     For a flagged v whose Z is Z_u that is the Frobenius dot of Y_u and Y_v,
     the shortcut in ``coordinates``.
     """
-    return float(inners([u], v)[0])
+    return float(np.vdot(u.Y, coordinates(v, u.Z)))
 
 
 def norm(u: FactoredVector) -> float:

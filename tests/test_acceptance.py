@@ -316,7 +316,9 @@ def test_criterion_8_oracle_equivalence_suite():
 
 
 def test_criterion_9_eigen_suite():
-    t0 = time.time()
+    # CPU seconds of this process, BLAS threads included: a bound on the
+    # suite's own work that another process on the machine does not move
+    t0 = time.process_time()
     ok = True
     for c in (4.0, 3.0, 2.5, 2.0, 1.0):
         pairs = build_kl(ExponentialCovariance(1.0, c, UNIT), 1.0, num_modes=1)
@@ -335,7 +337,7 @@ def test_criterion_9_eigen_suite():
         theta, _ = max_theta_and_halfwave(kl)
         ok &= abs(theta - want_theta) / want_theta < 0.02
         ok &= recommend_coarse_level(kl) == TABLE_COARSE_LEVEL[M]
-    elapsed = time.time() - t0
+    elapsed = time.process_time() - t0
     ok &= elapsed < 30.0
     report("criterion 9", ok, f"eigen oracle, theta table, levels; {elapsed:.0f}s")
     assert ok

@@ -248,7 +248,7 @@ class TestMainEntry:
             "mean_a0 = 0", "seed = -1", "pgd_update_policy = every-k",
             "eps = 2", "domain = -inf, inf, -1, 1", "corr_len = inf", "nu = 0.01",
             "wind = 1, 0", "capture = 0.9", "max_cycles = 5", "pgd_max_rank = 10",
-            "pgd_eps = 1e-3",
+            "pgd_eps = 1e-3", "coarse_level = 5",
         ]
         cases = [FAST + [bad] for bad in diffusion]
         cases += [FAST_CD + [bad] for bad in ("wind = nan, 1", "nu = inf", "wind = 0, 0")]
@@ -397,12 +397,14 @@ class TestMainEntry:
 
     def test_export_matrices_rhs(self, tmp_path):
         # the convection-diffusion load is zero: the system's rhs is the
-        # Dirichlet lift, exported factored as mat(F) = Y Z^T
+        # Dirichlet lift, exported factored as mat(F) = Y Z^T; the coarse
+        # level may not exceed the fine one
         config = str(ROOT / "configs" / "convection_diffusion_nu200.cfg")
-        code = main(["export-matrices", "--config", config, "--set", "fine_level=4",
-                     "--out", str(tmp_path / "m")])
+        overrides = ["fine_level=4", "coarse_level=4"]
+        code = main(["export-matrices", "--config", config, "--set", overrides[0],
+                     "--set", overrides[1], "--out", str(tmp_path / "m")])
         assert code == 0
-        spec = load_config(config, ["fine_level=4"])
+        spec = load_config(config, overrides)
         kl, stoch = build_stochastic(spec)
         _, spatial, A = build_problem(spec, spec.fine_level, kl, stoch)
         assert not np.any(spatial.f0)

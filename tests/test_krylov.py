@@ -392,6 +392,23 @@ class TestFixedFrame:
         assert report.converged and report.residual_history == [0.0]
 
 
+def singular_operator():
+    """L = (I - e_n e_n^T) (x) I with f = y (x) (e_1 + e_n) / sqrt(2).
+
+    L annihilates the e_n half of f, so the second matvec of the first
+    cycle and the first matvec of every later cycle add no direction.
+    """
+    A = diffusion_operator()
+    n_xi = A.shape[1]
+    K0 = A.terms[0][1]
+    last = sp.csr_matrix(([-1.0], ([n_xi - 1], [n_xi - 1])), shape=(n_xi, n_xi))
+    z = np.zeros(n_xi)
+    z[0] = z[-1] = np.sqrt(0.5)
+    return replace(
+        A, terms=((A.terms[0][0], K0), (last, K0)), rhs=FactoredVector.rank_one(A.rhs.Y[:, 0], z)
+    )
+
+
 def perfbench_warning_kinds() -> dict:
     """``WARNING_KINDS`` of perfbench/run.py, read without importing it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -415,11 +432,12 @@ def test_perfbench_warning_fragments_match_the_warnings(monkeypatch):
             caught[kind] = [str(w.message) for w in found]
         return out
 
-    singular = np.ones((2, 2))
-    record(["gram_rank_deficient"], lambda: krylov._gram_solve(singular, np.ones(2), "projection"))
+    singular = singular_operator()
+    record(["gram_rank_deficient"], lambda: solve(singular, no_truncation(singular), 1e-6, m=4))
+    # the rank-2 iterate's truncation undoes part of the second cycle
     A = diffusion_operator(level=3, M=3, p=2, sigma=0.1)
     _, report = record(["residual_increases", "solver_stopped"],
-                       lambda: solve(A, TruncationOperator("svd-rank", rank=2), 1e-6, m=4))
+                       lambda: solve(A, TruncationOperator("svd-rank", rank=2), 1e-6, m=8))
     assert report.status == "basis-limited"
     assert any(text.startswith("cycle 2 increased") for text in caught["residual_increases"])
     orthogonal = TruncationOperator("projection", basis=np.eye(A.shape[1])[:, 1:4])
@@ -435,27 +453,66 @@ def test_perfbench_warning_fragments_match_the_warnings(monkeypatch):
 
 
 def test_per_matvec_residual_solves_add_no_warning():
-    # L = (I - e_n e_n^T) (x) I is singular: the second matvec output of a
-    # cycle is parallel to the first, so the W Gram of every later step is
-    # rank deficient.  Only the end-of-cycle projection solve of each of the
-    # two cycles warns, as it did before the cycle could end early;
-    # perfbench counts these warnings as krylov.gram_rank_deficient.
-    A = diffusion_operator()
-    n_xi = A.shape[1]
-    K0 = A.terms[0][1]
-    last = sp.csr_matrix(([-1.0], ([n_xi - 1], [n_xi - 1])), shape=(n_xi, n_xi))
-    z = np.zeros(n_xi)
-    z[0] = z[-1] = np.sqrt(0.5)
-    singular = replace(
-        A, terms=((A.terms[0][0], K0), (last, K0)), rhs=FactoredVector.rank_one(A.rhs.Y[:, 0], z)
-    )
+    # the least-squares residual of every matvec comes from the orthonormal
+    # W rows and warns nowhere; only a matvec that adds no direction warns,
+    # and it ends its cycle: the second of the first cycle and the first of
+    # the second, which then stagnates.  perfbench counts these warnings as
+    # krylov.gram_rank_deficient.
+    singular = singular_operator()
     with warnings.catch_warnings(record=True) as found:
         warnings.simplefilter("always")
-        _, report = solve(singular, no_truncation(A), 1e-6, m=4)
-    assert (report.status, report.cycles, report.matvecs) == ("basis-limited", 2, 5)
+        _, report = solve(singular, no_truncation(singular), 1e-6, m=4)
+    assert (report.status, report.cycles, report.matvecs) == ("basis-limited", 2, 3)
     deficient = [str(w.message) for w in found if "rank deficient" in str(w.message)]
-    assert len(deficient) == 2
-    assert all(text.startswith("projection Gram") for text in deficient)
+    assert deficient == [
+        "projection Gram system is numerically rank deficient (1/2); shrinking the step",
+        "projection Gram system is numerically rank deficient (0/1); shrinking the step",
+    ]
+
+
+@pytest.mark.parametrize("kind", ["svd-rank", "projection"])
+def test_no_matvec_follows_a_rank_deficient_one_in_its_cycle(kind, monkeypatch):
+    # every event of the solve in order: a residual check, a matvec, or a
+    # rank-deficiency warning, which must be followed by the next cycle's
+    # residual check (or nothing), never by another matvec of its cycle
+    singular = singular_operator()
+    n_xi = singular.shape[1]
+    if kind == "svd-rank":
+        trunc = TruncationOperator("svd-rank", rank=2)
+    else:
+        trunc = TruncationOperator("projection", basis=np.eye(n_xi)[:, [0, n_xi - 1]])
+    events = []
+    checking = [False]  # the residual check's own matvec is not a cycle's
+
+    def residual(*args):
+        events.append("residual")
+        checking[0] = True
+        try:
+            return residual_check(*args)
+        finally:
+            checking[0] = False
+
+    def matvec(*args):
+        if not checking[0]:
+            events.append("matvec")
+        return matvec_call(*args)
+
+    def show(message, *args, **kwargs):
+        events.append("deficient" if "rank deficient" in str(message) else "other")
+
+    residual_check, matvec_call = krylov._residual, krylov.apply_preconditioned
+    monkeypatch.setattr(krylov, "_residual", residual)
+    monkeypatch.setattr(krylov, "apply_preconditioned", matvec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        monkeypatch.setattr(warnings, "showwarning", show)
+        _, report = solve(singular, trunc, 1e-6, m=4)
+    assert (report.status, report.cycles, report.matvecs) == ("basis-limited", 2, 3)
+    assert events.count("matvec") == report.matvecs
+    assert events.count("deficient") == 2
+    for i, event in enumerate(events[:-1]):
+        if event == "deficient":
+            assert events[i + 1] in ("residual", "other"), events
 
 
 class TestSolve:
@@ -692,3 +749,16 @@ class TestPipeline:
         assert messages[0] == messages[1]
         spec = PipelineSpec(domain=[0, 1, 0, 1])
         assert spec == PipelineSpec() and hash(spec) == hash(PipelineSpec())
+
+    def test_coarse_level_never_exceeds_the_fine_level(self):
+        with pytest.raises(ConfigError, match="coarse_level must lie in \\[1, fine_level = 5\\]"):
+            PipelineSpec(coarse_level=7, fine_level=5)
+        assert PipelineSpec(coarse_level=5, fine_level=5).coarse_level == 5
+        # fem.recommend_coarse_level picks 6 for nu = 1/600 at fine level 5,
+        # and 5 for nu = 1/200 at fine level 4: the automatic level is capped
+        for nu, fine in ((1 / 600, 5), (1 / 200, 4)):
+            spec = PipelineSpec(kind="convection-diffusion", domain=BIG, corr_len=8.0,
+                                num_modes=1, degree=1, nu=nu, fine_level=fine, eps=1e-3)
+            kl, stoch = krylov.build_stochastic(spec)
+            assert krylov.fem.recommend_coarse_level(kl, nu) == fine + 1
+            assert krylov.run_pgd(spec, kl, stoch)[0].level == fine

@@ -25,7 +25,6 @@ from sglowrank.lowrank import (
     combine,
     dense,
     inner,
-    inners,
     norm,
     reduce_operator,
     scale,
@@ -211,10 +210,10 @@ class TestSharedFrame:
             combine([u, random_factored(rng, 5, 4, 2)], [1.0, 0.0])
 
     def test_svd_cycle_combination_holds_no_stack(self, rng):
-        # w - sum_i alpha_i V_i as an SVD cycle forms it: the matvec block w
-        # and j truncations of rank kappa, each in a frame of its own.  The
-        # call may hold its output, one frame's sum and one product Y Z^T,
-        # but no factors concatenated n_xi + j kappa wide
+        # a block w and j truncations of rank kappa, each in a frame of its
+        # own, as an SVD cycle's update combines its iterate and basis
+        # vectors.  The call may hold its output, one frame's sum and one
+        # product Y Z^T, but no factors concatenated n_xi + j kappa wide
         n_x, n_xi, kappa, j = 2000, 60, 30, 4
         w = block(rng.standard_normal((n_x, n_xi)))
         V = [truncate_svd(random_factored(rng, n_x, n_xi, kappa)) for _ in range(j)]
@@ -230,28 +229,6 @@ class TestSharedFrame:
         assert 2 * n_xi + kappa < n_xi + j * kappa
         assert peak <= 8 * n_x * (2 * n_xi + kappa) + 64 * 1024
         assert out.rank == n_xi
-
-    def test_inners_one_product_per_frame(self, rng, monkeypatch):
-        from sglowrank import lowrank
-
-        B, _ = np.linalg.qr(rng.standard_normal((9, 4)))
-        _, vs = self.framed(rng, 7, B, 3)
-        loose = random_factored(rng, 7, 9, 2)
-        vectors = vs + [loose, block(rng.standard_normal((7, 9)))]
-        w = block(rng.standard_normal((7, 9)))
-        calls = []
-        coordinates = lowrank.coordinates
-
-        def counting(u, Z):
-            calls.append(Z)
-            return coordinates(u, Z)
-
-        monkeypatch.setattr(lowrank, "coordinates", counting)
-        got = inners(vectors, w)
-        assert len(calls) == 3  # B, the loose Z, and the identity frame
-        want = [float(dense_vec(v) @ dense_vec(w)) for v in vectors]
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        assert np.allclose(got, [inner(v, w) for v in vectors], rtol=1e-12)
 
 
 #: one input of each kind truncate_svd takes, built from a generator
