@@ -4,47 +4,53 @@ The solver runs GMRES-style cycles on the right-preconditioned operator
 L = A M^{-1}.  M is always the mean-based block preconditioner
 G_0 (x) K_0 = I (x) K_0 (Powell & Elman, IMA J. Numer. Anal. 2009).  Every
 operator carries the 1D factors of K_0 = kron(P_y, M_x) + kron(Q_y, A_x),
-so K_0^{-1} is set up once as one eigenbasis of (A_x, M_x) and one banded
-LU of the tridiagonal systems P_y + lambda_j Q_y (fast diagonalization); a
-block solve is then two batched GEMMs and one banded solve.  Every basis
-vector produced inside a cycle is compressed by a truncation operator or
-lies in a fixed frame, so the basis V is not orthogonal.  The cycle
-orthonormalizes the matvec outputs W = L V instead, and takes each next
-basis vector from the least-squares residual (residual-based simpler
-GMRES: Walker & Zhou, Numer. Linear Algebra Appl. 1994; Jiranek,
-Rozloznik & Gutknecht, SIAM J. Matrix Anal. Appl. 2008).
+so K_0^{-1} is set up once as one eigenbasis of (A_x, M_x) and one
+elimination, without row exchanges, of the tridiagonal systems
+P_y + lambda_j Q_y (fast diagonalization); a block solve then runs in the
+y-major layout Y already has, as two batched GEMMs around one forward and
+one backward sweep over y.  Every basis vector produced inside a cycle is
+compressed by a truncation operator or lies in a fixed frame, so the
+basis V is not orthogonal.  The cycle orthonormalizes the matvec outputs
+W = L V instead, and takes each next basis vector from the least-squares
+residual (residual-based simpler GMRES: Walker & Zhou, Numer. Linear
+Algebra Appl. 1994; Jiranek, Rozloznik & Gutknecht, SIAM J. Matrix Anal.
+Appl. 2008).
 
 With projection truncation onto an orthonormal basis B the cycles run on
 the reduced operator sum_l (B^T G_l B) (x) K_l (``lowrank.reduce_operator``;
 Powell, Silvester & Simoncini, SISC 2017) without truncation: every basis
-vector, matvec output and W row is an n_x x kappa block of the
-kappa-identity frame, so W rows are n_x kappa long and combinations sum
-spatial factors (``lowrank.combine``).  Its term 0 is (I, K_0), so one
-preconditioner serves A and the reduced operator.  With SVD truncation
-the same loop runs on A, and each combination is its n_x x n_xi block
-before it is truncated.  A matvec of (Y, Z) solves X = K_0^{-1} Y once,
+vector after a cycle's first, matvec output and W row is an n_x x kappa
+block of the kappa-identity frame, so W rows are n_x kappa long and
+combinations sum spatial factors (``lowrank.combine``).  Its term 0 is
+(I, K_0), so one preconditioner serves A and the reduced operator.  With
+SVD truncation the same loop runs on A, and each combination is its
+n_x x n_xi block before it is truncated.  A matvec of (Y, Z) solves X = K_0^{-1} Y once,
 starts its output block at the mean term Y Z^T (K_0 K_0^{-1} = I, and
 G_0 = I, which the preconditioner checks once) and adds (K_l X)(G_l Z)^T
 for l = 1..M into it in place by BLAS, so besides the output and X it
 holds one K_l X at a time.  The output blocks of a cycle sit in one
 array of m rows allocated before the first cycle.
 
-Matvec j's block is copied into row j, and two classical Gram-Schmidt
-passes against the earlier rows orthonormalize it in place into q_j and
-fill column j of the triangular R of W = Q R.  With c_j = <q_j, r> the
-least-squares residual of the cycle is r - sum_{i<=j} c_i q_i, formed from
-the rows, and its merge (truncated on the SVD path), normalized, is the
-next basis vector.  A cycle ends at the first j whose least-squares
-residual is below its target, or at j = m - 1, and its update is
-u_hat + V beta with R beta = c.  A matvec whose R diagonal is at most
+A cycle's first basis vector is its residual r, truncated on the SVD
+path and normalized.  The zero iterate's residual is f, so that cycle
+starts from f's own factors, (Y_f, B^T Z_f) with projection, which are no
+wider than f.  Matvec j's block is copied into row j, and two classical
+Gram-Schmidt passes against the earlier rows orthonormalize it in place
+into q_j and fill column j of the triangular R of W = Q R.  With
+c_j = <q_j, r> the least-squares residual of the cycle is
+r - sum_{i<=j} c_i q_i, formed from the rows, and its merge (truncated on
+the SVD path), normalized, is the next basis vector.  A cycle ends at the
+first j whose least-squares residual is below its target, or at
+j = m - 1, and its update is u_hat + V beta with R beta = c.  A matvec whose R diagonal is at most
 BASIS_DROP_TOL max(||w_j||, 1) adds no direction to W: it is dropped with a
 warning, and the cycle ends on the earlier matvecs.
 
 Convergence is judged on the true residual only, once per cycle: the
-iterate, lifted by B with projection, gives R = f - A M^{-1} u_hat, and
-the solve stops on ||R|| / ||f|| < eps.  With projection R splits into
-its frame part R B, which seeds the next cycle, and its complement r_perp
-with ||r_perp||^2 = ||R||^2 - ||R B||^2.  r_perp moves with the iterate,
+iterate, lifted by B with projection, gives R = f - A M^{-1} u_hat,
+formed in the matvec's own output block, and the solve stops on
+||R|| / ||f|| < eps.  With projection R splits into its frame part R B,
+which seeds the next cycle, and its complement r_perp with
+||r_perp||^2 = ||R||^2 - ||R B||^2.  r_perp moves with the iterate,
 but the cycles only drive R B to zero: once a cycle has met its target
 the iterate is near the reduced Galerkin solution that the restarts
 converge to, whose residual is its complement alone, so
@@ -139,11 +145,14 @@ class MeanPreconditioner:
     A_x V = M_x V diag(lambda) and V^T M_x V = I (Lynch, Rice & Thomas,
     Numer. Math. 1964), K_0 u = f on the (y, x) grid becomes one tridiagonal
     system (P_y + lambda_j Q_y) t_j = (F V)_j per x-mode j.  All n_x of
-    them are stacked block-diagonally in one band matrix (kl = ku = 1, the
-    couplings between blocks zero) and factorized once by LAPACK gbtrf with
-    partial pivoting, so a nonsymmetric P_y is handled too.  Besides K_0,
-    V and the LU it keeps only its last solve; the matvec allocates its own
-    workspace.
+    them are eliminated once, side by side, into (n_y, n_x) arrays of
+    multipliers, reciprocal pivots and superdiagonal-over-pivot factors.
+    The elimination does not pivot: it raises ``ValueError`` where partial
+    pivoting would exchange rows (a subdiagonal entry larger in modulus
+    than its pivot), which no operator ``fem`` builds needs, also with the
+    nonsymmetric P_y of convection, and where a pivot is zero.  Besides
+    K_0, V and these arrays it keeps only its last solve; the matvec
+    allocates its own workspace.
     """
 
     def __init__(self, A: StochasticOperator):
@@ -155,17 +164,24 @@ class MeanPreconditioner:
         self._mean = A.mean_spatial
         P_y, Q_y, A_x, M_x = A.mean_factors
         lam, V = scipy.linalg.eigh(A_x.toarray(), M_x.toarray())
-        self._Vt = np.ascontiguousarray(V.T)
-        self._n = n_y, n_x = P_y.shape[0], len(lam)
-        # LAPACK band storage of block j: superdiagonal in row 1 (shifted one
-        # column right), diagonal in row 2, subdiagonal in row 3; row 0 is fill
-        ab = np.zeros((4, n_x, n_y))
-        ab[1, :, 1:] = P_y.diagonal(1) + lam[:, None] * Q_y.diagonal(1)
-        ab[2] = P_y.diagonal() + lam[:, None] * Q_y.diagonal()
-        ab[3, :, :-1] = P_y.diagonal(-1) + lam[:, None] * Q_y.diagonal(-1)
-        self._lu, self._piv, info = scipy.linalg.lapack.dgbtrf(ab.reshape(4, n_x * n_y), 1, 1)
-        if info > 0:
+        self._V, self._Vt = V, np.ascontiguousarray(V.T)
+        # entry (i, j) belongs to row i of the system of x-mode j
+        sub = P_y.diagonal(-1)[:, None] + Q_y.diagonal(-1)[:, None] * lam
+        pivot = P_y.diagonal()[:, None] + Q_y.diagonal()[:, None] * lam
+        sup = P_y.diagonal(1)[:, None] + Q_y.diagonal(1)[:, None] * lam
+        mult = np.zeros_like(pivot)
+        for i in range(1, len(pivot)):
+            if np.any(np.abs(sub[i - 1]) > np.abs(pivot[i - 1])):
+                raise ValueError("the mean spatial block needs row exchanges")
+            if not np.all(pivot[i - 1]):
+                break  # a zero pivot over a zero subdiagonal entry
+            mult[i] = sub[i - 1] / pivot[i - 1]
+            pivot[i] -= mult[i] * sup[i - 1]
+        if not np.all(pivot):
             raise ValueError("the mean spatial block is singular")
+        self._mult = mult[:, :, None]
+        self._inv_pivot = (1.0 / pivot)[:, :, None]
+        self._ratio = (sup / pivot[:-1])[:, :, None]
         self._last: tuple[FactoredVector | None, FactoredVector | None] = (None, None)
 
     def apply(self, u: FactoredVector) -> FactoredVector:
@@ -175,23 +191,39 @@ class MeanPreconditioner:
     def solve(self, u: FactoredVector) -> FactoredVector:
         """M^{-1} u = (I (x) K_0^{-1}) u; rank is unchanged.
 
-        Two n_y n_x x r arrays are live: a copy of the r columns of Y as
-        (y, x) grids, which the back transform overwrites with the result,
-        and their modal (j, y) grids, which gbtrs solves in place.  The last
-        result is kept: the solver's final M^{-1} u_hat repeats the solve of
-        its last residual check.
+        Y's rows are the (y, x) grid, y-major, so Y is read in place as
+        n_y slices of n_x x r.  One batched GEMM takes every slice into the
+        x-eigenbasis, a forward and a backward sweep over y solve all
+        tridiagonal systems at once (one multiply and one subtraction per
+        step on an n_x x r slice), and a batched GEMM takes the modes back
+        into a new C-ordered n_y n_x x r array, the result: two such arrays
+        are live.  The last result is kept: the solver's final M^{-1} u_hat
+        repeats the solve of its last residual check.
         """
         if self._last[0] is not u:
-            (n_y, n_x), r = self._n, u.rank
-            grids = np.array(u.Y.T, order="C").reshape(r, n_y, n_x)
-            modal = np.matmul(self._Vt, grids.transpose(0, 2, 1))
-            scipy.linalg.lapack.dgbtrs(
-                self._lu, 1, 1, modal.reshape(r, n_x * n_y).T, self._piv, overwrite_b=1
-            )
-            np.matmul(modal.transpose(0, 2, 1), self._Vt, out=grids)
-            X = grids.reshape(r, n_y * n_x).T
+            n_y, n_x = self._inv_pivot.shape[:2]
+            t = np.matmul(self._Vt, u.Y.reshape(n_y, n_x, u.rank))
+            for i in range(1, n_y):
+                t[i] -= self._mult[i] * t[i - 1]
+            t *= self._inv_pivot
+            for i in range(n_y - 2, -1, -1):
+                t[i] -= self._ratio[i] * t[i + 1]
+            X = np.matmul(self._V, t).reshape(n_y * n_x, u.rank)
             self._last = (u, FactoredVector._adopt(X, u.Z, u.orthonormal))
         return self._last[1]
+
+
+def _gemm_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float) -> None:
+    """out <- a b^T + beta out in place, for a C-ordered out.
+
+    dgemm writes b a^T + beta out^T into out's Fortran-ordered transpose;
+    the transposes of C-ordered a and b reach BLAS uncopied.
+    """
+    acc = scipy.linalg.blas.dgemm(1.0, b.T, a.T, beta=beta, c=out.T, trans_a=1, overwrite_c=1)
+    # f2py copies c unless it is Fortran-ordered float64; a copy would
+    # leave out unchanged
+    if not np.may_share_memory(acc, out):
+        raise RuntimeError("dgemm did not accumulate into its output")
 
 
 def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> FactoredVector:
@@ -200,26 +232,18 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
 
     With X = K_0^{-1} Y the output starts as the mean term Y Z^T, because
     K_0 K_0^{-1} = I and G_0 = I, and each further term adds
-    (K_l X)(G_l Z)^T into it in place: dgemm accumulates
-    (G_l Z)(K_l X)^T into the Fortran-ordered transpose of the C-ordered
-    output.  Besides the output and X only one K_l X is live at a time.
+    (K_l X)(G_l Z)^T into it in place.  Besides the output and X only one
+    K_l X is live at a time.
     """
     n_x, n_xi = A.shape
     if u.shape != (n_x, n_xi):
         raise ValueError(f"operator shape {(n_x, n_xi)} does not match vector {u.shape}")
     if u.rank == 0:
         return FactoredVector.zero(n_x, n_xi)
-    X = np.ascontiguousarray(P.solve(u).Y)
+    X = P.solve(u).Y
     out = dense(u)
     for G, K in A.terms[1:]:
-        # both products are C-ordered, so their transposes reach BLAS uncopied
-        acc = scipy.linalg.blas.dgemm(
-            1.0, (G @ u.Z).T, (K @ X).T, beta=1.0, c=out.T, trans_a=1, overwrite_c=1
-        )
-        # f2py copies c unless it is Fortran-ordered float64; a copy would
-        # drop this term from out
-        if not np.may_share_memory(acc, out):
-            raise RuntimeError("dgemm did not accumulate into the matvec output")
+        _gemm_into(out, K @ X, G @ u.Z, 1.0)
     return block(out)
 
 
@@ -252,13 +276,15 @@ class SolveReport:
 def _residual(A: StochasticOperator, P, u_hat: FactoredVector) -> FactoredVector:
     """f - A M^{-1} u_hat as its dense block.
 
-    The matvec block of a nonzero iterate is subtracted from Y_f Z_f^T in
-    place, which for a rank-one f with Z_f = e_1 gives exactly the block of
-    f - W as ``combine`` forms it across the two frames.
+    For a nonzero iterate the matvec's own output block W, released with
+    its vector, is overwritten by Y_f Z_f^T - W in one dgemm, so the check
+    holds one n_x x n_xi block; the zero iterate's residual is f's block.
     """
-    R = dense(A.rhs)
-    if u_hat.rank:
-        R -= apply_preconditioned(A, P, u_hat).Y
+    if not u_hat.rank:
+        return block(dense(A.rhs))
+    R = apply_preconditioned(A, P, u_hat).Y
+    R.flags.writeable = True  # the matvec's vector is dropped here
+    _gemm_into(R, A.rhs.Y, A.rhs.Z, -1.0)
     return block(R)
 
 
@@ -414,12 +440,12 @@ def solve(
         if outer == MAX_CYCLES:
             break
 
-        if B is not None:
-            v_tilde = r
-        else:
-            # the zero iterate's residual is f: its SVD runs on f's own
-            # factors, narrower than the block
-            v_tilde = trunc.apply(A.rhs if x_hat.rank == 0 else r)
+        # the zero iterate's residual is f, (Y_f, B^T Z_f) in the frame of
+        # B: its cycle starts from f's own factors, narrower than the
+        # residual block (truncated on the SVD path, whose SVD they keep small)
+        v_tilde = A_cycle.rhs if x_hat.rank == 0 else r
+        if B is None:
+            v_tilde = trunc.apply(v_tilde)
         v_norm = norm(v_tilde)
         if v_norm == 0.0:
             warnings.warn("truncated residual vanished; cannot build a basis", stacklevel=2)

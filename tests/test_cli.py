@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sglowrank import randfield
+from sglowrank import krylov, randfield
 from sglowrank.cli import (
     ConfigError,
     _echo,
@@ -19,7 +19,7 @@ from sglowrank.cli import (
     run_comparison,
     run_experiment,
 )
-from sglowrank.krylov import PipelineSpec, build_problem, build_stochastic, run_pgd
+from sglowrank.krylov import PipelineSpec, build_problem, build_stochastic, pipeline, run_pgd
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -217,6 +217,32 @@ class TestComparison:
         _, sol = run_pgd(dataclasses.replace(cfg, coarse_level=cfg.fine_level), kl, stoch)
         assert (by_name["pgd-direct"]["kappa"], by_name["pgd-direct"]["rel_residual"]) == (
             sol.kappa, sol.rel_residual)
+
+    def test_lrp_variants_share_one_coarse_solve(self, tmp_path, monkeypatch):
+        # the lrp-* variants differ only in the truncation: one coarse PGD
+        # serves both, and each row is the row of its own pipeline run
+        cfg = load_config(None, [s.replace(" ", "") for s in FAST])
+        variants = {"lrp-multilevel": "multilevel", "lrp-svd": "svd"}
+        lone = {name: pipeline(dataclasses.replace(cfg, truncation=truncation))
+                for name, truncation in variants.items()}
+        calls = []
+        solve_pgd = krylov.solve_pgd
+
+        def counting_solve_pgd(*args, **kwargs):
+            calls.append(args)
+            return solve_pgd(*args, **kwargs)
+
+        monkeypatch.setattr(krylov, "solve_pgd", counting_solve_pgd)
+        rows = run_comparison(cfg, list(variants), tmp_path / "cmp")
+        assert len(calls) == 1
+        assert len({row["coarse_time"] for row in rows}) == 1
+        for row in rows:
+            result = lone[row["variant"]]
+            assert (row["kappa"], row["final_rank"], row["cycles"], row["matvecs"],
+                    row["rel_residual"]) == (
+                result.pgd.kappa, result.report.final_rank, result.report.cycles,
+                result.report.matvecs, result.report.residual_history[-1])
+            assert row["total_time"] >= row["coarse_time"] + row["solve_time"]
 
     def test_unknown_variant(self, tmp_path, capsys):
         cfg = load_config(None, [s.replace(" ", "") for s in FAST])

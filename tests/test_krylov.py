@@ -18,6 +18,7 @@ from oracles import (
     reduced_galerkin_solve,
     residual_norm,
 )
+from test_perfbench_spans import load as perfbench_module
 from sglowrank import krylov, lowrank, pgd
 from sglowrank.krylov import (
     ConfigError,
@@ -134,10 +135,10 @@ class TestPreconditioner:
 
     def test_matvec_memory_is_output_solve_and_one_term(self, rng):
         # M = 7 terms folded into a kappa-wide output: the call may hold the
-        # output, X = K_0^{-1} Y (kept by the preconditioner, plus the copy
-        # the sparse products read), one K_l X and, during the solve, the
-        # two fast-diagonalization work arrays, but no spatial stack of the
-        # M + 1 terms
+        # output, X = K_0^{-1} Y (kept by the preconditioner and read by the
+        # sparse products as it is) and one K_l X, and during the solve X
+        # and its modal array, but no transposed copy of Y or X and no
+        # spatial stack of the M + 1 terms
         A = diffusion_operator(level=5, M=7, p=2)
         n_x, n_xi = A.shape
         kappa = r = 20
@@ -155,7 +156,24 @@ class TestPreconditioner:
         finally:
             tracemalloc.stop()
         assert out.shape == (n_x, kappa)
-        assert peak <= 8 * n_x * (kappa + 4 * r) + 64 * 1024
+        assert peak <= 8 * n_x * (kappa + 2 * r) + 64 * 1024
+
+    def test_rejects_row_exchanges_and_singular_blocks(self):
+        # the elimination does not pivot: a nonsymmetric P_y whose
+        # subdiagonal outgrows its pivot, which partial pivoting would
+        # exchange, is refused although K_0 is regular; a K_0 whose last
+        # grid row is zero is singular
+        A = diffusion_operator(level=3)
+        P_y, Q_y, A_x, M_x = A.mean_factors
+        skewed = (P_y + 3 * sp.tril(P_y, -1)).tocsr()
+        K0 = sp.kron(skewed, M_x) + sp.kron(Q_y, A_x)
+        assert np.linalg.matrix_rank(K0.toarray()) == A.shape[0]
+        with pytest.raises(ValueError, match="row exchanges"):
+            MeanPreconditioner(replace(A, mean_factors=(skewed, Q_y, A_x, M_x)))
+        last_row_zero = sp.diags(np.r_[np.ones(P_y.shape[0] - 1), 0.0])
+        singular = (last_row_zero @ P_y, last_row_zero @ Q_y, A_x, M_x)
+        with pytest.raises(ValueError, match="singular"):
+            MeanPreconditioner(replace(A, mean_factors=singular))
 
     def test_rejects_inexact_identity_mean(self):
         A = diffusion_operator()
@@ -233,16 +251,21 @@ class TestFixedFrame:
         monkeypatch.setattr(lowrank.FactoredVector, "_set_factors", recording_set_factors)
         u, report = solve(A, trunc, 1e-6, m=m)
         assert report.converged and report.matvecs > 1
-        # every cycle matvec takes an n_x x kappa block of the kappa-identity
+        # the zero iterate's residual is f: the first matvec takes f's
+        # reduced factors (Y_f, B^T Z_f), no wider than f.  Every later
+        # cycle matvec takes an n_x x kappa block of the kappa-identity
         # frame; the only full-width inputs are the lifted iterates of the
         # residual checks after a cycle (the zero iterate takes no matvec)
         reduced = [x for x in inputs if x.shape == (n_x, kappa)]
         lifted = [x for x in inputs if x.shape == (n_x, n_xi)]
         assert len(reduced) == report.matvecs and len(lifted) == report.cycles
         assert len(reduced) + len(lifted) == len(inputs)
-        identity = reduced[0].Z
+        first, *later = reduced
+        assert first.rank <= A.rhs.rank == 1
+        assert np.array_equal(first.Z, trunc.basis.T @ A.rhs.Z)
+        identity = later[0].Z
         assert np.array_equal(identity, np.eye(kappa))
-        assert all(x.Z is identity and x.rank == kappa for x in reduced)
+        assert all(x.Z is identity and x.rank == kappa for x in later)
         # the lifted iterates and the returned Z are B times a kappa-row factor
         # (the identity of the cycles' frame)
         B = trunc.basis
@@ -623,10 +646,13 @@ class TestSolve:
         u, report = solve(A, trunc, 1e-5, m=6)
         assert report.converged
         assert u.rank <= kappa
-        # every vector a matvec sees (basis vectors and lifted iterates) is
+        # the first matvec takes f's reduced factors, of f's rank; every
+        # later vector a matvec sees (basis vectors and lifted iterates) is
         # exactly projection-rank sized, and the cycles' are kappa wide
         assert len(inputs) == report.matvecs + report.cycles
-        assert all(x.rank == kappa for x in inputs)
+        first, *later = inputs
+        assert first.shape[1] == kappa and first.rank <= A.rhs.rank
+        assert all(x.rank == kappa for x in later)
         assert sum(x.shape[1] == kappa for x in inputs) >= report.matvecs
 
     def test_saved_basis_drives_a_later_solve(self, tmp_path):
@@ -668,6 +694,23 @@ class TestSolve:
         for bad in (dict(eps=0.0), dict(eps=1.0), dict(eps=2.0), dict(eps=1e-5, m=0)):
             with pytest.raises(ValueError):
                 solve(A, no_truncation(A), **bad)
+
+
+@pytest.mark.parametrize(
+    "workload, kappa, matvecs",
+    [("diffusion-l6", 65, 5), ("diffusion-l7", 40, 4), ("convection-l6", 15, 5),
+     ("diffusion-l6-svd", 65, 5)],
+)
+def test_benchmark_workload_counts(workload, kappa, matvecs):
+    # the four perfbench workloads at seed 4: the counts every speed claim
+    # is measured at, and the benchmark's own dense residual check
+    cells, check = perfbench_module("cells"), perfbench_module("check")
+    spec = PipelineSpec(**cells.spec_kwargs(workload, 4))
+    res = pipeline(spec)
+    report = res.report
+    assert (res.pgd.kappa, report.cycles, report.matvecs, report.status) == (
+        kappa, 1, matvecs, "converged")
+    assert check.dense_relative_residual(res.fine_operator, res.solution) < spec.eps
 
 
 class TestPipeline:
