@@ -41,14 +41,7 @@ from scipy.io import mmwrite
 
 from . import fem
 from .krylov import (
-    ConfigError,
-    PipelineSpec,
-    TruncationOperator,
-    build_problem,
-    build_stochastic,
-    pipeline,
-    run_pgd,
-    solve,
+    ConfigError, PipelineSpec, build_problem, build_stochastic, pipeline, prepare, run_pgd
 )
 
 SCHEMA_VERSION = 1
@@ -247,10 +240,11 @@ def run_experiment(spec: PipelineSpec, out_dir: Path) -> dict:
 def run_comparison(spec: PipelineSpec, variants, out_dir: Path) -> list[dict]:
     """Identical problem and seed across solver variants; side-by-side CSV.
 
-    The ``lrp-*`` variants differ only in the truncation, so the coarse PGD
-    and the fine operator are built once and each of them runs the fine
-    solve alone; every ``lrp-*`` row reports that one coarse time, and its
-    total counts the shared stage once, as a lone ``pipeline`` run would.
+    The ``lrp-*`` variants differ only in the truncation, so ``prepare``
+    builds the coarse PGD and the fine operator once and each of them runs
+    only its fine solve; every ``lrp-*`` row reports that one coarse time,
+    and its total counts the shared stage once, as a lone ``pipeline`` run
+    would.
     """
     if not variants:
         raise ConfigError(f"no variants given; choose from {','.join(VARIANTS)}")
@@ -258,7 +252,7 @@ def run_comparison(spec: PipelineSpec, variants, out_dir: Path) -> list[dict]:
     if unknown:
         raise ConfigError(f"unknown variants: {sorted(unknown)}")
     rows = []
-    stage = None  # the coarse PGD and fine operator of the lrp-* variants
+    finish = None  # the fine solve of the lrp-* variants' shared stage
     for variant in variants:
         entry = {"variant": variant}
         t0 = time.perf_counter()
@@ -277,30 +271,21 @@ def run_comparison(spec: PipelineSpec, variants, out_dir: Path) -> list[dict]:
                     solve_time=time.perf_counter() - t0,
                 )
             else:
-                if stage is None:
-                    kl, stoch = build_stochastic(spec)
-                    t1 = time.perf_counter()
-                    _, sol = run_pgd(spec, kl, stoch)
-                    coarse_time = time.perf_counter() - t1
-                    A = build_problem(spec, spec.fine_level, kl, stoch)[2]
-                    stage = sol, A, coarse_time, time.perf_counter() - t0
-                sol, A, coarse_time, stage_time = stage
-                if variant == "lrp-multilevel":
-                    trunc = TruncationOperator("projection", basis=sol.Zc)
-                else:
-                    trunc = TruncationOperator("svd-rank", rank=sol.Zc.shape[1])
-                t1 = time.perf_counter()
-                t0 = t1 - stage_time  # the total counts the shared stage once
-                _, report = solve(A, trunc, spec.eps, spec.m)
+                if finish is None:
+                    finish = prepare(spec)
+                    stage_time = time.perf_counter() - t0
+                # the total counts the shared stage once
+                t0 = time.perf_counter() - stage_time
+                result = finish("multilevel" if variant == "lrp-multilevel" else "svd")
                 entry.update(
-                    kappa=sol.kappa,
-                    final_rank=report.final_rank,
-                    cycles=report.cycles,
-                    matvecs=report.matvecs,
-                    rel_residual=report.residual_history[-1],
-                    converged=report.converged,
-                    coarse_time=coarse_time,
-                    solve_time=time.perf_counter() - t1,
+                    kappa=result.pgd.kappa,
+                    final_rank=result.report.final_rank,
+                    cycles=result.report.cycles,
+                    matvecs=result.report.matvecs,
+                    rel_residual=result.report.residual_history[-1],
+                    converged=result.report.converged,
+                    coarse_time=result.report.wall_times.get("coarse", 0.0),
+                    solve_time=result.report.wall_times.get("fine_solve", 0.0),
                 )
         except ConfigError:
             raise  # out of range for every variant

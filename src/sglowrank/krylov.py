@@ -5,16 +5,16 @@ L = A M^{-1}.  M is always the mean-based block preconditioner
 G_0 (x) K_0 = I (x) K_0 (Powell & Elman, IMA J. Numer. Anal. 2009).  Every
 operator carries the 1D factors of K_0 = kron(P_y, M_x) + kron(Q_y, A_x),
 so K_0^{-1} is set up once as one eigenbasis of (A_x, M_x) and one
-elimination, without row exchanges, of the tridiagonal systems
-P_y + lambda_j Q_y (fast diagonalization); a block solve then runs in the
-y-major layout Y already has, as two batched GEMMs around one forward and
-one backward sweep over y.  Every basis vector produced inside a cycle is
-compressed by a truncation operator or lies in a fixed frame, so the
-basis V is not orthogonal.  The cycle orthonormalizes the matvec outputs
-W = L V instead, and takes each next basis vector from the least-squares
-residual (residual-based simpler GMRES: Walker & Zhou, Numer. Linear
-Algebra Appl. 1994; Jiranek, Rozloznik & Gutknecht, SIAM J. Matrix Anal.
-Appl. 2008).
+elimination with partial pivoting of all the tridiagonal systems
+P_y + lambda_j Q_y side by side (fast diagonalization); a block solve
+then runs in the y-major layout Y already has, as two batched GEMMs
+around one forward and one backward sweep over y.  Every basis vector
+produced inside a cycle is compressed by a truncation operator or lies
+in a fixed frame, so the basis V is not orthogonal.  The cycle
+orthonormalizes the matvec outputs W = L V instead, and takes each next
+basis vector from the least-squares residual (residual-based simpler
+GMRES: Walker & Zhou, Numer. Linear Algebra Appl. 1994; Jiranek,
+Rozloznik & Gutknecht, SIAM J. Matrix Anal. Appl. 2008).
 
 With projection truncation onto an orthonormal basis B the cycles run on
 the reduced operator sum_l (B^T G_l B) (x) K_l (``lowrank.reduce_operator``;
@@ -71,6 +71,9 @@ solver on it to learn the stochastic basis (``run_pgd``, through
 ``build_problem``), builds the multilevel truncation operator from it, and
 solves the fine problem; coarse and fine levels share the stochastic
 discretization, so the basis transfers without interpolation.
+``prepare`` runs every stage before the fine solve once and returns the
+fine solve as a function of the truncation, which ``pipeline`` calls
+once and ``compare`` once per truncation.
 ``PipelineSpec`` is the one configuration, shared with the command line;
 ``solve`` takes the truncation and its three settings as plain arguments.
 """
@@ -119,6 +122,7 @@ __all__ = [
     "build_stochastic",
     "build_problem",
     "run_pgd",
+    "prepare",
     "pipeline",
 ]
 
@@ -145,14 +149,13 @@ class MeanPreconditioner:
     A_x V = M_x V diag(lambda) and V^T M_x V = I (Lynch, Rice & Thomas,
     Numer. Math. 1964), K_0 u = f on the (y, x) grid becomes one tridiagonal
     system (P_y + lambda_j Q_y) t_j = (F V)_j per x-mode j.  All n_x of
-    them are eliminated once, side by side, into (n_y, n_x) arrays of
-    multipliers, reciprocal pivots and superdiagonal-over-pivot factors.
-    The elimination does not pivot: it raises ``ValueError`` where partial
-    pivoting would exchange rows (a subdiagonal entry larger in modulus
-    than its pivot), which no operator ``fem`` builds needs, also with the
-    nonsymmetric P_y of convection, and where a pivot is zero.  Besides
-    K_0, V and these arrays it keeps only its last solve; the matvec
-    allocates its own workspace.
+    them are eliminated once, side by side, with partial pivoting as
+    LAPACK ``gttrf`` does it, into (n_y, n_x) arrays of multipliers, row
+    exchanges, reciprocal pivots and the two superdiagonals of U over their
+    pivots.  Exchanges occur in the nonsymmetric P_y of convection where
+    mean_a0 < 1 and the Peclet number exceeds 1; a singular K_0 raises
+    ``ValueError``.  Besides K_0, V and these arrays it keeps only its last
+    solve; the matvec allocates its own workspace.
     """
 
     def __init__(self, A: StochasticOperator):
@@ -165,23 +168,35 @@ class MeanPreconditioner:
         P_y, Q_y, A_x, M_x = A.mean_factors
         lam, V = scipy.linalg.eigh(A_x.toarray(), M_x.toarray())
         self._V, self._Vt = V, np.ascontiguousarray(V.T)
-        # entry (i, j) belongs to row i of the system of x-mode j
-        sub = P_y.diagonal(-1)[:, None] + Q_y.diagonal(-1)[:, None] * lam
-        pivot = P_y.diagonal()[:, None] + Q_y.diagonal()[:, None] * lam
-        sup = P_y.diagonal(1)[:, None] + Q_y.diagonal(1)[:, None] * lam
-        mult = np.zeros_like(pivot)
-        for i in range(1, len(pivot)):
-            if np.any(np.abs(sub[i - 1]) > np.abs(pivot[i - 1])):
-                raise ValueError("the mean spatial block needs row exchanges")
-            if not np.all(pivot[i - 1]):
-                break  # a zero pivot over a zero subdiagonal entry
-            mult[i] = sub[i - 1] / pivot[i - 1]
-            pivot[i] -= mult[i] * sup[i - 1]
-        if not np.all(pivot):
+        # entry (i, j) belongs to row i of the system of x-mode j; d, du and
+        # du2 become the diagonal and the two superdiagonals of U
+        d = P_y.diagonal()[:, None] + Q_y.diagonal()[:, None] * lam
+        du = P_y.diagonal(1)[:, None] + Q_y.diagonal(1)[:, None] * lam
+        dl = P_y.diagonal(-1)[:, None] + Q_y.diagonal(-1)[:, None] * lam
+        du2 = np.zeros_like(du)
+        mult = np.zeros_like(d)
+        swap = np.zeros(d.shape, dtype=bool)  # rows i - 1 and i exchanged at step i
+        for i in range(1, len(d)):
+            swap[i] = np.abs(dl[i - 1]) > np.abs(d[i - 1])
+            top = np.where(swap[i], dl[i - 1], d[i - 1])
+            below = np.where(swap[i], d[i - 1], dl[i - 1])
+            # a zero pivot over a zero entry leaves a singular K_0, refused below
+            np.divide(below, top, out=mult[i], where=top != 0)
+            top_next = np.where(swap[i], d[i], du[i - 1])
+            d[i] = np.where(swap[i], du[i - 1], d[i]) - mult[i] * top_next
+            d[i - 1], du[i - 1] = top, top_next
+            if i < len(du):
+                du2[i - 1] = np.where(swap[i], du[i], 0.0)
+                du[i] = np.where(swap[i], -mult[i] * du[i], du[i])
+        if not np.all(d):
             raise ValueError("the mean spatial block is singular")
         self._mult = mult[:, :, None]
-        self._inv_pivot = (1.0 / pivot)[:, :, None]
-        self._ratio = (sup / pivot[:-1])[:, :, None]
+        self._swap = swap[:, :, None]
+        self._swapped = swap.any(axis=1).tolist()
+        self._filled = du2.any(axis=1).tolist()
+        self._inv_pivot = (1.0 / d)[:, :, None]
+        self._ratio = (du / d[:-1])[:, :, None]
+        self._ratio2 = (du2[:-1] / d[:-2])[:, :, None]
         self._last: tuple[FactoredVector | None, FactoredVector | None] = (None, None)
 
     def apply(self, u: FactoredVector) -> FactoredVector:
@@ -195,7 +210,8 @@ class MeanPreconditioner:
         n_y slices of n_x x r.  One batched GEMM takes every slice into the
         x-eigenbasis, a forward and a backward sweep over y solve all
         tridiagonal systems at once (one multiply and one subtraction per
-        step on an n_x x r slice), and a batched GEMM takes the modes back
+        step on an n_x x r slice, and a masked row swap at a step where
+        some system exchanges rows), and a batched GEMM takes the modes back
         into a new C-ordered n_y n_x x r array, the result: two such arrays
         are live.  The last result is kept: the solver's final M^{-1} u_hat
         repeats the solve of its last residual check.
@@ -204,10 +220,16 @@ class MeanPreconditioner:
             n_y, n_x = self._inv_pivot.shape[:2]
             t = np.matmul(self._Vt, u.Y.reshape(n_y, n_x, u.rank))
             for i in range(1, n_y):
+                if self._swapped[i]:
+                    swap, above = self._swap[i], t[i - 1].copy()
+                    t[i - 1] = np.where(swap, t[i], above)
+                    t[i] = np.where(swap, above, t[i])
                 t[i] -= self._mult[i] * t[i - 1]
             t *= self._inv_pivot
             for i in range(n_y - 2, -1, -1):
                 t[i] -= self._ratio[i] * t[i + 1]
+                if self._filled[i]:
+                    t[i] -= self._ratio2[i] * t[i + 2]
             X = np.matmul(self._V, t).reshape(n_y * n_x, u.rank)
             self._last = (u, FactoredVector._adopt(X, u.Z, u.orthonormal))
         return self._last[1]
@@ -618,8 +640,16 @@ def run_pgd(
     return grid, solve_pgd(A, spec.eps, seed=spec.seed)
 
 
-def pipeline(spec: PipelineSpec) -> PipelineResult:
-    """Coarse PGD, basis extraction, and the preconditioned fine-grid solve."""
+def prepare(spec: PipelineSpec):
+    """Every stage of ``pipeline`` before the fine solve, run once.
+
+    Builds the KL expansion and chaos matrices, the coarse PGD solution and
+    the fine operator of ``spec``, and returns ``finish(truncation)``,
+    which solves the fine problem with the basis-derived truncation
+    ("multilevel": projection onto the PGD basis, "svd": SVD truncation at
+    its rank) and returns the result with the stage's wall times.
+    ``compare`` calls it once per ``lrp-*`` variant.
+    """
     times: dict[str, float] = {}
     kl, stoch = build_stochastic(spec)
 
@@ -627,21 +657,27 @@ def pipeline(spec: PipelineSpec) -> PipelineResult:
     coarse_grid, pgd_sol = run_pgd(spec, kl, stoch)
     times["coarse"] = time.perf_counter() - t0
 
-    if spec.truncation == "multilevel":
-        trunc = TruncationOperator("projection", basis=pgd_sol.Zc)
-    else:
-        trunc = TruncationOperator("svd-rank", rank=pgd_sol.Zc.shape[1])
-
     t1 = time.perf_counter()
     fine_grid, spatial, A_fine = build_problem(spec, spec.fine_level, kl, stoch)
     times["fine_assembly"] = time.perf_counter() - t1
 
-    t2 = time.perf_counter()
-    solution, report = solve(A_fine, trunc, spec.eps, spec.m)
-    times["fine_solve"] = time.perf_counter() - t2
-    times.update(report.wall_times)
-    report.wall_times = times
+    def finish(truncation: str) -> PipelineResult:
+        if truncation == "multilevel":
+            trunc = TruncationOperator("projection", basis=pgd_sol.Zc)
+        else:
+            trunc = TruncationOperator("svd-rank", rank=pgd_sol.Zc.shape[1])
+        t2 = time.perf_counter()
+        solution, report = solve(A_fine, trunc, spec.eps, spec.m)
+        report.wall_times = {
+            **times, "fine_solve": time.perf_counter() - t2, **report.wall_times
+        }
+        return PipelineResult(
+            solution, report, pgd_sol, kl, fine_grid, coarse_grid, A_fine, spatial.bc_lift
+        )
 
-    return PipelineResult(
-        solution, report, pgd_sol, kl, fine_grid, coarse_grid, A_fine, spatial.bc_lift
-    )
+    return finish
+
+
+def pipeline(spec: PipelineSpec) -> PipelineResult:
+    """Coarse PGD, basis extraction, and the preconditioned fine-grid solve."""
+    return prepare(spec)(spec.truncation)

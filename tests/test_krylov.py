@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from oracles import (
@@ -158,18 +159,44 @@ class TestPreconditioner:
         assert out.shape == (n_x, kappa)
         assert peak <= 8 * n_x * (kappa + 2 * r) + 64 * 1024
 
-    def test_rejects_row_exchanges_and_singular_blocks(self):
-        # the elimination does not pivot: a nonsymmetric P_y whose
-        # subdiagonal outgrows its pivot, which partial pivoting would
-        # exchange, is refused although K_0 is regular; a K_0 whose last
-        # grid row is zero is singular
+    @staticmethod
+    def assert_solves_mean_block(A, rng):
+        # against a dense solve with K_0 formed from the factors
+        P_y, Q_y, A_x, M_x = A.mean_factors
+        K0 = (sp.kron(P_y, M_x) + sp.kron(Q_y, A_x)).toarray()
+        u = random_factored(rng, *A.shape, 3)
+        got = MeanPreconditioner(A).solve(u).Y
+        want = np.linalg.solve(K0, u.Y)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_exchanges_rows_where_partial_pivoting_does(self, rng):
+        # the first x-mode's system of a hand-built nonsymmetric P_y has a
+        # zero first pivot over a nonzero subdiagonal entry: only a row
+        # exchange eliminates it, and K_0 is regular
         A = diffusion_operator(level=3)
         P_y, Q_y, A_x, M_x = A.mean_factors
-        skewed = (P_y + 3 * sp.tril(P_y, -1)).tocsr()
-        K0 = sp.kron(skewed, M_x) + sp.kron(Q_y, A_x)
-        assert np.linalg.matrix_rank(K0.toarray()) == A.shape[0]
-        with pytest.raises(ValueError, match="row exchanges"):
-            MeanPreconditioner(replace(A, mean_factors=(skewed, Q_y, A_x, M_x)))
+        lam = scipy.linalg.eigh(A_x.toarray(), M_x.toarray(), eigvals_only=True)
+        first = sp.csr_matrix(([-lam[0] * Q_y[0, 0] - P_y[0, 0]], ([0], [0])), shape=P_y.shape)
+        skewed = (P_y + first + 3 * sp.tril(P_y, -1)).tocsr()
+        A = replace(A, mean_factors=(skewed, Q_y, A_x, M_x))
+        assert abs(skewed[0, 0] + lam[0] * Q_y[0, 0]) <= 1e-15 * abs(skewed[1, 0])
+        self.assert_solves_mean_block(A, rng)
+
+    def test_solves_convection_that_partial_pivoting_reorders(self, rng):
+        # mean_a0 < 1 leaves SUPG's subdiagonal of P_y larger than its
+        # pivots where the Peclet number exceeds 1 (nu = 1/200, level 5)
+        spec = PipelineSpec(kind="convection-diffusion", nu=1 / 200, mean_a0=0.5,
+                            num_modes=2, degree=1)
+        A = krylov.build_problem(spec, 5, *krylov.build_stochastic(spec))[2]
+        P_y, Q_y, A_x, M_x = A.mean_factors
+        lam = scipy.linalg.eigh(A_x.toarray(), M_x.toarray(), eigvals_only=True)
+        assert np.any(abs(P_y[1, 0] + lam * Q_y[1, 0]) > abs(P_y[0, 0] + lam * Q_y[0, 0]))
+        self.assert_solves_mean_block(A, rng)
+
+    def test_rejects_singular_block(self):
+        # a K_0 whose last grid row is zero
+        A = diffusion_operator(level=3)
+        P_y, Q_y, A_x, M_x = A.mean_factors
         last_row_zero = sp.diags(np.r_[np.ones(P_y.shape[0] - 1), 0.0])
         singular = (last_row_zero @ P_y, last_row_zero @ Q_y, A_x, M_x)
         with pytest.raises(ValueError, match="singular"):
