@@ -4,11 +4,11 @@ The solver runs GMRES-style cycles on the right-preconditioned operator
 L = A M^{-1}.  M is always the mean-based block preconditioner
 G_0 (x) K_0 = I (x) K_0 (Powell & Elman, IMA J. Numer. Anal. 2009).  Every
 operator carries the 1D factors of K_0 = kron(P_y, M_x) + kron(Q_y, A_x),
-so K_0^{-1} is set up once as one eigenbasis of (A_x, M_x) and one
-elimination with partial pivoting of all the tridiagonal systems
-P_y + lambda_j Q_y side by side (fast diagonalization); a block solve
-then runs in the y-major layout Y already has, as two batched GEMMs
-around one forward and one backward sweep over y.  Every basis vector
+so K_0^{-1} is set up once as one eigenbasis of (A_x, M_x) and one LAPACK
+``gttrf`` factorization of each tridiagonal system P_y + lambda_j Q_y
+(fast diagonalization); a block solve then runs in the y-major layout Y
+already has, as two batched GEMMs around a forward and a backward sweep
+over y that solve all the systems side by side.  Every basis vector
 produced inside a cycle is compressed by a truncation operator or lies
 in a fixed frame, so the basis V is not orthogonal.  The cycle
 orthonormalizes the matvec outputs W = L V instead, and takes each next
@@ -31,19 +31,19 @@ for l = 1..M into it in place by BLAS, so besides the output and X it
 holds one K_l X at a time.  The output blocks of a cycle sit in one
 array of m rows allocated before the first cycle.
 
-A cycle's first basis vector is its residual r, truncated on the SVD
-path and normalized.  The zero iterate's residual is f, so that cycle
-starts from f's own factors, (Y_f, B^T Z_f) with projection, which are no
-wider than f.  Matvec j's block is copied into row j, and two classical
-Gram-Schmidt passes against the earlier rows orthonormalize it in place
-into q_j and fill column j of the triangular R of W = Q R.  With
-c_j = <q_j, r> the least-squares residual of the cycle is
+A cycle's first basis vector is its residual r, truncated on the SVD path
+and normalized.  The zero iterate's residual is f, taken without a matvec:
+its norm is ||f||, and its cycle starts from f's own factors, (Y_f, B^T Z_f)
+with projection, no wider than f.  Matvec j's block is copied into row j,
+and two classical Gram-Schmidt passes against the earlier rows
+orthonormalize it in place into q_j and fill column j of the triangular R of
+W = Q R.  With c_j = <q_j, r> the least-squares residual of the cycle is
 r - sum_{i<=j} c_i q_i, formed from the rows, and its merge (truncated on
 the SVD path), normalized, is the next basis vector.  A cycle ends at the
-first j whose least-squares residual is below its target, or at
-j = m - 1, and its update is u_hat + V beta with R beta = c.  A matvec whose R diagonal is at most
-BASIS_DROP_TOL max(||w_j||, 1) adds no direction to W: it is dropped with a
-warning, and the cycle ends on the earlier matvecs.
+first j whose least-squares residual is below its target, or at j = m - 1,
+and its update is u_hat + V beta with R beta = c.  A matvec whose R
+diagonal is at most BASIS_DROP_TOL max(||w_j||, 1) adds no direction to W:
+it is dropped with a warning, and the cycle ends on the earlier matvecs.
 
 Convergence is judged on the true residual only, once per cycle: the
 iterate, lifted by B with projection, gives R = f - A M^{-1} u_hat,
@@ -148,14 +148,14 @@ class MeanPreconditioner:
     diagonalization from the operator's ``mean_factors``: with
     A_x V = M_x V diag(lambda) and V^T M_x V = I (Lynch, Rice & Thomas,
     Numer. Math. 1964), K_0 u = f on the (y, x) grid becomes one tridiagonal
-    system (P_y + lambda_j Q_y) t_j = (F V)_j per x-mode j.  All n_x of
-    them are eliminated once, side by side, with partial pivoting as
-    LAPACK ``gttrf`` does it, into (n_y, n_x) arrays of multipliers, row
-    exchanges, reciprocal pivots and the two superdiagonals of U over their
-    pivots.  Exchanges occur in the nonsymmetric P_y of convection where
-    mean_a0 < 1 and the Peclet number exceeds 1; a singular K_0 raises
-    ``ValueError``.  Besides K_0, V and these arrays it keeps only its last
-    solve; the matvec allocates its own workspace.
+    system (P_y + lambda_j Q_y) t_j = (F V)_j per x-mode j.  Each is
+    factored once with partial pivoting by LAPACK ``gttrf`` into columns of
+    (n_y, n_x) arrays of multipliers, row exchanges, reciprocal pivots and
+    the two superdiagonals of U over their pivots, so that a solve sweeps
+    all n_x systems side by side.  Exchanges occur in the nonsymmetric P_y
+    of convection where mean_a0 < 1 and the Peclet number exceeds 1; a
+    singular K_0 raises ``ValueError``.  Besides K_0, V and these arrays it
+    keeps only its last solve; the matvec allocates its own workspace.
     """
 
     def __init__(self, A: StochasticOperator):
@@ -168,26 +168,23 @@ class MeanPreconditioner:
         P_y, Q_y, A_x, M_x = A.mean_factors
         lam, V = scipy.linalg.eigh(A_x.toarray(), M_x.toarray())
         self._V, self._Vt = V, np.ascontiguousarray(V.T)
-        # entry (i, j) belongs to row i of the system of x-mode j; d, du and
-        # du2 become the diagonal and the two superdiagonals of U
+        # entry (i, j) belongs to row i of the system of x-mode j: gttrf
+        # turns the subdiagonal into the multipliers of steps 1..n_y - 1, d,
+        # du and du2 into the diagonal and superdiagonals of U, and its
+        # 1-based ipiv marks the steps that exchange rows.  Its wrapper takes
+        # 3 rows or more; the one row of level 1 is its own factor.
         d = P_y.diagonal()[:, None] + Q_y.diagonal()[:, None] * lam
         du = P_y.diagonal(1)[:, None] + Q_y.diagonal(1)[:, None] * lam
-        dl = P_y.diagonal(-1)[:, None] + Q_y.diagonal(-1)[:, None] * lam
-        du2 = np.zeros_like(du)
         mult = np.zeros_like(d)
+        mult[1:] = P_y.diagonal(-1)[:, None] + Q_y.diagonal(-1)[:, None] * lam
+        du2 = np.zeros_like(du)
         swap = np.zeros(d.shape, dtype=bool)  # rows i - 1 and i exchanged at step i
-        for i in range(1, len(d)):
-            swap[i] = np.abs(dl[i - 1]) > np.abs(d[i - 1])
-            top = np.where(swap[i], dl[i - 1], d[i - 1])
-            below = np.where(swap[i], d[i - 1], dl[i - 1])
-            # a zero pivot over a zero entry leaves a singular K_0, refused below
-            np.divide(below, top, out=mult[i], where=top != 0)
-            top_next = np.where(swap[i], d[i], du[i - 1])
-            d[i] = np.where(swap[i], du[i - 1], d[i]) - mult[i] * top_next
-            d[i - 1], du[i - 1] = top, top_next
-            if i < len(du):
-                du2[i - 1] = np.where(swap[i], du[i], 0.0)
-                du[i] = np.where(swap[i], -mult[i] * du[i], du[i])
+        steps = np.arange(1, len(d))
+        for j in range(len(lam) if len(d) > 1 else 0):
+            mult[1:, j], d[:, j], du[:, j], du2[:-1, j], ipiv, _ = scipy.linalg.lapack.dgttrf(
+                mult[1:, j], d[:, j], du[:, j]
+            )
+            swap[1:, j] = ipiv[:-1] != steps
         if not np.all(d):
             raise ValueError("the mean spatial block is singular")
         self._mult = mult[:, :, None]
@@ -296,14 +293,12 @@ class SolveReport:
 
 
 def _residual(A: StochasticOperator, P, u_hat: FactoredVector) -> FactoredVector:
-    """f - A M^{-1} u_hat as its dense block.
+    """f - A M^{-1} u_hat as its dense block, for a nonzero iterate.
 
-    For a nonzero iterate the matvec's own output block W, released with
-    its vector, is overwritten by Y_f Z_f^T - W in one dgemm, so the check
-    holds one n_x x n_xi block; the zero iterate's residual is f's block.
+    The matvec's own output block W, released with its vector, is
+    overwritten by Y_f Z_f^T - W in one dgemm, so the check holds one
+    n_x x n_xi block.
     """
-    if not u_hat.rank:
-        return block(dense(A.rhs))
     R = apply_preconditioned(A, P, u_hat).Y
     R.flags.writeable = True  # the matvec's vector is dropped here
     _gemm_into(R, A.rhs.Y, A.rhs.Z, -1.0)
@@ -429,14 +424,21 @@ def solve(
         u_hat = x_hat  # the iterate of A: x_hat itself, or x_hat lifted by B
         if B is not None:
             u_hat = FactoredVector._adopt(x_hat.Y, B @ x_hat.Z, x_hat.orthonormal)
-        r = _residual(A, P, u_hat)
-        r_norm = norm(r)
+        if x_hat.rank == 0:
+            # the zero iterate's residual is f: its frame part with projection
+            # is (Y_f, B^T Z_f), whose factors, no wider than f, start its cycle
+            r_norm, r, v_tilde = fnorm, block(dense(A_cycle.rhs)), A_cycle.rhs
+        else:
+            r = _residual(A, P, u_hat)
+            r_norm = norm(r)
+            if B is not None:
+                # the frame part (R B, B) is the reduced residual: pair it
+                # with the kappa-identity frame of the cycles
+                r = block(trunc.apply(r).Y)
+            v_tilde = r
         rel = r_norm / fnorm
         perp = 0.0
         if B is not None:
-            # the frame part (R B, B) is the reduced residual: pair it with
-            # the kappa-identity frame of the cycles
-            r = block(trunc.apply(r).Y)
             perp = float(np.sqrt(max(r_norm**2 - norm(r) ** 2, 0.0))) / fnorm
         if history and rel > history[-1]:
             warnings.warn(
@@ -462,10 +464,6 @@ def solve(
         if outer == MAX_CYCLES:
             break
 
-        # the zero iterate's residual is f, (Y_f, B^T Z_f) in the frame of
-        # B: its cycle starts from f's own factors, narrower than the
-        # residual block (truncated on the SVD path, whose SVD they keep small)
-        v_tilde = A_cycle.rhs if x_hat.rank == 0 else r
         if B is None:
             v_tilde = trunc.apply(v_tilde)
         v_norm = norm(v_tilde)

@@ -8,7 +8,10 @@ or class that only tests call belongs in ``tests/oracles.py``.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,17 @@ def test_every_definition_has_a_reader():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in read
     ]
     assert not unread, f"defined but read only by tests: {unread}"
+
+
+def test_import_loads_no_further_scipy_subpackage():
+    # import time is most of a run's set-up: ``import sglowrank`` loads
+    # scipy.linalg and scipy.sparse (scipy.version comes with scipy), and a
+    # further public subpackage, scipy.special say, must not come with it
+    code = ("import sys, sglowrank; "
+            "print(*{k.split('.')[1] for k in sys.modules if k.startswith('scipy.')})")
+    path = [str(Path(sglowrank.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    public = {name for name in out if not name.startswith("_")}
+    assert public <= {"linalg", "sparse", "version"}, public

@@ -193,6 +193,26 @@ class TestPreconditioner:
         assert np.any(abs(P_y[1, 0] + lam * Q_y[1, 0]) > abs(P_y[0, 0] + lam * Q_y[0, 0]))
         self.assert_solves_mean_block(A, rng)
 
+    @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion"])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_solves_the_smallest_grids(self, rng, kind, level):
+        # level 1 has one grid row, which is its own factor; level 2 has
+        # three, the fewest LAPACK's gttrf wrapper takes
+        A = problem_operator(kind, level)[2]
+        assert A.mean_factors[0].shape[0] == 2**level - 1
+        self.assert_solves_mean_block(A, rng)
+
+    def test_rejects_a_block_singular_in_one_mode(self):
+        # P_y = -lambda_j Q_y leaves the system of x-mode j zero and the
+        # others (lambda_i - lambda_j) Q_y, regular
+        A = diffusion_operator(level=3)
+        P_y, Q_y, A_x, M_x = A.mean_factors
+        lam = scipy.linalg.eigh(A_x.toarray(), M_x.toarray(), eigvals_only=True)
+        assert np.all(np.diff(lam) > 0)
+        singular = ((-lam[2] * Q_y).tocsr(), Q_y, A_x, M_x)
+        with pytest.raises(ValueError, match="singular"):
+            MeanPreconditioner(replace(A, mean_factors=singular))
+
     def test_rejects_singular_block(self):
         # a K_0 whose last grid row is zero
         A = diffusion_operator(level=3)
@@ -716,6 +736,15 @@ class TestSolve:
         assert not report.converged
         assert len(report.residual_history) == 3
 
+    def test_zero_iterate_residual_is_exactly_one(self):
+        # the zero iterate's residual is f itself, so its relative residual
+        # is ||f|| / ||f||, not the norm of a block formed from f's factors
+        spec = PipelineSpec(kind="convection-diffusion", nu=1 / 200, fine_level=2,
+                            coarse_level=1, num_modes=2, degree=1)
+        with pytest.warns(UserWarning, match="basis-limited"):
+            report = pipeline(spec).report
+        assert report.residual_history[0] == 1.0
+
     def test_config_validation(self):
         A = diffusion_operator()
         for bad in (dict(eps=0.0), dict(eps=1.0), dict(eps=2.0), dict(eps=1e-5, m=0)):
@@ -802,6 +831,29 @@ class TestPipeline:
         assert np.array_equal(first.solution.Y, second.solution.Y)
         assert np.array_equal(first.solution.Z, second.solution.Z)
         assert np.array_equal(first.report.residual_history, second.report.residual_history)
+
+    @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion"])
+    def test_one_row_grid(self, kind):
+        # fine and coarse level 1: n_x = 1, where no tridiagonal system is factored
+        nu = 1 / 200 if kind == "convection-diffusion" else None
+        spec = PipelineSpec(kind=kind, nu=nu, fine_level=1, coarse_level=1,
+                            num_modes=2, degree=1)
+        res = pipeline(spec)
+        A = res.fine_operator
+        assert A.shape[0] == 1
+        assert res.report.converged
+        assert residual_norm(A, res.solution) < spec.eps * norm(A.rhs)
+
+    def test_convection_whose_mean_block_exchanges_rows(self):
+        # mean_a0 = 0.5, nu = 1/200 at level 6: at every elimination step
+        # partial pivoting exchanges rows in some x-mode's system
+        spec = PipelineSpec(kind="convection-diffusion", nu=1 / 200, mean_a0=0.5,
+                            fine_level=6, num_modes=2, degree=1)
+        res = pipeline(spec)
+        assert sum(MeanPreconditioner(res.fine_operator)._swapped) == 2**6 - 2
+        assert res.report.converged
+        check = perfbench_module("check")
+        assert check.dense_relative_residual(res.fine_operator, res.solution) < spec.eps
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
