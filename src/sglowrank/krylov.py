@@ -24,11 +24,19 @@ block of the kappa-identity frame, so W rows are n_x kappa long and
 combinations sum spatial factors (``lowrank.combine``).  Its term 0 is
 (I, K_0), so one preconditioner serves A and the reduced operator.  With
 SVD truncation the same loop runs on A, and each combination is its
-n_x x n_xi block before it is truncated.  A matvec of (Y, Z) solves X = K_0^{-1} Y once,
-starts its output block at the mean term Y Z^T (K_0 K_0^{-1} = I, and
-G_0 = I, which the preconditioner checks once) and adds (K_l X)(G_l Z)^T
-for l = 1..M into it in place by BLAS, so besides the output and X it
-holds one K_l X at a time.  The output blocks of a cycle sit in one
+n_x x n_xi block before it is truncated.  A matvec of (Y, Z) solves
+X = K_0^{-1} Y once; its output is the mean term Y Z^T (K_0 K_0^{-1} = I,
+and G_0 = I, which the preconditioner checks once) plus
+sum_l (K_l X)(G_l Z)^T for l = 1..M.  The sum is row-separable: for a
+fixed block of grid rows it is one sparse product of those rows of the
+row-interleaved stack of K_1..K_M with X and one GEMM with the stacked
+(G_l Z)^T.  The preconditioner builds that stack once per solve and cuts
+it into at most ceil(n_x / 2M) grid rows per block, a partition that
+depends on n_x and M alone.  The blocks run on the calling thread and one
+worker thread per further CPU the process may use (a module-level pool,
+none on one CPU): each thread takes the next block when it is free and
+writes only that block's output rows, so the result is the same for any
+number of threads.  The output blocks of a cycle sit in one
 array of m rows allocated before the first cycle.
 
 A cycle's first basis vector is its residual r, truncated on the SVD path
@@ -80,8 +88,10 @@ once and ``compare`` once per truncation.
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -104,6 +114,7 @@ from .lowrank import (  # noqa: F401
     coordinates,
     dense,
     inner,
+    is_block,
     norm,
     reduce_operator,
     scale,
@@ -138,6 +149,43 @@ STAGNATION_TOL = 1e-2
 #: cycle cap of ``solve``
 MAX_CYCLES = 50
 
+#: threads that run matvec row blocks and mean-solve GEMMs besides the
+#: calling one: one per further CPU this process may use, none on one CPU
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+) - 1
+
+
+def _start_pool() -> None:
+    global _POOL
+    _POOL = ThreadPoolExecutor(_WORKERS) if _WORKERS else None
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's worker threads, and the
+    # parent's pool would queue its tasks for ever
+    os.register_at_fork(after_in_child=_start_pool)
+
+
+def _parallel_for(task, n: int) -> None:
+    """task(k) for k = 0..n - 1 on the calling thread and the pool's
+    workers, each taking the next k when it is free.  Each task writes its
+    own slice of an output, so the result does not depend on which thread
+    ran it."""
+    ks = iter(range(n))  # shared: under the GIL each k is taken once
+
+    def run():
+        for k in ks:
+            task(k)
+
+    futures = [_POOL.submit(run) for _ in range(min(_WORKERS, n - 1))]
+    run()
+    for future in futures:
+        # a worker that has not started yet would find no task left
+        if not future.cancel():
+            future.result()
+
 
 class MeanPreconditioner:
     """Exact inverse of the mean spatial block, applied columnwise.
@@ -154,8 +202,15 @@ class MeanPreconditioner:
     the two superdiagonals of U over their pivots, so that a solve sweeps
     all n_x systems side by side.  Exchanges occur in the nonsymmetric P_y
     of convection where mean_a0 < 1 and the Peclet number exceeds 1; a
-    singular K_0 raises ``ValueError``.  Besides K_0, V and these arrays it
-    keeps only its last solve; the matvec allocates its own workspace.
+    singular K_0 raises ``ValueError``.
+
+    It also keeps the spatial matrices K_1..K_M of the operator, stacked
+    row-interleaved (row i M + l is row i of K_{l+1}) and cut into fixed
+    blocks of grid rows for ``apply_preconditioned``: 12 bytes per entry
+    as CSR, M nnz(K_l) entries, 12 MB on level 7 with M = 7.  A and the operators reduced from
+    it share these matrices, so one preconditioner serves them all.
+    Besides K_0, V, these arrays and the stack it keeps only its last
+    solve; the matvec allocates its own workspace.
     """
 
     def __init__(self, A: StochasticOperator):
@@ -195,6 +250,8 @@ class MeanPreconditioner:
         self._ratio = (du / d[:-1])[:, :, None]
         self._ratio2 = (du2[:-1] / d[:-2])[:, :, None]
         self._last: tuple[FactoredVector | None, FactoredVector | None] = (None, None)
+        self._spatial = tuple(K for _, K in A.terms[1:])
+        self._bounds, self._blocks = _row_blocks(self._spatial, A.shape[0])
 
     def apply(self, u: FactoredVector) -> FactoredVector:
         """M u, moving an initial guess into the preconditioned variable."""
@@ -210,12 +267,14 @@ class MeanPreconditioner:
         step on an n_x x r slice, and a masked row swap at a step where
         some system exchanges rows), and a batched GEMM takes the modes back
         into a new C-ordered n_y n_x x r array, the result: two such arrays
-        are live.  The last result is kept: the solver's final M^{-1} u_hat
-        repeats the solve of its last residual check.
+        are live.  Each batched GEMM runs its two halves in y on the
+        matvec's threads; the sweeps run on the calling thread.  The last
+        result is kept: the solver's final M^{-1} u_hat repeats the solve
+        of its last residual check.
         """
         if self._last[0] is not u:
             n_y, n_x = self._inv_pivot.shape[:2]
-            t = np.matmul(self._Vt, u.Y.reshape(n_y, n_x, u.rank))
+            t = _batched_matmul(self._Vt, u.Y.reshape(n_y, n_x, u.rank))
             for i in range(1, n_y):
                 if self._swapped[i]:
                     swap, above = self._swap[i], t[i - 1].copy()
@@ -227,9 +286,35 @@ class MeanPreconditioner:
                 t[i] -= self._ratio[i] * t[i + 1]
                 if self._filled[i]:
                     t[i] -= self._ratio2[i] * t[i + 2]
-            X = np.matmul(self._V, t).reshape(n_y * n_x, u.rank)
+            X = _batched_matmul(self._V, t).reshape(n_y * n_x, u.rank)
             self._last = (u, FactoredVector._adopt(X, u.Z, u.orthonormal))
         return self._last[1]
+
+
+def _row_blocks(Ks, n_x: int) -> tuple[list[int], list[sp.csr_matrix]]:
+    """The row-interleaved stack of K_1..K_M, whose row i M + l is row i of
+    K_{l+1}, cut into blocks of at most ceil(n_x / 2M) grid rows.
+
+    Returns the block bounds a_0 = 0 < a_1 < ... = n_x and the CSR rows
+    a_k M .. a_{k+1} M of the stack, each gathered from the vertical stack
+    of the K_l.  Rows keep their entries in stored order, so
+    (stack X)[i M + l] is (K_{l+1} X)[i] to the last bit.
+    """
+    M = len(Ks)
+    stacked = sp.vstack(Ks, format="csr") if Ks else sp.csr_matrix((0, n_x))
+    order = np.arange(M * n_x).reshape(M, n_x).T  # row l n_x + i of the vertical stack
+    rows = -(-n_x // (2 * max(M, 1)))
+    bounds = list(range(0, n_x, rows)) + [n_x]
+    return bounds, [stacked[order[a:b].ravel()] for a, b in zip(bounds, bounds[1:])]
+
+
+def _batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b[i] for every i along b's first axis, as one new C-ordered
+    array; the two halves of that axis run on the pool."""
+    out = np.empty(b.shape[:-2] + (a.shape[0], b.shape[-1]))
+    halves = (slice(0, len(b) // 2), slice(len(b) // 2, None))
+    _parallel_for(lambda k: np.matmul(a, b[halves[k]], out=out[halves[k]]), 2)
+    return out
 
 
 def _gemm_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float) -> None:
@@ -249,20 +334,45 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
     """(A M^{-1}) u as its dense block, paired with the identity of its size
     (n_x x n_xi, or n_x x kappa for a reduced operator).
 
-    With X = K_0^{-1} Y the output starts as the mean term Y Z^T, because
-    K_0 K_0^{-1} = I and G_0 = I, and each further term adds
-    (K_l X)(G_l Z)^T into it in place.  Besides the output and X only one
-    K_l X is live at a time.
+    With X = K_0^{-1} Y the mean term is Y Z^T, because K_0 K_0^{-1} = I
+    and G_0 = I, and the other terms are sum_l (K_l X)(G_l Z)^T = S C with
+    S = [K_1 X | ... | K_M X] and C = [G_1 Z | ... | G_M Z]^T.  C (M r x
+    n_out) is formed once; rows a..b of the output are one sparse product
+    of P's row-interleaved stack with X, read as rows a..b of S, one GEMM
+    with C written into the output rows and the mean term added.  The row
+    blocks run on the calling thread and the pool, each writing its own
+    rows.  Besides the output and X the call holds C and one block of S
+    (at most n_x r / 2 numbers) per running thread.  ``P`` must be built
+    from an operator with A's spatial matrices K_1..K_M (A itself, or A
+    reduced onto a basis); other matrices raise ``ValueError``.
     """
     n_x, n_xi = A.shape
     if u.shape != (n_x, n_xi):
         raise ValueError(f"operator shape {(n_x, n_xi)} does not match vector {u.shape}")
+    spatial = P._spatial
+    if len(spatial) != len(A.terms) - 1 or any(
+        K is not S for (_, K), S in zip(A.terms[1:], spatial)
+    ):
+        raise ValueError("the preconditioner was built from other spatial matrices")
     if u.rank == 0:
         return FactoredVector.zero(n_x, n_xi)
     X = P.solve(u).Y
-    out = dense(u)
-    for G, K in A.terms[1:]:
-        _gemm_into(out, K @ X, G @ u.Z, 1.0)
+    Y, Z, r = u.Y, u.Z, u.rank
+    C = np.empty((len(spatial) * r, n_xi))
+    for l, (G, _) in enumerate(A.terms[1:]):
+        C[l * r : (l + 1) * r] = (G @ Z).T
+    in_frame = is_block(u)
+    bounds, blocks = P._bounds, P._blocks
+    out = np.empty((n_x, n_xi))
+
+    def rows(k):
+        a, b = bounds[k], bounds[k + 1]
+        S = (blocks[k] @ X).reshape(b - a, len(C))
+        np.matmul(S, C, out=out[a:b])
+        del S  # freed before the mean term's temporary
+        out[a:b] += Y[a:b] if in_frame else Y[a:b] @ Z.T
+
+    _parallel_for(rows, len(blocks))
     return block(out)
 
 

@@ -28,9 +28,10 @@ product Y Z^T.  ``inner`` pairs w with v's frame by one product
 Y_w (Z_w^T Z_v), since <v, w> = <Y_v, Y_w Z_w^T Z_v>_F, and two vectors
 of one frame take the Frobenius dot of their Y.
 
-Blocks and the outputs of both truncations have orthonormal stochastic
-factors by construction, and are flagged so when they are built.  For
-those the norm is the Frobenius norm of Y, and the inner product of two
+Blocks, the outputs of both truncations and the rank-one right-hand side
+of ``build_operator`` have orthonormal stochastic factors by
+construction, and are flagged so when they are built.  For those the
+norm is the Frobenius norm of Y, and the inner product of two
 vectors sharing the same factor Z is the Frobenius dot product of their
 spatial factors; no QR or Gram product is formed.  Every other norm is
 the Frobenius norm of the block Y Z^T, the vector in the identity frame,
@@ -60,6 +61,7 @@ __all__ = [
     "norm",
     "truncate_svd",
     "block",
+    "is_block",
     "dense",
     "coordinates",
     "reduce_operator",
@@ -99,9 +101,10 @@ class FactoredVector:
 
     The constructor copies and freezes the arrays it is given.
     ``orthonormal`` records that Z has orthonormal columns by construction;
-    only the package's own constructors (the truncations and ``block``) set
-    it, and ``norm``, ``coordinates`` and ``truncate_svd`` then skip the QR
-    and Gram products of Z.
+    only the package's own constructors (the truncations, ``block`` and
+    ``build_operator``'s right-hand side) set it, and ``norm``,
+    ``coordinates`` and ``truncate_svd`` then skip the QR and Gram
+    products of Z.
     """
 
     Y: np.ndarray
@@ -248,12 +251,18 @@ def block(W: np.ndarray) -> FactoredVector:
     return FactoredVector._adopt(W, _identity(W.shape[1]), orthonormal=True)
 
 
+def is_block(u: FactoredVector) -> bool:
+    """Whether u is a block of the shared identity frame, so that its Y is
+    mat(u) itself."""
+    # a square flagged Z is the only candidate: no other size reaches the cache
+    return u.orthonormal and u.rank == u.shape[1] and u.Z is _identity(u.rank)
+
+
 def dense(u: FactoredVector) -> np.ndarray:
     """mat(u) = Y Z^T as a new C-ordered array.  A block of the shared
     identity frame is that array already, so its Y is copied, not multiplied
     by I (the rule of ``coordinates``)."""
-    # a square flagged Z is the only candidate: no other size reaches the cache
-    if u.orthonormal and u.rank == u.shape[1] and u.Z is _identity(u.rank):
+    if is_block(u):
         return np.array(u.Y, order="C")
     return u.Y @ u.Z.T
 
@@ -373,9 +382,10 @@ def build_operator(spatial, Gl) -> StochasticOperator:
     growth at M+1 terms; the operator is symmetric exactly when there is no
     transport term.  Every KL term is kept, also one whose spatial matrix
     vanishes (sigma = 0).  The right-hand side is the rank-one
-    tensor g_0 (x) f_0 with g_0 = e_1, the constant chaos polynomial;
-    Dirichlet lift contributions and the boundary values are added
-    separately (``pgd.handle_nonhomogeneous_bc``).
+    tensor g_0 (x) f_0 with g_0 = e_1, the constant chaos polynomial, so
+    its Z is orthonormal and flagged so (its norm is ||f_0||); Dirichlet
+    lift contributions and the boundary values are added separately
+    (``pgd.handle_nonhomogeneous_bc``).
     """
     mean = spatial.K[0]
     if spatial.N is not None:
@@ -388,7 +398,8 @@ def build_operator(spatial, Gl) -> StochasticOperator:
     terms.extend(zip(Gl, spatial.K[1:], strict=True))
 
     if np.any(spatial.f0):
-        rhs = FactoredVector.rank_one(spatial.f0, np.eye(n_xi, 1))
+        f0 = np.array(spatial.f0, dtype=float).reshape(-1, 1)
+        rhs = FactoredVector._adopt(f0, np.eye(n_xi, 1), orthonormal=True)
     else:
         rhs = FactoredVector.zero(spatial.f0.shape[0], n_xi)
     return StochasticOperator(

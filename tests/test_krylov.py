@@ -1,6 +1,11 @@
 import ast
+import os
+import signal
+import sys
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -159,6 +164,46 @@ class TestPreconditioner:
         assert out.shape == (n_x, kappa)
         assert peak <= 8 * n_x * (kappa + 2 * r) + 64 * 1024
 
+    def test_full_width_matvec_memory_is_output_solve_and_one_term(self, rng):
+        # the residual check's matvec: the same bound with the n_x x n_xi output
+        A = diffusion_operator(level=5, M=7, p=2)
+        n_x, n_xi = A.shape
+        r = 20
+        assert n_xi > r
+        P = MeanPreconditioner(A)
+        apply_preconditioned(A, P, random_factored(rng, n_x, n_xi, r))
+        u = random_factored(rng, n_x, n_xi, r)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = apply_preconditioned(A, P, u)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n_x, n_xi)
+        assert peak <= 8 * n_x * (n_xi + 2 * r) + 64 * 1024
+
+    def test_mean_only_operator_is_the_identity(self, rng):
+        # M = 0: an empty spatial stack, and A M^{-1} = I
+        A = diffusion_operator(level=3, M=2, p=1)
+        A = replace(A, terms=A.terms[:1])
+        u = random_factored(rng, *A.shape, 2)
+        want = u.Y @ u.Z.T
+        got = apply_preconditioned(A, MeanPreconditioner(A), u).Y
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_matvec_rejects_a_preconditioner_of_other_spatial_matrices(self, rng):
+        # equal matrices are not enough: P stacks the K_l of the operator it
+        # was built from, and the matvec checks that they are A's
+        A = diffusion_operator(level=3, M=2, p=1)
+        twin = diffusion_operator(level=3, M=2, p=1)
+        u = random_factored(rng, *A.shape, 2)
+        with pytest.raises(ValueError, match="other spatial matrices"):
+            apply_preconditioned(A, MeanPreconditioner(twin), u)
+        fewer = replace(A, terms=A.terms[:-1])
+        with pytest.raises(ValueError, match="other spatial matrices"):
+            apply_preconditioned(fewer, MeanPreconditioner(A), u)
+
     @staticmethod
     def assert_solves_mean_block(A, rng):
         # against a dense solve with K_0 formed from the factors
@@ -232,6 +277,102 @@ class TestPreconditioner:
         scaled = ((2.0 * sp.identity(A.shape[1], format="csr"), A.terms[0][1]),) + A.terms[1:]
         with pytest.raises(ValueError, match="G_0 = I"):
             MeanPreconditioner(replace(A, terms=scaled))
+
+
+def with_workers(monkeypatch, n, fn, *args):
+    """fn(*args) with the matvec's row blocks on n worker threads besides
+    the calling one."""
+    pool = ThreadPoolExecutor(n) if n else None
+    monkeypatch.setattr(krylov, "_WORKERS", n)
+    monkeypatch.setattr(krylov, "_POOL", pool)
+    try:
+        return fn(*args)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+class TestWorkerCount:
+    """The fixed row-block partition decides every bit; the thread count does not."""
+
+    @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion"])
+    @pytest.mark.parametrize("level,M", [(1, 2), (2, 7), (2, 1), (4, 3), (4, 1)])
+    def test_matvec(self, monkeypatch, rng, kind, level, M):
+        # levels 1 and 2 have fewer grid rows (1 and 3 x 3) than 2M; a fresh
+        # preconditioner per run makes the mean solve's GEMMs run again too
+        A = problem_operator(kind, level, M=M, p=1)[2]
+        n_x, n_xi = A.shape
+        B, _ = np.linalg.qr(rng.standard_normal((n_xi, 2)))
+        cases = [
+            (A, random_factored(rng, n_x, n_xi, 3)),  # full width, the residual check
+            (reduce_operator(A, B), lowrank.block(rng.standard_normal((n_x, 2)))),  # reduced
+        ]
+        for op, u in cases:
+            def matvec():
+                return apply_preconditioned(op, MeanPreconditioner(A), u)
+
+            first, second = (with_workers(monkeypatch, n, matvec) for n in (0, 1))
+            assert first.shape == u.shape
+            assert np.array_equal(first.Y, second.Y)
+
+    @pytest.mark.parametrize("truncation", ["multilevel", "svd"])
+    def test_pipeline(self, monkeypatch, truncation):
+        spec = PipelineSpec(
+            kind="diffusion", domain=UNIT, corr_len=4.0, sigma=0.05, mean_a0=1.0,
+            degree=2, fine_level=4, eps=1e-6, coarse_level=3, truncation=truncation,
+        )
+        first, second = (with_workers(monkeypatch, n, pipeline, spec) for n in (0, 1))
+        assert first.report.converged and first.report.matvecs > 1
+        for a, b in [(first.solution.Y, second.solution.Y), (first.solution.Z, second.solution.Z),
+                     (first.pgd.factors.Y, second.pgd.factors.Y),
+                     (first.pgd.factors.Z, second.pgd.factors.Z),
+                     (first.pgd.Zc, second.pgd.Zc)]:
+            assert np.array_equal(a, b)
+        assert first.report.residual_history == second.report.residual_history
+        assert first.report.complement_history == second.report.complement_history
+        assert first.pgd.residual_history == second.pgd.residual_history
+
+    def test_each_task_runs_once_under_thread_switches(self, monkeypatch):
+        # more threads than cores take task numbers from one shared iterator
+        # while the interpreter switches threads every microsecond
+        done = []
+
+        def task(k):
+            np.sqrt(np.full(64, k))  # native code that lets other threads in
+            done.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                with_workers(monkeypatch, 4, krylov._parallel_for, task, 50)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(done) == sorted(list(range(50)) * 20)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_pool(self, rng):
+        # the parent's worker threads do not exist in a child made by fork:
+        # a matvec there that waited for them would never return
+        A = diffusion_operator(level=3, M=2, p=1)
+        u = random_factored(rng, *A.shape, 2)
+        apply_preconditioned(A, MeanPreconditioner(A), u)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                apply_preconditioned(A, MeanPreconditioner(A), u)
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if not done[0]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's matvec did not return")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestFold:
