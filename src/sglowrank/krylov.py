@@ -36,7 +36,9 @@ depends on n_x and M alone.  The blocks run on the calling thread and one
 worker thread per further CPU the process may use (a module-level pool,
 none on one CPU): each thread takes the next block when it is free and
 writes only that block's output rows, so the result is the same for any
-number of threads.  The output blocks of a cycle sit in one
+number of threads.  Each thread works in its own workspace, allocated
+before the blocks run, so no array is allocated or freed while they run.
+The output blocks of a cycle sit in one
 array of m rows allocated before the first cycle.
 
 A cycle's first basis vector is its residual r, truncated on the SVD path
@@ -97,6 +99,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 from . import fem
 from .chaos import build_spectral_basis, build_stochastic_matrices
@@ -149,8 +152,8 @@ STAGNATION_TOL = 1e-2
 #: cycle cap of ``solve``
 MAX_CYCLES = 50
 
-#: threads that run matvec row blocks and mean-solve GEMMs besides the
-#: calling one: one per further CPU this process may use, none on one CPU
+#: threads that run matvec row blocks besides the calling one: one per
+#: further CPU this process may use, none on one CPU
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 ) - 1
@@ -168,19 +171,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_pool)
 
 
+def _threads(n: int) -> int:
+    """How many threads ``_parallel_for`` runs n tasks on."""
+    return 1 + min(_WORKERS, max(n - 1, 0))
+
+
 def _parallel_for(task, n: int) -> None:
-    """task(k) for k = 0..n - 1 on the calling thread and the pool's
-    workers, each taking the next k when it is free.  Each task writes its
-    own slice of an output, so the result does not depend on which thread
-    ran it."""
+    """task(k, i) for k = 0..n - 1 on the calling thread (i = 0) and the
+    pool's workers (i = 1 .. _threads(n) - 1), each taking the next k when
+    it is free.  Each task writes its own slice of an output, so the result
+    does not depend on which thread ran it; i selects the thread's own
+    workspace."""
     ks = iter(range(n))  # shared: under the GIL each k is taken once
 
-    def run():
+    def run(i):
         for k in ks:
-            task(k)
+            task(k, i)
 
-    futures = [_POOL.submit(run) for _ in range(min(_WORKERS, n - 1))]
-    run()
+    futures = [_POOL.submit(run, i) for i in range(1, _threads(n))]
+    run(0)
     for future in futures:
         # a worker that has not started yet would find no task left
         if not future.cancel():
@@ -267,14 +276,13 @@ class MeanPreconditioner:
         step on an n_x x r slice, and a masked row swap at a step where
         some system exchanges rows), and a batched GEMM takes the modes back
         into a new C-ordered n_y n_x x r array, the result: two such arrays
-        are live.  Each batched GEMM runs its two halves in y on the
-        matvec's threads; the sweeps run on the calling thread.  The last
+        are live.  The solve runs on the calling thread alone.  The last
         result is kept: the solver's final M^{-1} u_hat repeats the solve
         of its last residual check.
         """
         if self._last[0] is not u:
             n_y, n_x = self._inv_pivot.shape[:2]
-            t = _batched_matmul(self._Vt, u.Y.reshape(n_y, n_x, u.rank))
+            t = np.matmul(self._Vt, u.Y.reshape(n_y, n_x, u.rank))
             for i in range(1, n_y):
                 if self._swapped[i]:
                     swap, above = self._swap[i], t[i - 1].copy()
@@ -286,7 +294,7 @@ class MeanPreconditioner:
                 t[i] -= self._ratio[i] * t[i + 1]
                 if self._filled[i]:
                     t[i] -= self._ratio2[i] * t[i + 2]
-            X = _batched_matmul(self._V, t).reshape(n_y * n_x, u.rank)
+            X = np.matmul(self._V, t).reshape(n_y * n_x, u.rank)
             self._last = (u, FactoredVector._adopt(X, u.Z, u.orthonormal))
         return self._last[1]
 
@@ -306,15 +314,6 @@ def _row_blocks(Ks, n_x: int) -> tuple[list[int], list[sp.csr_matrix]]:
     rows = -(-n_x // (2 * max(M, 1)))
     bounds = list(range(0, n_x, rows)) + [n_x]
     return bounds, [stacked[order[a:b].ravel()] for a, b in zip(bounds, bounds[1:])]
-
-
-def _batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b[i] for every i along b's first axis, as one new C-ordered
-    array; the two halves of that axis run on the pool."""
-    out = np.empty(b.shape[:-2] + (a.shape[0], b.shape[-1]))
-    halves = (slice(0, len(b) // 2), slice(len(b) // 2, None))
-    _parallel_for(lambda k: np.matmul(a, b[halves[k]], out=out[halves[k]]), 2)
-    return out
 
 
 def _gemm_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float) -> None:
@@ -341,8 +340,14 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
     of P's row-interleaved stack with X, read as rows a..b of S, one GEMM
     with C written into the output rows and the mean term added.  The row
     blocks run on the calling thread and the pool, each writing its own
-    rows.  Besides the output and X the call holds C and one block of S
-    (at most n_x r / 2 numbers) per running thread.  ``P`` must be built
+    rows.  Besides the output and X the call holds C and one workspace per
+    thread, for one block of S and then the block's mean term Y Z^T
+    (at most n_x max(M r, n_out) / 2M numbers each).  The workspaces are
+    allocated before the blocks run and the sparse product writes into
+    them (``csr_matvecs``, the kernel of scipy's CSR times dense), so no
+    array is allocated or freed while the threads run: a free there can
+    hand pages back to the kernel, which then interrupts the CPU of every
+    other running thread to flush its TLB.  ``P`` must be built
     from an operator with A's spatial matrices K_1..K_M (A itself, or A
     reduced onto a basis); other matrices raise ``ValueError``.
     """
@@ -364,13 +369,21 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
     in_frame = is_block(u)
     bounds, blocks = P._bounds, P._blocks
     out = np.empty((n_x, n_xi))
+    width = len(C) if in_frame else max(len(C), n_xi)
+    work = np.empty((_threads(len(blocks)), bounds[1] * width))
+    x = X.ravel()  # X is C-ordered: the row-major n_x x r input csr_matvecs reads
 
-    def rows(k):
+    def rows(k, i):
         a, b = bounds[k], bounds[k + 1]
-        S = (blocks[k] @ X).reshape(b - a, len(C))
-        np.matmul(S, C, out=out[a:b])
-        del S  # freed before the mean term's temporary
-        out[a:b] += Y[a:b] if in_frame else Y[a:b] @ Z.T
+        K, S = blocks[k], work[i, : (b - a) * len(C)]
+        S[:] = 0.0  # csr_matvecs adds K X into S
+        csr_matvecs(K.shape[0], K.shape[1], r, K.indptr, K.indices, K.data, x, S)
+        np.matmul(S.reshape(b - a, len(C)), C, out=out[a:b])
+        if in_frame:
+            out[a:b] += Y[a:b]
+        else:
+            T = work[i, : (b - a) * n_xi].reshape(b - a, n_xi)
+            out[a:b] += np.matmul(Y[a:b], Z.T, out=T)
 
     _parallel_for(rows, len(blocks))
     return block(out)

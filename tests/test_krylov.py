@@ -2,6 +2,7 @@ import ast
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -299,7 +300,7 @@ class TestWorkerCount:
     @pytest.mark.parametrize("level,M", [(1, 2), (2, 7), (2, 1), (4, 3), (4, 1)])
     def test_matvec(self, monkeypatch, rng, kind, level, M):
         # levels 1 and 2 have fewer grid rows (1 and 3 x 3) than 2M; a fresh
-        # preconditioner per run makes the mean solve's GEMMs run again too
+        # preconditioner per run solves the mean block again
         A = problem_operator(kind, level, M=M, p=1)[2]
         n_x, n_xi = A.shape
         B, _ = np.linalg.qr(rng.standard_normal((n_xi, 2)))
@@ -334,18 +335,30 @@ class TestWorkerCount:
 
     def test_each_task_runs_once_under_thread_switches(self, monkeypatch):
         # more threads than cores take task numbers from one shared iterator
-        # while the interpreter switches threads every microsecond
+        # while the interpreter switches threads every microsecond; each
+        # thread passes one workspace index of its own, the caller 0
         done = []
 
-        def task(k):
-            np.sqrt(np.full(64, k))  # native code that lets other threads in
-            done.append(k)
+        def run_once():
+            slots = {}
+
+            def task(k, i):
+                np.sqrt(np.full(64, k))  # native code that lets other threads in
+                done.append(k)
+                slots.setdefault(i, set()).add(threading.get_ident())
+
+            krylov._parallel_for(task, 50)
+            assert set(slots) <= set(range(krylov._threads(50)))
+            me = threading.get_ident()
+            assert slots.get(0, {me}) == {me}  # the workers may take every task
+            assert all(len(ids) == 1 for ids in slots.values())
+            assert len(set.union(*slots.values())) == len(slots)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                with_workers(monkeypatch, 4, krylov._parallel_for, task, 50)
+                with_workers(monkeypatch, 4, run_once)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(done) == sorted(list(range(50)) * 20)
