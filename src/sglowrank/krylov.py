@@ -30,16 +30,16 @@ and G_0 = I, which the preconditioner checks once) plus
 sum_l (K_l X)(G_l Z)^T for l = 1..M.  The sum is row-separable: for a
 fixed block of grid rows it is one sparse product of those rows of the
 row-interleaved stack of K_1..K_M with X and one GEMM with the stacked
-(G_l Z)^T.  The preconditioner builds that stack once per solve and cuts
-it into at most ceil(n_x / 2M) grid rows per block, a partition that
-depends on n_x and M alone.  The blocks run on the calling thread and one
-worker thread per further CPU the process may use (a module-level pool,
-none on one CPU): each thread takes the next block when it is free and
-writes only that block's output rows, so the result is the same for any
-number of threads.  Each thread works in its own workspace, allocated
-before the blocks run, so no array is allocated or freed while they run.
-The output blocks of a cycle sit in one
-array of m rows allocated before the first cycle.
+(G_l Z)^T.  The preconditioner builds that stack once per solve; a block
+of at most ceil(n_x / 2M) grid rows is a range of its rows, and the
+partition depends on n_x and M alone.  The blocks run on the calling
+thread and one worker thread per further CPU the process may use (a
+module-level pool, none on one CPU): each thread takes the next block
+when it is free and writes only that block's output rows, so the result
+is the same for any number of threads.  Each thread works in its own
+workspace, allocated before the blocks run, so no array is allocated or
+freed while they run.  Each cycle allocates its own m rows for the
+output blocks of its matvecs.
 
 A cycle's first basis vector is its residual r, truncated on the SVD path
 and normalized.  The zero iterate's residual is f, taken without a matvec:
@@ -90,6 +90,7 @@ once and ``compare`` once per truncation.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 import warnings
@@ -213,13 +214,14 @@ class MeanPreconditioner:
     of convection where mean_a0 < 1 and the Peclet number exceeds 1; a
     singular K_0 raises ``ValueError``.
 
-    It also keeps the spatial matrices K_1..K_M of the operator, stacked
-    row-interleaved (row i M + l is row i of K_{l+1}) and cut into fixed
-    blocks of grid rows for ``apply_preconditioned``: 12 bytes per entry
-    as CSR, M nnz(K_l) entries, 12 MB on level 7 with M = 7.  A and the operators reduced from
-    it share these matrices, so one preconditioner serves them all.
-    Besides K_0, V, these arrays and the stack it keeps only its last
-    solve; the matvec allocates its own workspace.
+    It also keeps the spatial matrices K_1..K_M of the operator as one
+    row-interleaved CSR stack (12 MB on level 7 with M = 7), whose row
+    i M + l is row i of K_{l+1} in stored order, so that (stack X)[i M + l]
+    is (K_{l+1} X)[i] to the last bit, and the bounds of the row blocks of
+    ``apply_preconditioned``.  A and the operators reduced from it share
+    these matrices, so one preconditioner serves them all.  Besides K_0,
+    V, these arrays and the stack it keeps only its last solve; the matvec
+    allocates its own workspace.
     """
 
     def __init__(self, A: StochasticOperator):
@@ -260,7 +262,11 @@ class MeanPreconditioner:
         self._ratio2 = (du2[:-1] / d[:-2])[:, :, None]
         self._last: tuple[FactoredVector | None, FactoredVector | None] = (None, None)
         self._spatial = tuple(K for _, K in A.terms[1:])
-        self._bounds, self._blocks = _row_blocks(self._spatial, A.shape[0])
+        n_x, M = A.shape[0], len(self._spatial)
+        order = np.arange(M * n_x).reshape(M, n_x).T.ravel()  # order[i M + l] = l n_x + i
+        stacked = sp.vstack(self._spatial, format="csr") if M else sp.csr_matrix((0, n_x))
+        self._stack = stacked[order]
+        self._bounds = list(range(0, n_x, -(-n_x // (2 * max(M, 1))))) + [n_x]
 
     def apply(self, u: FactoredVector) -> FactoredVector:
         """M u, moving an initial guess into the preconditioned variable."""
@@ -299,23 +305,6 @@ class MeanPreconditioner:
         return self._last[1]
 
 
-def _row_blocks(Ks, n_x: int) -> tuple[list[int], list[sp.csr_matrix]]:
-    """The row-interleaved stack of K_1..K_M, whose row i M + l is row i of
-    K_{l+1}, cut into blocks of at most ceil(n_x / 2M) grid rows.
-
-    Returns the block bounds a_0 = 0 < a_1 < ... = n_x and the CSR rows
-    a_k M .. a_{k+1} M of the stack, each gathered from the vertical stack
-    of the K_l.  Rows keep their entries in stored order, so
-    (stack X)[i M + l] is (K_{l+1} X)[i] to the last bit.
-    """
-    M = len(Ks)
-    stacked = sp.vstack(Ks, format="csr") if Ks else sp.csr_matrix((0, n_x))
-    order = np.arange(M * n_x).reshape(M, n_x).T  # row l n_x + i of the vertical stack
-    rows = -(-n_x // (2 * max(M, 1)))
-    bounds = list(range(0, n_x, rows)) + [n_x]
-    return bounds, [stacked[order[a:b].ravel()] for a, b in zip(bounds, bounds[1:])]
-
-
 def _gemm_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float) -> None:
     """out <- a b^T + beta out in place, for a C-ordered out.
 
@@ -337,24 +326,25 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
     and G_0 = I, and the other terms are sum_l (K_l X)(G_l Z)^T = S C with
     S = [K_1 X | ... | K_M X] and C = [G_1 Z | ... | G_M Z]^T.  C (M r x
     n_out) is formed once; rows a..b of the output are one sparse product
-    of P's row-interleaved stack with X, read as rows a..b of S, one GEMM
-    with C written into the output rows and the mean term added.  The row
-    blocks run on the calling thread and the pool, each writing its own
-    rows.  Besides the output and X the call holds C and one workspace per
-    thread, for one block of S and then the block's mean term Y Z^T
-    (at most n_x max(M r, n_out) / 2M numbers each).  The workspaces are
-    allocated before the blocks run and the sparse product writes into
-    them (``csr_matvecs``, the kernel of scipy's CSR times dense), so no
-    array is allocated or freed while the threads run: a free there can
-    hand pages back to the kernel, which then interrupts the CPU of every
-    other running thread to flush its TLB.  ``P`` must be built
-    from an operator with A's spatial matrices K_1..K_M (A itself, or A
-    reduced onto a basis); other matrices raise ``ValueError``.
+    of rows a M..b M of P's stack with X, read through a slice of its
+    ``indptr`` and written as rows a..b of S, one GEMM with C written into
+    the output rows and the mean term added.  The row blocks run on the
+    calling thread and the pool, each writing its own rows.  Besides the
+    output and X the call holds C and one workspace per thread, for one
+    block of S and then the block's mean term Y Z^T (at most
+    n_x max(M r, n_out) / 2M numbers each).  The workspaces are allocated
+    before the blocks run and the sparse product writes into them
+    (``csr_matvecs``, the kernel of scipy's CSR times dense), so no array
+    is allocated or freed while the threads run: a free there can hand
+    pages back to the kernel, which then interrupts the CPU of every other
+    running thread to flush its TLB.  ``P`` must be built from an
+    operator with A's spatial matrices K_1..K_M (A itself, or A reduced
+    onto a basis); other matrices raise ``ValueError``.
     """
     n_x, n_xi = A.shape
     if u.shape != (n_x, n_xi):
         raise ValueError(f"operator shape {(n_x, n_xi)} does not match vector {u.shape}")
-    spatial = P._spatial
+    spatial, stack, bounds = P._spatial, P._stack, P._bounds
     if len(spatial) != len(A.terms) - 1 or any(
         K is not S for (_, K), S in zip(A.terms[1:], spatial)
     ):
@@ -362,22 +352,22 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
     if u.rank == 0:
         return FactoredVector.zero(n_x, n_xi)
     X = P.solve(u).Y
-    Y, Z, r = u.Y, u.Z, u.rank
-    C = np.empty((len(spatial) * r, n_xi))
+    Y, Z, r, M = u.Y, u.Z, u.rank, len(spatial)
+    C = np.empty((M * r, n_xi))
     for l, (G, _) in enumerate(A.terms[1:]):
         C[l * r : (l + 1) * r] = (G @ Z).T
     in_frame = is_block(u)
-    bounds, blocks = P._bounds, P._blocks
     out = np.empty((n_x, n_xi))
     width = len(C) if in_frame else max(len(C), n_xi)
-    work = np.empty((_threads(len(blocks)), bounds[1] * width))
+    work = np.empty((_threads(len(bounds) - 1), bounds[1] * width))
     x = X.ravel()  # X is C-ordered: the row-major n_x x r input csr_matvecs reads
 
     def rows(k, i):
         a, b = bounds[k], bounds[k + 1]
-        K, S = blocks[k], work[i, : (b - a) * len(C)]
-        S[:] = 0.0  # csr_matvecs adds K X into S
-        csr_matvecs(K.shape[0], K.shape[1], r, K.indptr, K.indices, K.data, x, S)
+        S = work[i, : (b - a) * len(C)]
+        S[:] = 0.0  # csr_matvecs adds the product into S
+        csr_matvecs((b - a) * M, n_x, r, stack.indptr[a * M : b * M + 1], stack.indices,
+                    stack.data, x, S)
         np.matmul(S.reshape(b - a, len(C)), C, out=out[a:b])
         if in_frame:
             out[a:b] += Y[a:b]
@@ -385,7 +375,7 @@ def apply_preconditioned(A: StochasticOperator, P, u: FactoredVector) -> Factore
             T = work[i, : (b - a) * n_xi].reshape(b - a, n_xi)
             out[a:b] += np.matmul(Y[a:b], Z.T, out=T)
 
-    _parallel_for(rows, len(blocks))
+    _parallel_for(rows, len(bounds) - 1)
     return block(out)
 
 
@@ -428,11 +418,11 @@ def _residual(A: StochasticOperator, P, u_hat: FactoredVector) -> FactoredVector
     return block(R)
 
 
-def _cycle(A, P, merge, m: int, r: FactoredVector, v0, u_hat, W: np.ndarray, target: float):
+def _cycle(A, P, merge, m: int, r: FactoredVector, v0, u_hat, target: float):
     """One restart cycle from the unit basis vector v0 and the residual block r.
 
-    The recurrence and its stopping rules are in the module docstring; W's
-    rows hold the orthonormalized matvec outputs q_j, and
+    The recurrence and its stopping rules are in the module docstring; the
+    cycle's own m rows W hold the orthonormalized matvec outputs q_j, and
     ``merge(vectors, coeffs)`` forms the basis vectors and the update
     merge([u_hat] + V, [1, beta]).  Returns the update, the number of
     matvecs (a dropped one included) and whether the last least-squares
@@ -440,6 +430,7 @@ def _cycle(A, P, merge, m: int, r: FactoredVector, v0, u_hat, W: np.ndarray, tar
     by a dropped matvec).  Every vector of the cycle is released on return.
     """
     V = [v0]
+    W = np.empty((m, r.Y.size))
     R = np.zeros((m, m))
     c = np.zeros(m)
     r_flat = r.Y.ravel()
@@ -508,11 +499,10 @@ def solve(
     P = MeanPreconditioner(A)
     t_setup = time.perf_counter() - t0
 
-    n_x, n_xi = A.shape
     fnorm = norm(A.rhs)
     if fnorm == 0.0:
         report = SolveReport(0, 0, [0.0], [0.0], 0, "converged", {"setup": t_setup, "solve": 0.0})
-        return FactoredVector.zero(n_x, n_xi), report
+        return FactoredVector.zero(*A.shape), report
 
     t1 = time.perf_counter()
     B = trunc.basis if trunc.kind == "projection" else None
@@ -534,8 +524,6 @@ def solve(
             # only the guess's part in span(B) is checked and returned
             x_hat, u_given = block(coordinates(x_hat, B)), None
 
-    # the matvec output blocks of one cycle, one row each
-    W = np.empty((m, n_x * A_cycle.shape[1]))
     history: list[float] = []
     complement: list[float] = []
     cycles = 0
@@ -562,7 +550,8 @@ def solve(
         rel = r_norm / fnorm
         perp = 0.0
         if B is not None:
-            perp = float(np.sqrt(max(r_norm**2 - norm(r) ** 2, 0.0))) / fnorm
+            v_norm = norm(r)  # the frame part's, and the cycle's first vector's
+            perp = float(np.sqrt(max(r_norm**2 - v_norm**2, 0.0))) / fnorm
         if history and rel > history[-1]:
             warnings.warn(
                 f"cycle {outer} increased the relative residual "
@@ -589,7 +578,7 @@ def solve(
 
         if B is None:
             v_tilde = trunc.apply(v_tilde)
-        v_norm = norm(v_tilde)
+            v_norm = norm(v_tilde)
         if v_norm == 0.0:
             warnings.warn("truncated residual vanished; cannot build a basis", stacklevel=2)
             status = "basis-vanished"
@@ -601,7 +590,7 @@ def solve(
         if cycles and 0.0 < perp < eps:
             target = np.sqrt(eps**2 - perp**2)
         x_hat, cycle_matvecs, reached = _cycle(
-            A_cycle, P, merge, m, r, scale(v_tilde, 1.0 / v_norm), x_hat, W, fnorm * target
+            A_cycle, P, merge, m, r, scale(v_tilde, 1.0 / v_norm), x_hat, fnorm * target
         )
         matvecs += cycle_matvecs
         cycles += 1
@@ -640,7 +629,9 @@ class PipelineSpec:
     The single configuration of the package: the command line reads its
     config files into this class, with the field names as keys.
     Construction checks every field and raises one ConfigError that names
-    all problems found.
+    all problems found: every field of the wrong type (int fields take Python
+    or numpy integers, float fields real numbers, neither a bool), else
+    every value out of range or not finite.
     """
 
     kind: str = "diffusion"  # "diffusion" | "convection-diffusion"
@@ -662,6 +653,18 @@ class PipelineSpec:
         # a tuple of floats: a list would skip the finite check and leave the spec unhashable
         d = tuple(map(float, self.domain))
         object.__setattr__(self, "domain", d)
+        kinds = {"int": numbers.Integral, "float": numbers.Real}
+        wrong, errors = [], []
+        for f in fields(self):
+            kind, value = kinds.get(f.type.split(" |")[0]), getattr(self, f.name)
+            if kind and not (value is None and "None" in f.type) and (
+                isinstance(value, bool) or not isinstance(value, kind)
+            ):
+                wrong.append(f"{f.name} must be {f.type}, got {value!r}")
+            elif isinstance(value, (float, np.floating, tuple)) and not np.all(np.isfinite(value)):
+                errors.append(f"{f.name} must be finite, got {value}")
+        if wrong:  # the range checks below would compare values of the wrong type
+            raise ConfigError("; ".join(wrong))
         checks = [
             (self.kind in ("diffusion", "convection-diffusion"),
              f"kind must be diffusion or convection-diffusion, got {self.kind!r}"),
@@ -687,11 +690,7 @@ class PipelineSpec:
              f"truncation must be multilevel or svd, got {self.truncation!r}"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
         ]
-        errors = [message for ok, message in checks if not ok]
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
-                errors.append(f"{f.name} must be finite, got {value}")
+        errors += [message for ok, message in checks if not ok]
         if errors:
             raise ConfigError("; ".join(errors))
 

@@ -184,6 +184,30 @@ class TestPreconditioner:
         assert out.shape == (n_x, n_xi)
         assert peak <= 8 * n_x * (n_xi + 2 * r) + 64 * 1024
 
+    @pytest.mark.parametrize("kind, level, M", [
+        ("diffusion", 4, 7), ("convection-diffusion", 5, 2), ("diffusion", 3, 0),
+    ])
+    def test_stack_rows_are_the_spatial_rows_in_stored_order(self, kind, level, M):
+        # the matvec reads block [a, b) as rows a M..b M of P's stack, so row
+        # i M + l must be row i of K_{l+1}, its entries in stored order: the
+        # order that keeps the sparse product bit-identical to K_{l+1} X.
+        # Level 5 with M = 2 cuts 961 rows into blocks of 241 and a last of
+        # 238; M = 0 is the mean-only operator, whose stack is empty
+        A = problem_operator(kind, level, M=max(M, 1))[2]
+        A = replace(A, terms=A.terms[: M + 1])
+        P = MeanPreconditioner(A)
+        n_x, stack, Ks = A.shape[0], P._stack, [K for _, K in A.terms[1:]]
+        assert stack.shape == (n_x * M, n_x) and stack.nnz == sum(K.nnz for K in Ks)
+        for i in range(n_x):
+            for l, K in enumerate(Ks):
+                got = slice(*stack.indptr[i * M + l : i * M + l + 2])
+                want = slice(*K.indptr[i : i + 2])
+                assert np.array_equal(stack.indices[got], K.indices[want]), (i, l)
+                assert stack.data[got].tobytes() == K.data[want].tobytes(), (i, l)
+        sizes = np.diff(P._bounds)
+        assert P._bounds[0] == 0 and P._bounds[-1] == n_x
+        assert set(sizes[:-1]) == {-(-n_x // (2 * max(M, 1)))} and sizes[-1] < sizes[0]
+
     def test_mean_only_operator_is_the_identity(self, rng):
         # M = 0: an empty spatial stack, and A M^{-1} = I
         A = diffusion_operator(level=3, M=2, p=1)
@@ -590,6 +614,61 @@ class TestFixedFrame:
         pgd_floor = reduced_galerkin_solve(A_fine, B)[1]
         pod_floor = reduced_galerkin_solve(A_fine, pod_basis(A_coarse, B.shape[1]))[1]
         assert pgd_floor <= 1.25 * measured * pod_floor, (pgd_floor, pod_floor)
+
+    # the c = 3 diffusion cell above at eps 1e-6, whose fine level is 4
+    MULTILEVEL = dict(kind="diffusion", domain=UNIT, corr_len=3.0, num_modes=3, degree=3,
+                      eps=1e-6, fine_level=4)
+
+    @pytest.mark.parametrize("coarse, floor_ratio, work_ratio", [(2, 112.3, 0.0262),
+                                                                  (3, 1.070, 0.2218)])
+    def test_coarse_basis_against_a_fine_level_basis(self, coarse, floor_ratio, work_ratio,
+                                                     monkeypatch):
+        # the paper's multilevel claim: a basis learned on a coarse grid
+        # serves the fine problem almost as well as one learned on the fine
+        # grid, for a fraction of the PGD work.  Floors are the residuals of
+        # the reduced Galerkin solutions on level 4, work the PGD's spatial
+        # solves times their size n_x, counted.  Both ratios, coarse over
+        # fine, are pinned as measured with the 25% margin of the POD test
+        solves = []
+        solve_spatial = pgd._Workspace.solve_spatial
+
+        def counted(ws, z):
+            solves.append(z)
+            return solve_spatial(ws, z)
+
+        monkeypatch.setattr(pgd._Workspace, "solve_spatial", counted)
+        spec = PipelineSpec(**self.MULTILEVEL)
+        kl, stoch = krylov.build_stochastic(spec)
+        A_fine = krylov.build_problem(spec, 4, kl, stoch)[2]
+
+        def floor_and_work(level):
+            before = len(solves)
+            grid, sol = krylov.run_pgd(replace(spec, coarse_level=level), kl, stoch)
+            work = (len(solves) - before) * grid.n_interior
+            return reduced_galerkin_solve(A_fine, sol.Zc)[1], work
+
+        coarse_floor, coarse_work = floor_and_work(coarse)
+        fine_floor, fine_work = floor_and_work(4)
+        assert coarse_floor <= 1.25 * floor_ratio * fine_floor, (coarse_floor, fine_floor)
+        assert coarse_work <= 1.25 * work_ratio * fine_work, (coarse_work, fine_work)
+
+    def test_basis_limited_pipeline_error_is_the_best_in_span(self):
+        # with the level-2 basis the fine solve runs down to the basis floor,
+        # and the energy error of its solution is that of the reduced
+        # Galerkin solution, the best in span(B) for this SPD operator
+        # (measured ratio 1.0000)
+        with pytest.warns(UserWarning, match="basis-limited"):
+            res = pipeline(PipelineSpec(coarse_level=2, **self.MULTILEVEL))
+        A = res.fine_operator
+        D = sum(sp.kron(G, K, format="csr") for G, K in A.terms)
+        exact = reduced_galerkin_solve(A, np.eye(A.shape[1]))[0]
+
+        def energy_error(u):
+            return np.sqrt((u - exact) @ (D @ (u - exact)))
+
+        best = reduced_galerkin_solve(A, res.pgd.Zc)[0]
+        assert res.report.status == "basis-limited"
+        assert energy_error(dense_vec(res.solution)) <= 1.1 * energy_error(best)
 
     def test_status_of_other_stops(self, monkeypatch):
         A = diffusion_operator(level=3, M=3, p=2, sigma=0.1)
@@ -1025,6 +1104,28 @@ class TestPipeline:
         assert messages[0] == messages[1]
         spec = PipelineSpec(domain=[0, 1, 0, 1])
         assert spec == PipelineSpec() and hash(spec) == hash(PipelineSpec())
+
+    @pytest.mark.parametrize("field, value", [
+        ("degree", 2.5), ("fine_level", 3.0), ("coarse_level", 2.0), ("m", 8.5),
+        ("num_modes", 2.0), ("m", True), ("seed", 1.5), ("sigma", "0.1"), ("eps", True),
+        ("nu", False),
+    ])
+    def test_spec_rejects_a_field_of_the_wrong_type(self, field, value):
+        # a value of the wrong type would fail later inside the pipeline,
+        # outside the spec's ConfigError, or go unused
+        with pytest.raises(ConfigError, match=f"^{field} must be (int|float)"):
+            PipelineSpec(**{field: value})
+
+    def test_spec_names_every_field_of_the_wrong_type(self):
+        with pytest.raises(ConfigError) as exc:
+            PipelineSpec(degree=2.5, sigma="0.1", m=True)
+        for name in ("degree", "sigma", "m"):
+            assert f"{name} must be" in str(exc.value)
+        # numpy integers and reals are numbers of the right kind
+        spec = PipelineSpec(degree=np.int64(3), fine_level=np.int32(5), num_modes=np.int64(3),
+                            m=np.int64(4), seed=np.int64(0), sigma=np.float64(0.1), corr_len=2)
+        assert spec == PipelineSpec(degree=3, fine_level=5, num_modes=3, m=4, sigma=0.1,
+                                    corr_len=2.0)
 
     def test_coarse_level_never_exceeds_the_fine_level(self):
         with pytest.raises(ConfigError, match="coarse_level must lie in \\[1, fine_level = 5\\]"):

@@ -64,6 +64,9 @@ def test_instrument_enters_traces_and_restores():
     assert calls["krylov.matvec"] == sum(
         r.matvecs + len(r.residual_history) - 1 for r in reports
     )
+    # one preconditioner, and so one gather of its K_l stack, per fine
+    # solve: a stack rebuilt per cycle or per matvec fails here
+    assert calls["krylov.precond_setup"] == len(reports)
     # every PGD checkpoint and the update's accept test read the traced
     # pgd.residual_norm: each records one residual_history entry
     assert calls["pgd.residual"] == sum(len(r.pgd.residual_history) for r in results)
