@@ -90,6 +90,7 @@ once and ``compare`` once per truncation.
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 import os
 import time
@@ -630,8 +631,9 @@ class PipelineSpec:
     config files into this class, with the field names as keys.
     Construction checks every field and raises one ConfigError that names
     all problems found: every field of the wrong type (int fields take Python
-    or numpy integers, float fields real numbers, neither a bool), else
-    every value out of range or not finite.
+    or numpy integers, float fields real numbers, ``domain`` a sequence of
+    four real numbers, never a bool), else every value out of range or not
+    finite.
     """
 
     kind: str = "diffusion"  # "diffusion" | "convection-diffusion"
@@ -650,25 +652,35 @@ class PipelineSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # a tuple of floats: a list would skip the finite check and leave the spec unhashable
-        d = tuple(map(float, self.domain))
-        object.__setattr__(self, "domain", d)
-        kinds = {"int": numbers.Integral, "float": numbers.Real}
+        # a tuple: a list would skip the finite check and leave the spec unhashable
+        with contextlib.suppress(TypeError):  # a scalar is named below
+            object.__setattr__(self, "domain", tuple(self.domain))
+
+        def number(kind):  # a bool is no number here
+            return lambda v: isinstance(v, kind) and not isinstance(v, bool)
+
+        real = number(numbers.Real)
+        kinds = {
+            "int": number(numbers.Integral),
+            "float": real,
+            "tuple[float, float, float, float]":
+                lambda v: isinstance(v, tuple) and len(v) == 4 and all(map(real, v)),
+        }
         wrong, errors = [], []
         for f in fields(self):
-            kind, value = kinds.get(f.type.split(" |")[0]), getattr(self, f.name)
-            if kind and not (value is None and "None" in f.type) and (
-                isinstance(value, bool) or not isinstance(value, kind)
-            ):
+            is_kind, value = kinds.get(f.type.split(" |")[0]), getattr(self, f.name)
+            if is_kind and not (value is None and "None" in f.type) and not is_kind(value):
                 wrong.append(f"{f.name} must be {f.type}, got {value!r}")
             elif isinstance(value, (float, np.floating, tuple)) and not np.all(np.isfinite(value)):
                 errors.append(f"{f.name} must be finite, got {value}")
         if wrong:  # the range checks below would compare values of the wrong type
             raise ConfigError("; ".join(wrong))
+        d = tuple(map(float, self.domain))
+        object.__setattr__(self, "domain", d)
         checks = [
             (self.kind in ("diffusion", "convection-diffusion"),
              f"kind must be diffusion or convection-diffusion, got {self.kind!r}"),
-            (len(d) == 4 and d[1] > d[0] and d[3] > d[2],
+            (d[1] > d[0] and d[3] > d[2],
              f"domain must be x_lo, x_hi, y_lo, y_hi with x_lo < x_hi and y_lo < y_hi, got {d}"),
             (self.corr_len > 0, f"corr_len must be positive, got {self.corr_len}"),
             (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),

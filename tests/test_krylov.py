@@ -1127,6 +1127,17 @@ class TestPipeline:
         assert spec == PipelineSpec(degree=3, fine_level=5, num_modes=3, m=4, sigma=0.1,
                                     corr_len=2.0)
 
+    @pytest.mark.parametrize("domain", [
+        ("0", "1", True, 2), (0.0, 1.0, 0.0, np.True_), 1.0, (0.0, 1.0), "0101",
+    ])
+    def test_spec_rejects_a_domain_that_is_not_four_real_numbers(self, domain):
+        # float() would turn strings and bools into bounds, and fail on a scalar
+        with pytest.raises(ConfigError, match=r"^domain must be tuple\[float"):
+            PipelineSpec(domain=domain)
+        with pytest.raises(ConfigError) as exc:
+            PipelineSpec(domain=domain, degree=2.5)
+        assert "domain must be" in str(exc.value) and "degree must be" in str(exc.value)
+
     def test_coarse_level_never_exceeds_the_fine_level(self):
         with pytest.raises(ConfigError, match="coarse_level must lie in \\[1, fine_level = 5\\]"):
             PipelineSpec(coarse_level=7, fine_level=5)

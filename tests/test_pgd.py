@@ -89,7 +89,7 @@ class TestEnrichment:
                 want_bits = solve_banded((lower, upper), np.array(rows), ws.spatial_rhs(z))
             assert ws.solve_spatial(z).tobytes() == want_bits.tobytes()
 
-            # stochastic condensation (y (x) I)^T A (y (x) I), solved densely
+            # stochastic condensation (y (x) I)^T A (y (x) I) against a dense solve
             Q = np.kron(np.eye(n_xi), y.reshape(-1, 1))
             want = Q.T @ dense @ Q
             mat = dense_condensed(ws.stochastic, ws.spatial.weights(y), n_xi)
@@ -171,6 +171,49 @@ class TestWorkspace:
             ws.spatial.data[:, (ws.spatial.rows == 0) & (ws.spatial.cols == 0)] *= -1.0
             with pytest.raises(np.linalg.LinAlgError):  # indefinite: no Cholesky factor
                 ws.solve_spatial(z)
+
+    @pytest.mark.parametrize("M, n_xi, n_odd", [(5, 56, 40), (7, 120, 91)])
+    def test_eliminated_set_is_the_odd_degrees_of_a_chaos_basis(self, M, n_xi, n_odd):
+        # each G_l of a linear expansion couples total degrees one apart
+        A = diffusion_operator(level=2, M=M, p=3)
+        degree = build_spectral_basis(M, 3).sum(axis=1)
+        ws = _Workspace(A)
+        assert A.shape[1] == n_xi
+        assert np.array_equal(ws._elim, np.flatnonzero(degree % 2 == 1))
+        assert ws._elim.size == n_odd
+        assert np.array_equal(ws._kept, np.flatnonzero(degree % 2 == 0))
+
+    @pytest.mark.parametrize("kind", ["diffusion", "convection-diffusion", "random"])
+    def test_stochastic_solve_matches_a_dense_solve(self, rng, kind):
+        if kind == "random":
+            A = random_operator(rng, 12, 9, 4)
+        else:
+            A = diffusion_operator(level=3, M=5, p=3) if kind == "diffusion" else cd_operator()[0]
+        n_x, n_xi = A.shape
+        ws = _Workspace(A)
+        # dense G_l couple every pair of indices: only the last one is eliminated
+        if kind == "random":
+            assert ws._elim.tolist() == [n_xi - 1]
+        for _ in range(2):  # right-hand sides with cached pairs
+            ws.extend(rng.standard_normal(n_x), rng.standard_normal(n_xi))
+        for _ in range(3):
+            y = rng.standard_normal(n_x)
+            mat = dense_condensed(ws.stochastic, ws.spatial.weights(y), n_xi)
+            want = np.linalg.solve(mat, ws.stochastic_rhs(y))
+            got = ws.solve_stochastic(y)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("scale_pivot", [-1.0, 0.0])
+    def test_nonpositive_eliminated_pivot_raises_linalg_error(self, rng, scale_pivot):
+        # enrich_rank_one restarts on LinAlgError, so a failed elimination must raise it
+        A = diffusion_operator(level=2, M=3, p=3)
+        y = rng.standard_normal(A.shape[0])
+        ws = _Workspace(A)
+        ws.solve_stochastic(y)
+        cond, i = ws.stochastic, ws._elim[-1]
+        cond.data[:, (cond.rows == i) & (cond.cols == i)] *= scale_pivot
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            ws.solve_stochastic(y)
 
     @pytest.mark.parametrize("where", ["spatial", "stochastic", "rhs"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
